@@ -69,56 +69,55 @@ def check_mean_ineq(
     )
 
 
-def _pair_sweep(chi: GroupFunction, tol: float, single, name: str) -> CheckReport:
-    G = chi.group
-    worst = np.inf
-    worst_witness = ""
-    count = 0
-    for i in range(G.order):
-        g1 = G.from_index(i)
-        for j in range(G.order):
-            g2 = G.from_index(j)
-            rep = single(chi, g1, g2, tol)
-            count += 1
-            if rep.worst_margin < worst:
-                worst = rep.worst_margin
-                worst_witness = rep.witness
+# pairs per row block: one block up to |G| = 1024, bounded memory at 4096
+_BLOCK_PAIRS = 1 << 20
+
+
+def _pair_sweep(chi: GroupFunction, tol: float, kind: str) -> CheckReport:
+    """check_rsd or check_mean_ineq (kind "rsd" or "mean_ineq") over every
+    pair, in row blocks, with the same float operations in the same order;
+    the witness is the first worst pair in row-major order, as in a loop."""
+    v0 = chi.at_index(0)
+    if v0 <= 0:
+        raise DomainError("check requires chi(0) > 0")
+    G, v = chi.group, chi.values
+    n = G.order
+    # squared with Python's float pow, as check_rsd does: it can differ from x*x
+    sq = np.array([x**2 for x in v.tolist()])
+    res = np.unravel_index(np.arange(n), G.factor_sizes)
+    strides = np.cumprod((G.factor_sizes + (1,))[:0:-1])[::-1]
+    rows = max(1, _BLOCK_PAIRS // n)
+    worst, at = np.inf, (0, 0)
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        add, sub = np.zeros((2, i1 - i0, n), dtype=np.intp)
+        for r, m, s in zip(res, G.factor_sizes, strides):
+            add += (r[i0:i1, None] + r) % m * s
+            sub += (r[i0:i1, None] - r) % m * s
+        if kind == "rsd":
+            margin = v[add] * v[sub] * v0**2 - np.outer(sq[i0:i1], sq)
+        else:
+            margin = 0.5 * (v[add] + v[sub]) - np.outer(v[i0:i1], v) / v0
+        k = int(np.argmin(margin))
+        if margin.flat[k] < worst:
+            worst, at = float(margin.flat[k]), (i0 + k // n, k % n)
     return CheckReport(
         passed=worst >= -tol,
-        worst_margin=float(worst),
-        witness=worst_witness,
-        count=count,
-        name=name,
+        worst_margin=worst,
+        witness=f"g1={G.from_index(at[0])}, g2={G.from_index(at[1])}",
+        count=n * n,
+        name=f"{kind}_sweep",
     )
 
 
 def sweep_rsd(chi: GroupFunction, tol: float) -> CheckReport:
     """check_rsd over every (g1, g2) pair."""
-    return _pair_sweep(chi, tol, check_rsd, "rsd_sweep")
+    return _pair_sweep(chi, tol, "rsd")
 
 
 def sweep_mean_ineq(chi: GroupFunction, tol: float) -> CheckReport:
-    return _pair_sweep(chi, tol, check_mean_ineq, "mean_ineq_sweep")
-
-
-def sweep_rsd_fast(chi: GroupFunction, tol: float) -> CheckReport:
-    """Vectorized version of sweep_rsd, used on larger groups."""
-    G = chi.group
-    v = chi.values
-    sub = G.sub_index_table()  # [x, y] -> x - y
-    add = sub[:, G.neg_index_table()]  # x - (-y) = x + y
-    lhs = np.outer(v**2, v**2)
-    rhs = v[add] * v[sub] * v[0] ** 2
-    margin = rhs - lhs
-    i, j = np.unravel_index(int(np.argmin(margin)), margin.shape)
-    worst = float(margin[i, j])
-    return CheckReport(
-        passed=worst >= -tol,
-        worst_margin=worst,
-        witness=f"g1={G.from_index(int(i))}, g2={G.from_index(int(j))}",
-        count=G.order**2,
-        name="rsd_sweep",
-    )
+    """check_mean_ineq over every (g1, g2) pair."""
+    return _pair_sweep(chi, tol, "mean_ineq")
 
 
 def check_convolve_even(

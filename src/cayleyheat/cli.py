@@ -361,7 +361,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--eps", type=float, default=1e-12, help="pushforward tail epsilon")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
 
 
 def _add_grid(p: argparse.ArgumentParser):

@@ -7,6 +7,7 @@ run well under a minute; the first failure is reported by name.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -90,8 +91,23 @@ def _check_pushforward_closure():
         fp = pushforward(fiber_product(h1, h2)).chi
         assert np.max(np.abs(fp.values - chi1.values * chi2.values)) < 1e-8
         scale = chi1.at_index(0)
-        assert checks.sweep_rsd(chi1, 1e-12 * scale**4).passed
-        assert checks.sweep_mean_ineq(chi1, 1e-12 * scale**2).passed
+        _assert_sweep_replays(chi1, checks.sweep_rsd, checks.check_rsd, 1e-12 * scale**4)
+        _assert_sweep_replays(
+            chi1, checks.sweep_mean_ineq, checks.check_mean_ineq, 1e-12 * scale**2
+        )
+
+
+def _assert_sweep_replays(chi, sweep, single, tol):
+    """The sweep passes, and its witness pair, re-checked on its own, gives
+    the sweep's worst margin bitwise (signed zeros included)."""
+    rep = sweep(chi, tol)
+    assert rep.passed, rep
+    g1, g2 = (
+        chi.group.element(tuple(int(r) for r in res.split(",")))
+        for res in re.findall(r"\(([^)]*)\)", rep.witness)
+    )
+    again = single(chi, g1, g2, tol).worst_margin
+    assert again.hex() == rep.worst_margin.hex(), (rep.witness, again, rep.worst_margin)
 
 
 def _check_rate_lemma35():

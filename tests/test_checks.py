@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from cayleyheat import checks
 from cayleyheat.checks import (
+    CheckReport,
     check_convolve_even,
     check_mean_ineq,
     check_rsd,
     sweep_mean_ineq,
     sweep_rsd,
-    sweep_rsd_fast,
 )
 from cayleyheat.errors import DomainError
 from cayleyheat.groups import FiniteAbelianGroup, GroupFunction, convolve, delta, phi
@@ -18,6 +19,37 @@ from test_lattices import random_hom
 
 def pushed_chi(G, rng, max_dim=2):
     return pushforward(random_hom(G, rng, max_dim)).chi
+
+
+def loop_sweep(chi, tol, single, name):
+    """Reference sweep: the single-pair check on every (g1, g2), keeping the
+    first strictly smaller margin."""
+    worst, witness = np.inf, ""
+    for g1 in chi.group.elements():
+        for g2 in chi.group.elements():
+            rep = single(chi, g1, g2, tol)
+            if rep.worst_margin < worst:
+                worst, witness = rep.worst_margin, rep.witness
+    return CheckReport(worst >= -tol, float(worst), witness, chi.group.order**2, name)
+
+
+def sweep_cases():
+    """(chi, rsd tolerance, mean tolerance) for pushforwards on cyclic,
+    elementary and mixed groups, plus one non-even, strictly positive chi."""
+    rng = np.random.default_rng(4)
+    chis = [
+        pushed_chi(FiniteAbelianGroup(sizes), rng)
+        for sizes in [(8,), (2, 2, 2), (12,), (31,), (2, 2, 8)]
+        for _ in range(2)
+    ]
+    G = FiniteAbelianGroup((3, 4))
+    chis.append(GroupFunction(G, rng.uniform(0.2, 2.0, G.order)))
+    return [(chi, 1e-12 * chi.at_index(0) ** 4, 1e-12 * chi.at_index(0) ** 2) for chi in chis]
+
+
+def assert_same_report(a, b):
+    assert a == b
+    assert a.worst_margin.hex() == b.worst_margin.hex()  # bitwise, signed zero included
 
 
 class TestRSD:
@@ -44,13 +76,16 @@ class TestRSD:
             assert rep.passed, rep
 
     def test_fast_sweep_matches_slow(self):
-        rng = np.random.default_rng(4)
-        G = FiniteAbelianGroup((2, 4))
-        chi = pushed_chi(G, rng)
-        slow = sweep_rsd(chi, 1e-12)
-        fast = sweep_rsd_fast(chi, 1e-12)
-        assert abs(slow.worst_margin - fast.worst_margin) < 1e-14
-        assert slow.count == fast.count
+        # both vectorised sweeps against the per-pair loop: same margin to the
+        # bit, same witness, count and verdict
+        for chi, tol_rsd, tol_mean in sweep_cases():
+            assert_same_report(
+                sweep_rsd(chi, tol_rsd), loop_sweep(chi, tol_rsd, check_rsd, "rsd_sweep")
+            )
+            assert_same_report(
+                sweep_mean_ineq(chi, tol_mean),
+                loop_sweep(chi, tol_mean, check_mean_ineq, "mean_ineq_sweep"),
+            )
 
     def test_requires_positive_center(self):
         G = FiniteAbelianGroup((3,))
@@ -81,6 +116,36 @@ class TestMeanIneq:
         assert np.all(chi.values >= 0)
         assert sweep_rsd(chi, 1e-12 * chi.at_index(0) ** 4).passed
         assert sweep_mean_ineq(chi, 1e-12 * chi.at_index(0) ** 2).passed
+
+
+class TestPairSweep:
+    def test_row_blocks_match_one_block(self, monkeypatch):
+        # blocks of 1 row, of 3 rows with a partial last block (31 = 10*3 + 1,
+        # 32 = 10*3 + 2), and of 30 or 29 rows; symmetric ties across blocks
+        # must leave the first worst pair as the witness
+        cases = [c for c in sweep_cases() if c[0].group.order in (31, 32)]
+        whole = [(sweep_rsd(c, tr), sweep_mean_ineq(c, tm)) for c, tr, tm in cases]
+        for block_pairs in (1, 100, 31 * 30):
+            monkeypatch.setattr(checks, "_BLOCK_PAIRS", block_pairs)
+            for (chi, tol_rsd, tol_mean), (rsd, mean) in zip(cases, whole):
+                assert_same_report(sweep_rsd(chi, tol_rsd), rsd)
+                assert_same_report(sweep_mean_ineq(chi, tol_mean), mean)
+
+    def test_squares_as_check_rsd_takes_them(self):
+        # libm's pow(x, 2) can exceed x*x by an ulp.  With chi = (1, x) on Z2
+        # the pair (0, 1) has margin x*x - x**2, so a sweep squaring with x*x
+        # would report 0 at (0, 0) where check_rsd finds a negative margin.
+        xs = np.random.default_rng(9).uniform(0.1, 0.9, 20000).tolist()
+        x = next((x for x in xs if x**2 > x * x), xs[0])
+        chi = GroupFunction(FiniteAbelianGroup((2,)), np.array([1.0, x]))
+        assert_same_report(sweep_rsd(chi, 0.0), loop_sweep(chi, 0.0, check_rsd, "rsd_sweep"))
+
+    @pytest.mark.parametrize("sweep", [sweep_rsd, sweep_mean_ineq])
+    @pytest.mark.parametrize("center", [0.0, -1.0])
+    def test_requires_positive_center(self, sweep, center):
+        G = FiniteAbelianGroup((4,))
+        with pytest.raises(DomainError):
+            sweep(GroupFunction(G, np.array([center, 1.0, 0.5, 1.0])), 0.0)
 
 
 class TestConvolveEven:

@@ -172,3 +172,10 @@ class TestOtherCommands:
         monkeypatch.setenv("HEAT_TOL", "1e-4")
         _, out = run_cli(capsys, "check-monotone", "--weights", weights_file)
         assert json.loads(out)["config"]["tolerance"] == 1e-4
+
+    def test_jobs_flag_is_rejected(self, capsys):
+        # no command runs in parallel, so no command takes --jobs
+        with pytest.raises(SystemExit) as exc:
+            main(["pushforward", "--instances", "1", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
