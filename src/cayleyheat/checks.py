@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalConsistencyError
 from .groups import GroupElement, GroupFunction
 
 
@@ -76,14 +76,20 @@ _BLOCK_PAIRS = 1 << 20
 def _pair_sweep(chi: GroupFunction, tol: float, kind: str) -> CheckReport:
     """check_rsd or check_mean_ineq (kind "rsd" or "mean_ineq") over every
     pair, in row blocks, with the same float operations in the same order;
-    the witness is the first worst pair in row-major order, as in a loop."""
+    the witness is the first worst pair in row-major order, as in a loop.
+    A margin that is not finite (overflow, or inf - inf) is refused."""
     v0 = chi.at_index(0)
     if v0 <= 0:
         raise DomainError("check requires chi(0) > 0")
     G, v = chi.group, chi.values
     n = G.order
-    # squared with Python's float pow, as check_rsd does: it can differ from x*x
-    sq = np.array([x**2 for x in v.tolist()])
+    if kind == "rsd":
+        # squared with Python's float pow, as check_rsd does: it can differ
+        # from x*x, and it raises where a square overflows
+        try:
+            sq = np.array([x**2 for x in v.tolist()])
+        except OverflowError:
+            raise NumericalConsistencyError("rsd sweep: a square overflows") from None
     res = np.unravel_index(np.arange(n), G.factor_sizes)
     strides = np.cumprod((G.factor_sizes + (1,))[:0:-1])[::-1]
     rows = max(1, _BLOCK_PAIRS // n)
@@ -98,6 +104,8 @@ def _pair_sweep(chi: GroupFunction, tol: float, kind: str) -> CheckReport:
             margin = v[add] * v[sub] * v0**2 - np.outer(sq[i0:i1], sq)
         else:
             margin = 0.5 * (v[add] + v[sub]) - np.outer(v[i0:i1], v) / v0
+        if not np.isfinite(margin).all():
+            raise NumericalConsistencyError(f"{kind} sweep: a margin is not finite")
         k = int(np.argmin(margin))
         if margin.flat[k] < worst:
             worst, at = float(margin.flat[k]), (i0 + k // n, k % n)

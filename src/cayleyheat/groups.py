@@ -148,10 +148,6 @@ class GroupElement:
         return "(" + ",".join(str(r) for r in self.residues) + ")"
 
 
-def elem_add(g: GroupElement, h: GroupElement) -> GroupElement:
-    return g + h
-
-
 @dataclass(frozen=True)
 class GroupFunction:
     """Dense real-valued function on a finite Abelian group."""
@@ -243,24 +239,47 @@ def dft(f: GroupFunction) -> SpectrumFunction:
     convolution theorem a plain pointwise product.
     """
     shaped = f.values.reshape(f.group.factor_sizes)
-    return SpectrumFunction(f.group, np.fft.fftn(shaped).ravel())
+    out = _over_group_axes(np.fft.fft, shaped, f.group.rank)
+    return SpectrumFunction(f.group, out.ravel())
+
+
+def _over_group_axes(transform, x: np.ndarray, rank: int) -> np.ndarray:
+    """np.fft.fft or ifft over the last ``rank`` axes of x, last axis first:
+    what fftn and ifftn do, without their per-call argument handling."""
+    for axis in range(-1, -rank - 1, -1):
+        x = transform(x, axis=axis)
+    return x
+
+
+def idft_stack(
+    group: FiniteAbelianGroup, spectra: np.ndarray, imag_rel_tol: float = 1e-8
+) -> np.ndarray:
+    """Inverse transform, with the 1/|G| factor, of each row of a (B, |G|)
+    stack of spectra; returns the (B, |G|) real parts.
+
+    Raises if a row's spectrum norm is not finite, or if a row's imaginary
+    residue exceeds ``imag_rel_tol`` times that norm; below that the residue
+    is discarded.  A finite norm bounds every value of the row's transform,
+    so the values returned are finite.
+    """
+    shaped = spectra.reshape((-1,) + group.factor_sizes)
+    out = _over_group_axes(np.fft.ifft, shaped, group.rank).reshape(spectra.shape)
+    imag = np.abs(out.imag).max(axis=1)
+    # the row norms np.linalg.norm(spectra, axis=1) gives, without its overhead
+    norm = np.sqrt(np.add.reduce((spectra.conj() * spectra).real, axis=1))
+    for i, (res, nrm) in enumerate(zip(imag.tolist(), norm.tolist())):
+        if not nrm < math.inf:
+            raise NumericalConsistencyError(f"spectrum norm of row {i} is not finite")
+        if not res <= imag_rel_tol * max(nrm, ABS_TOL):  # a NaN residue fails too
+            raise NumericalConsistencyError(
+                f"imaginary residue {res:.3e} exceeds {imag_rel_tol:.1e} * ||s|| (row {i})"
+            )
+    return out.real.copy()
 
 
 def idft(s: SpectrumFunction, imag_rel_tol: float = 1e-8) -> GroupFunction:
-    """Inverse transform carrying the 1/|G| factor.
-
-    Raises if the imaginary residue exceeds ``imag_rel_tol`` times the
-    spectrum norm; below that it is discarded.
-    """
-    shaped = s.values.reshape(s.group.factor_sizes)
-    out = np.fft.ifftn(shaped).ravel()
-    norm = np.linalg.norm(s.values)
-    imag = np.max(np.abs(out.imag), initial=0.0)
-    if imag > imag_rel_tol * max(norm, ABS_TOL):
-        raise NumericalConsistencyError(
-            f"imaginary residue {imag:.3e} exceeds {imag_rel_tol:.1e} * ||s||"
-        )
-    return GroupFunction(s.group, out.real.copy())
+    """Inverse transform carrying the 1/|G| factor: the one-row idft_stack."""
+    return GroupFunction(s.group, idft_stack(s.group, s.values[None], imag_rel_tol)[0])
 
 
 def dft_direct(f: GroupFunction) -> SpectrumFunction:
@@ -308,10 +327,12 @@ def cexp_series(upsilon: GroupFunction, tol: float = 1e-14) -> GroupFunction:
     G = upsilon.group
     acc = delta(G)
     term = delta(G)
+    ups_hat = dft(upsilon).values
     l1 = float(np.sum(np.abs(upsilon.values)))
     cap = max(4, int(math.ceil(10 * (1 + l1))))
     for n in range(1, cap + 1):
-        term = convolve(term, upsilon) * (1.0 / n)
+        # convolve(term, upsilon), with upsilon transformed once
+        term = idft(SpectrumFunction(G, dft(term).values * ups_hat)) * (1.0 / n)
         acc = acc + term
         if term.sup_norm() <= tol * max(acc.sup_norm(), ABS_TOL):
             return acc

@@ -4,20 +4,20 @@ graphs, monotonicity checks, violation search and Monte Carlo validation.
 On a Cayley graph the kernel is translation-invariant, so a single row
 (based at the identity) determines the whole matrix; it is computed as
 exp(-t*deg) times the convolutional exponential of the t-scaled weights.
-Arbitrary graphs go through a dense symmetric eigendecomposition.
+Arbitrary graphs go through a dense symmetric eigendecomposition.  A
+t-grid is computed in one batch: one DFT and one stacked inverse FFT per
+Cayley graph, one eigendecomposition per general graph.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .checks import CheckReport
-from .errors import DomainError
-from .groups import FiniteAbelianGroup, GroupFunction, cexp_spectral, parse_group
-from .lattices import DEFAULT_EPSILON
+from .errors import DomainError, NumericalConsistencyError
+from .groups import FiniteAbelianGroup, GroupFunction, dft, idft_stack, parse_group
 
 
 def default_t_grid(t_min: float = 0.05, t_max: float = 50.0, count: int = 20) -> np.ndarray:
@@ -112,60 +112,94 @@ def tau_from_weights(cw: CayleyWeights) -> GroupFunction:
     return GroupFunction(cw.group, v)
 
 
-def heat_row_cayley(cw: CayleyWeights, t: float) -> HeatRow:
-    """Row of exp(-tL) based at the identity: exp(-t*deg) * cexp(t*w).
+def _times(t_grid) -> np.ndarray:
+    t = np.asarray(t_grid, dtype=float)
+    if not np.all((t > 0) & (t < np.inf)):
+        raise DomainError("t must be positive and finite")
+    return t
+
+
+def _heat_rows(cw: CayleyWeights, t) -> np.ndarray:
+    """(T, |G|) rows of exp(-tL) based at the identity, one per t > 0:
+    exp(-t*deg) * cexp(t*w), through one DFT and one stacked inverse FFT.
 
     The degree shift is applied inside the spectral exponential; the
     exponents t*(w_hat(k) - deg) are never positive, so no overflow at
     large t.
     """
-    if t <= 0:
-        raise DomainError("t must be positive")
-    from .groups import SpectrumFunction, dft, idft
+    t = t[:, None]
+    return idft_stack(cw.group, np.exp(t * dft(cw.w).values - t * cw.degree))
 
-    spec = np.exp(t * dft(cw.w).values - t * cw.degree)
-    row = idft(SpectrumFunction(cw.group, spec))
-    return HeatRow(t, row)
+
+def _heat_matrices(evals: np.ndarray, Q: np.ndarray, t) -> np.ndarray:
+    """(T, n, n) stack of exp(-tL), one per t > 0, from L = Q diag(evals) Q^T."""
+    return (Q * np.exp(-t[:, None] * evals)[:, None, :]) @ Q.T
+
+
+def heat_row_cayley(cw: CayleyWeights, t: float) -> HeatRow:
+    """Row of exp(-tL) based at the identity: exp(-t*deg) * cexp(t*w)."""
+    return HeatRow(t, GroupFunction(cw.group, _heat_rows(cw, _times([t]))[0]))
 
 
 def heat_matrix_general(g: GeneralGraph, t: float) -> np.ndarray:
     """exp(-tL) via symmetric eigendecomposition."""
-    if t <= 0:
-        raise DomainError("t must be positive")
-    L = g.laplacian()
-    evals, Q = np.linalg.eigh(L)
-    return (Q * np.exp(-t * evals)) @ Q.T
+    return _heat_matrices(*np.linalg.eigh(g.laplacian()), _times([t]))[0]
+
+
+def _t_grid(t_grid) -> np.ndarray:
+    t = _times(t_grid)
+    if len(t) < 2 or np.any(np.diff(t) <= 0):
+        raise DomainError("t_grid must be strictly increasing with length >= 2")
+    return t
+
+
+# heat values per block of the t-grid: a 20-point grid is one block up to the
+# order cap, and a long grid runs in bounded memory
+_BLOCK_VALUES = 1 << 20
+
+
+def _monotone_report(ratios, t: np.ndarray, size: int, tol: float, name: str, where):
+    """Ratio steps ratio(t[i+1]) - ratio(t[i]), where ``ratios(t_block)``
+    returns the (len(t_block), ...) stack of ratios of ``size`` values each.
+
+    The grid goes in blocks of t overlapping by one.  The witness is the first
+    worst entry in row-major order, named by ``where(*index)``, as a loop over
+    the t-pairs would report it.
+    """
+    per = max(2, _BLOCK_VALUES // size)
+    worst = np.inf
+    for i0 in range(0, len(t) - 1, per - 1):
+        ratio = ratios(t[i0 : i0 + per])
+        margins = ratio[1:] - ratio[:-1]
+        if not np.isfinite(margins).all():
+            raise NumericalConsistencyError(f"{name}: a ratio step is not finite")
+        k = int(np.argmin(margins))
+        if margins.flat[k] < worst:
+            worst = float(margins.flat[k])
+            i, *entry = np.unravel_index(k, margins.shape)
+            i += i0
+    return CheckReport(
+        passed=worst >= -tol,
+        worst_margin=worst,
+        witness=f"{where(*entry)}, t={t[i]:.6g}, t'={t[i + 1]:.6g}",
+        count=(len(t) - 1) * size,
+        name=name,
+    )
 
 
 def monotone_check_cayley(
     cw: CayleyWeights, t_grid, tol: float = 1e-10
 ) -> CheckReport:
     """Ratio H_t(0,v)/H_t(0,0) must be nondecreasing in t for every v."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
-        raise DomainError("t_grid must be strictly increasing with length >= 2")
-    worst = math.inf
-    witness = ""
-    count = 0
-    prev = None
-    prev_t = None
-    for t in t_grid:
-        row = heat_row_cayley(cw, float(t)).values.values
-        ratio = row / row[0]
-        if prev is not None:
-            margins = ratio - prev
-            v = int(np.argmin(margins))
-            count += len(margins)
-            if margins[v] < worst:
-                worst = float(margins[v])
-                witness = f"v={cw.group.from_index(v)}, t={prev_t:.6g}, t'={t:.6g}"
-        prev, prev_t = ratio, t
-    return CheckReport(
-        passed=worst >= -tol,
-        worst_margin=worst,
-        witness=witness,
-        count=count,
-        name="monotone_cayley",
+
+    def ratios(t):
+        rows = _heat_rows(cw, t)
+        return rows / rows[:, :1]
+
+    G = cw.group
+    return _monotone_report(
+        ratios, _t_grid(t_grid), G.order, tol, "monotone_cayley",
+        lambda v: f"v={G.from_index(v)}",
     )
 
 
@@ -178,31 +212,15 @@ def monotone_violation_search(
     non-Cayley violation phenomenon, so callers treat passed=False as a
     find, not an error.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
-        raise DomainError("t_grid must be strictly increasing with length >= 2")
-    worst = math.inf
-    witness = ""
-    count = 0
-    prev = None
-    prev_t = None
-    for t in t_grid:
-        H = heat_matrix_general(g, float(t))
-        ratio = H / np.diag(H)[:, None]
-        if prev is not None:
-            margins = ratio - prev
-            u, v = np.unravel_index(int(np.argmin(margins)), margins.shape)
-            count += margins.size
-            if margins[u, v] < worst:
-                worst = float(margins[u, v])
-                witness = f"u={u}, v={v}, t={prev_t:.6g}, t'={t:.6g}"
-        prev, prev_t = ratio, t
-    return CheckReport(
-        passed=worst >= -tol,
-        worst_margin=worst,
-        witness=witness,
-        count=count,
-        name="monotone_general",
+    t = _t_grid(t_grid)
+    evals, Q = np.linalg.eigh(g.laplacian())
+
+    def ratios(t):
+        H = _heat_matrices(evals, Q, t)
+        return H / np.diagonal(H, axis1=1, axis2=2)[:, :, None]
+
+    return _monotone_report(
+        ratios, t, g.n * g.n, tol, "monotone_general", lambda u, v: f"u={u}, v={v}"
     )
 
 

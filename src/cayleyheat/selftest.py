@@ -44,6 +44,17 @@ from .heat import (
 from .lattices import Lattice, LatticeHom, direct_sum, fiber_product, pushforward
 
 
+class InvariantFailure(Exception):
+    """An invariant of the suite does not hold."""
+
+
+def _require(cond, msg) -> None:
+    """Raise InvariantFailure(msg) unless cond; unlike ``assert``, this also
+    runs under ``python -O``."""
+    if not cond:
+        raise InvariantFailure(msg)
+
+
 def _rng():
     return np.random.default_rng(12345)
 
@@ -59,15 +70,24 @@ def _check_group_core():
     rng = _rng()
     f = GroupFunction(G, rng.normal(size=G.order))
     g = GroupFunction(G, rng.normal(size=G.order))
-    assert np.allclose(
-        convolve(f, g, "direct").values, convolve(f, g, "spectral").values, atol=1e-10
+    _require(
+        np.allclose(
+            convolve(f, g, "direct").values, convolve(f, g, "spectral").values, atol=1e-10
+        ),
+        "direct and spectral convolution differ",
     )
-    assert np.allclose(idft(dft(f)).values, f.values, atol=1e-12)
+    _require(np.allclose(idft(dft(f)).values, f.values, atol=1e-12), "idft(dft(f)) != f")
     u = _random_even_nonneg(G, rng)
-    assert np.allclose(
-        cexp_series(u, 1e-14).values, cexp_spectral(u).values, rtol=1e-9, atol=1e-12
+    _require(
+        np.allclose(
+            cexp_series(u, 1e-14).values, cexp_spectral(u).values, rtol=1e-9, atol=1e-12
+        ),
+        "series and spectral cexp differ",
     )
-    assert np.allclose(recompose(G, phi_basis_decompose(u)).values, u.values)
+    _require(
+        np.allclose(recompose(G, phi_basis_decompose(u)).values, u.values),
+        "phi-basis decomposition does not recompose",
+    )
 
 
 def _check_pushforward_closure():
@@ -87,39 +107,45 @@ def _check_pushforward_closure():
         chi1 = pushforward(h1).chi
         chi2 = pushforward(h2).chi
         ds = pushforward(direct_sum(h1, h2)).chi
-        assert np.max(np.abs(ds.values - convolve(chi1, chi2).values)) < 1e-8
+        _require(
+            np.max(np.abs(ds.values - convolve(chi1, chi2).values)) < 1e-8,
+            "direct sum pushforward != convolution",
+        )
         fp = pushforward(fiber_product(h1, h2)).chi
-        assert np.max(np.abs(fp.values - chi1.values * chi2.values)) < 1e-8
+        _require(
+            np.max(np.abs(fp.values - chi1.values * chi2.values)) < 1e-8,
+            "fiber product pushforward != product",
+        )
         scale = chi1.at_index(0)
-        _assert_sweep_replays(chi1, checks.sweep_rsd, checks.check_rsd, 1e-12 * scale**4)
-        _assert_sweep_replays(
+        _require_sweep_replays(chi1, checks.sweep_rsd, checks.check_rsd, 1e-12 * scale**4)
+        _require_sweep_replays(
             chi1, checks.sweep_mean_ineq, checks.check_mean_ineq, 1e-12 * scale**2
         )
 
 
-def _assert_sweep_replays(chi, sweep, single, tol):
+def _require_sweep_replays(chi, sweep, single, tol):
     """The sweep passes, and its witness pair, re-checked on its own, gives
     the sweep's worst margin bitwise (signed zeros included)."""
     rep = sweep(chi, tol)
-    assert rep.passed, rep
+    _require(rep.passed, rep)
     g1, g2 = (
         chi.group.element(tuple(int(r) for r in res.split(",")))
         for res in re.findall(r"\(([^)]*)\)", rep.witness)
     )
     again = single(chi, g1, g2, tol).worst_margin
-    assert again.hex() == rep.worst_margin.hex(), (rep.witness, again, rep.worst_margin)
+    _require(again.hex() == rep.worst_margin.hex(), (rep.witness, again, rep.worst_margin))
 
 
 def _check_rate_lemma35():
     G = FiniteAbelianGroup((12,))
     rr = rate_check_lemma35(1.0, G.from_index(1), G, ns=(16, 32, 64, 128))
-    assert rr.passed, f"fitted order {rr.fitted_order}"
+    _require(rr.passed, f"fitted order {rr.fitted_order}")
 
 
 def _check_convergence_lemma37():
     G = FiniteAbelianGroup((8,))
     rr = convergence_check_lemma37(1.0, G.from_index(1), G, ns=(16, 64, 256))
-    assert rr.passed
+    _require(rr.passed, rr)
 
 
 def _check_power_diff_samples():
@@ -128,7 +154,7 @@ def _check_power_diff_samples():
         C = rng.uniform(0.1, 2.0)
         a, b = rng.uniform(0, C, 2)
         n = int(rng.integers(1, 60))
-        assert check_power_diff(a, b, C, n)
+        _require(check_power_diff(a, b, C, n), (a, b, C, n))
 
 
 def _check_heat_cayley():
@@ -136,15 +162,16 @@ def _check_heat_cayley():
     w = GroupFunction(G, np.array([0.0, 1.0]))
     cw = CayleyWeights(G, w)
     row = heat_row_cayley(cw, 1.0).values.values
-    assert abs(row[0] - (1 + math.exp(-2)) / 2) < 1e-12
-    assert abs(row[1] / row[0] - math.tanh(1.0)) < 1e-12
+    _require(abs(row[0] - (1 + math.exp(-2)) / 2) < 1e-12, "Z2 heat row at 0")
+    _require(abs(row[1] / row[0] - math.tanh(1.0)) < 1e-12, "Z2 heat ratio != tanh")
     rng = _rng()
     G12 = FiniteAbelianGroup((12,))
     v = rng.uniform(0, 2, 12)
     v = v + v[G12.neg_index_table()]
     v[0] = 0
     cw12 = CayleyWeights(G12, GroupFunction(G12, v))
-    assert monotone_check_cayley(cw12, default_t_grid(count=12), 1e-10).passed
+    rep = monotone_check_cayley(cw12, default_t_grid(count=12), 1e-10)
+    _require(rep.passed, rep)
     # circulant embedding agrees with the eigensolver route
     W = np.zeros((12, 12))
     for i in range(12):
@@ -153,14 +180,16 @@ def _check_heat_cayley():
                 W[i, j] = v[(i - j) % 12]
     H = heat_matrix_general(GeneralGraph(W), 0.7)
     row = heat_row_cayley(cw12, 0.7).values.values
-    assert np.max(np.abs(H[0] - row)) < 1e-9
+    _require(np.max(np.abs(H[0] - row)) < 1e-9, "circulant eigh row != Cayley row")
 
 
 def _check_continuum():
     ls, rs, violated = h3_reduced_check(3.0, 1.0)
-    assert violated and ls > rs
-    assert h3_monotone_check(2.0, np.geomspace(0.1, 10, 15)).passed
-    assert sphere_monotone_check(0.0, np.geomspace(0.1, 5, 10)).passed
+    _require(violated and ls > rs, (ls, rs, violated))
+    rep = h3_monotone_check(2.0, np.geomspace(0.1, 10, 15))
+    _require(rep.passed, rep)
+    rep = sphere_monotone_check(0.0, np.geomspace(0.1, 5, 10))
+    _require(rep.passed, rep)
 
 
 INVARIANTS = [
@@ -182,7 +211,7 @@ def run(verbose: bool = False) -> list[str]:
             fn()
             if verbose:
                 print(f"PASS {name}")
-        except AssertionError as exc:
+        except InvariantFailure as exc:
             failures.append(name)
             if verbose:
                 print(f"FAIL {name}: {exc}")

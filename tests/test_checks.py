@@ -10,7 +10,7 @@ from cayleyheat.checks import (
     sweep_mean_ineq,
     sweep_rsd,
 )
-from cayleyheat.errors import DomainError
+from cayleyheat.errors import DomainError, NumericalConsistencyError
 from cayleyheat.groups import FiniteAbelianGroup, GroupFunction, convolve, delta, phi
 from cayleyheat.lattices import Lattice, LatticeHom, pushforward
 
@@ -139,6 +139,33 @@ class TestPairSweep:
         x = next((x for x in xs if x**2 > x * x), xs[0])
         chi = GroupFunction(FiniteAbelianGroup((2,)), np.array([1.0, x]))
         assert_same_report(sweep_rsd(chi, 0.0), loop_sweep(chi, 0.0, check_rsd, "rsd_sweep"))
+
+    @pytest.mark.parametrize(
+        "sweep, values",
+        [
+            # fourth powers overflow: every margin is inf - inf = NaN, which a
+            # loop never counted as worse, so it passed with margin inf
+            (sweep_rsd, [1e100, 1e90, 1e80, 1e90]),
+            # a square overflows
+            (sweep_rsd, [1e200, 1.0, 1.0, 1.0]),
+            # chi(g1) chi(g2) / chi(0) overflows to inf
+            (sweep_mean_ineq, [1e-300, 1e10, 1e10, 1e10]),
+        ],
+    )
+    def test_nonfinite_margins_are_refused(self, sweep, values):
+        chi = GroupFunction(FiniteAbelianGroup((4,)), np.array(values))
+        with np.errstate(all="ignore"), pytest.raises(NumericalConsistencyError):
+            sweep(chi, 0.0)
+
+    def test_overflow_in_one_block_is_refused(self, monkeypatch):
+        # only the last row block overflows; the finite blocks before it
+        # must not decide the verdict
+        v = np.ones(8)
+        v[7] = 1e160
+        monkeypatch.setattr(checks, "_BLOCK_PAIRS", 8)
+        chi = GroupFunction(FiniteAbelianGroup((8,)), v)
+        with np.errstate(all="ignore"), pytest.raises(NumericalConsistencyError):
+            sweep_mean_ineq(chi, 0.0)
 
     @pytest.mark.parametrize("sweep", [sweep_rsd, sweep_mean_ineq])
     @pytest.mark.parametrize("center", [0.0, -1.0])

@@ -1,9 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import cayleyheat
 from cayleyheat import checks
 from cayleyheat.checks import CheckReport
 from cayleyheat.cli import main
@@ -45,6 +51,32 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert code == 1
         assert "pushforward_closure_and_inequalities" in out
+
+    def test_mutation_is_caught_under_optimize(self):
+        # python -O strips assert statements; the invariants must not be them
+        script = textwrap.dedent(
+            """
+            from cayleyheat import checks, selftest
+
+            orig = checks.check_rsd
+
+            def flipped(chi, g1, g2, tol):
+                rep = orig(chi, g1, g2, tol)
+                return checks.CheckReport(
+                    -rep.worst_margin >= -tol, -rep.worst_margin, rep.witness, 1, rep.name
+                )
+
+            checks.check_rsd = flipped
+            print(",".join(selftest.run()))
+            """
+        )
+        src = str(Path(cayleyheat.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        ).stdout
+        assert out.split() == ["pushforward_closure_and_inequalities"]
 
 
 class TestCheckMonotone:

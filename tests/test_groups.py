@@ -19,8 +19,8 @@ from cayleyheat.groups import (
     delta,
     dft,
     dft_direct,
-    elem_add,
     idft,
+    idft_stack,
     parse_group,
     phi,
     phi_basis_decompose,
@@ -43,7 +43,7 @@ def random_even_nonneg(G, rng=RNG):
 class TestGroupArithmetic:
     def test_add_z6(self):
         G = FiniteAbelianGroup((6,))
-        assert elem_add(G.element((4,)), G.element((5,))).residues == (3,)
+        assert (G.element((4,)) + G.element((5,))).residues == (3,)
 
     def test_add_product(self):
         G = FiniteAbelianGroup((2, 3))
@@ -148,6 +148,47 @@ class TestDFT:
         bad = SpectrumFunction(G, np.array([1.0, 1j, 0.0]))
         with pytest.raises(NumericalConsistencyError):
             idft(bad)
+
+    def test_stack_rows_match_idft_and_ifftn(self):
+        for sizes in [(1,), (7,), (12,), (2, 3), (2, 2, 2), (4,) * 4, (16, 16)]:
+            G = FiniteAbelianGroup(sizes)
+            spectra = np.stack([dft(random_fn(G)).values for _ in range(3)])
+            rows = idft_stack(G, spectra)
+            ref = np.fft.ifftn(spectra.reshape((3,) + sizes), axes=range(1, len(sizes) + 1))
+            assert np.array_equal(rows, ref.real.reshape(3, -1))
+            for s, row in zip(spectra, rows):
+                assert np.array_equal(idft(SpectrumFunction(G, s)).values, row)
+
+    def test_dft_is_fftn(self):
+        for sizes in [(7,), (2, 3), (4,) * 4, (2,) * 10]:
+            f = random_fn(FiniteAbelianGroup(sizes))
+            assert np.array_equal(dft(f).values, np.fft.fftn(f.values.reshape(sizes)).ravel())
+
+    def test_stack_with_one_bad_row_trips_residue_check(self):
+        G = FiniteAbelianGroup((8,))
+        good = dft(random_fn(G)).values
+        bad = good + 1e-6j * np.eye(8)[1]
+        with pytest.raises(NumericalConsistencyError, match="row 2"):
+            idft_stack(G, np.stack([good, good, bad]))
+
+    def test_residue_is_judged_against_its_own_row(self):
+        # the bad row's residue is tiny beside the big row's norm: a shared
+        # norm would let it through
+        G = FiniteAbelianGroup((8,))
+        good = dft(random_fn(G)).values
+        bad = good + 1e-6j * np.eye(8)[1]
+        idft_stack(G, np.stack([1e12 * good, good]))
+        with pytest.raises(NumericalConsistencyError, match="row 1"):
+            idft_stack(G, np.stack([1e12 * good, bad]))
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_stack_refuses_nonfinite_spectra(self, value):
+        G = FiniteAbelianGroup((2, 4))
+        spectra = np.stack([dft(random_fn(G)).values] * 2)
+        spectra[1, 0] = value
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalConsistencyError, match="row 1"):
+                idft_stack(G, spectra)
 
     def test_even_function_real_spectrum(self):
         G = FiniteAbelianGroup((8,))

@@ -1,11 +1,22 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cayleyheat.errors import DomainError
-from cayleyheat.groups import FiniteAbelianGroup, GroupFunction, cexp_series, convolve
+from cayleyheat import heat
+from cayleyheat.checks import CheckReport
+from cayleyheat.errors import DomainError, NumericalConsistencyError
+from cayleyheat.groups import (
+    FiniteAbelianGroup,
+    GroupFunction,
+    SpectrumFunction,
+    cexp_series,
+    convolve,
+    dft,
+    idft,
+)
 from cayleyheat.heat import (
     CayleyWeights,
     GeneralGraph,
@@ -41,6 +52,59 @@ def unit_cycle_weights(n):
     if n == 2:
         v[1] = 1.0
     return CayleyWeights(G, GroupFunction(G, v))
+
+
+def sparse_weights(G, rng, gens=6):
+    """A few random generators with weights in [0.1, 1], mirrored."""
+    v = np.zeros(G.order)
+    neg = G.neg_index_table()
+    for g in rng.integers(1, G.order, size=gens):
+        v[g] = v[neg[g]] = rng.uniform(0.1, 1.0)
+    return CayleyWeights(G, GroupFunction(G, v))
+
+
+def loop_monotone_cayley(cw, t_grid, tol=1e-10):
+    """Reference check: one DFT, exponential and inverse DFT per t, keeping
+    the first strictly smaller step."""
+    worst, witness, count, prev = math.inf, "", 0, None
+    for t in np.asarray(t_grid, dtype=float):
+        spec = np.exp(t * dft(cw.w).values - t * cw.degree)
+        row = idft(SpectrumFunction(cw.group, spec)).values
+        ratio = row / row[0]
+        if prev is not None:
+            margins = ratio - prev
+            v = int(np.argmin(margins))
+            count += len(margins)
+            if margins[v] < worst:
+                worst = float(margins[v])
+                witness = f"v={cw.group.from_index(v)}, t={prev_t:.6g}, t'={t:.6g}"
+        prev, prev_t = ratio, t
+    return CheckReport(worst >= -tol, worst, witness, count, "monotone_cayley")
+
+
+def loop_monotone_general(g, t_grid, tol=1e-10):
+    """Reference check: one eigendecomposition per t."""
+    worst, witness, count, prev = math.inf, "", 0, None
+    for t in np.asarray(t_grid, dtype=float):
+        evals, Q = np.linalg.eigh(g.laplacian())
+        H = (Q * np.exp(-t * evals)) @ Q.T
+        ratio = H / np.diag(H)[:, None]
+        if prev is not None:
+            margins = ratio - prev
+            u, v = np.unravel_index(int(np.argmin(margins)), margins.shape)
+            count += margins.size
+            if margins[u, v] < worst:
+                worst = float(margins[u, v])
+                witness = f"u={u}, v={v}, t={prev_t:.6g}, t'={t:.6g}"
+        prev, prev_t = ratio, t
+    return CheckReport(worst >= -tol, worst, witness, count, "monotone_general")
+
+
+def assert_same_report(rep, ref):
+    assert rep.worst_margin.hex() == ref.worst_margin.hex()
+    assert (rep.witness, rep.count, rep.passed, rep.name) == (
+        ref.witness, ref.count, ref.passed, ref.name
+    )
 
 
 class TestCayleyWeights:
@@ -242,6 +306,126 @@ class TestMonotonicity:
         # re-verify the witness on a fresh check
         again = monotone_violation_search(g, default_t_grid())
         assert not again.passed
+
+
+class TestTGridBatch:
+    """The batched t-grid against the per-t loops: bitwise-equal worst
+    margins and the same witness, count and verdict."""
+
+    def cayley_cases(self):
+        rng = np.random.default_rng(21)
+        for sizes in [(32,), (2,) * 10, (64, 64), (4,) * 6, (12,), (2, 3)]:
+            G = FiniteAbelianGroup(sizes)
+            yield sparse_weights(G, rng)
+            yield sparse_weights(G, rng, gens=2)
+            if G.order <= 64:
+                yield random_weights(G, rng)
+        # a proper subgroup's support: every unreachable step ties at 0
+        G = FiniteAbelianGroup((8,))
+        yield CayleyWeights(G, GroupFunction(G, np.array([0, 0, 1.0, 0, 0, 0, 1.0, 0])))
+
+    def general_cases(self):
+        rng = np.random.default_rng(22)
+        for n in range(3, 9):
+            for _ in range(8):
+                yield random_heavy_tailed_graph(n, rng)
+        yield GeneralGraph(np.ones((5, 5)) - np.eye(5))
+
+    @pytest.mark.parametrize("grid", [default_t_grid(), 0.1 * 1.3 ** np.arange(21)])
+    def test_cayley_matches_per_t_loop(self, grid):
+        for cw in self.cayley_cases():
+            assert_same_report(monotone_check_cayley(cw, grid), loop_monotone_cayley(cw, grid))
+
+    @pytest.mark.parametrize("grid", [default_t_grid(), default_t_grid(0.01, 5.0, 7)])
+    def test_general_matches_per_t_loop(self, grid):
+        reports = []
+        for g in self.general_cases():
+            rep = monotone_violation_search(g, grid)
+            assert_same_report(rep, loop_monotone_general(g, grid))
+            reports.append(rep.passed)
+        assert True in reports and False in reports
+
+    def test_single_t_is_a_row_of_the_batch(self):
+        grid = default_t_grid()
+        for cw in self.cayley_cases():
+            rows = heat._heat_rows(cw, grid)
+            for i in (0, 7, len(grid) - 1):
+                assert np.array_equal(heat_row_cayley(cw, grid[i]).values.values, rows[i])
+        for g in self.general_cases():
+            stack = heat._heat_matrices(*np.linalg.eigh(g.laplacian()), grid)
+            for i in (0, 7, len(grid) - 1):
+                assert np.array_equal(heat_matrix_general(g, grid[i]), stack[i])
+
+    @pytest.mark.parametrize("per", [2, 3, 7])
+    def test_t_blocks_match_per_t_loop(self, monkeypatch, per):
+        # blocks of `per` t overlapping by one, the last one partial; a tie
+        # across blocks must leave the first worst step as the witness
+        grid = default_t_grid()
+        for cw in self.cayley_cases():
+            ref = loop_monotone_cayley(cw, grid)
+            monkeypatch.setattr(heat, "_BLOCK_VALUES", per * cw.group.order)
+            assert_same_report(monotone_check_cayley(cw, grid), ref)
+        for g in self.general_cases():
+            ref = loop_monotone_general(g, grid)
+            monkeypatch.setattr(heat, "_BLOCK_VALUES", per * g.n * g.n)
+            assert_same_report(monotone_violation_search(g, grid), ref)
+
+    def test_long_grid_runs_in_bounded_memory(self, monkeypatch):
+        G = FiniteAbelianGroup((4096,))
+        cw = sparse_weights(G, np.random.default_rng(23))
+        grid = default_t_grid(count=200)
+        monkeypatch.setattr(heat, "_BLOCK_VALUES", 8 * G.order)
+        tracemalloc.start()
+        try:
+            rep = monotone_check_cayley(cw, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.count == 199 * G.order
+        # one block of 8 rows is 0.5 MB of complex values; the whole grid is 13 MB
+        assert peak < 4e6
+
+    def test_nonpositive_t_in_grid_rejected(self):
+        cw = unit_cycle_weights(6)
+        with pytest.raises(DomainError):
+            monotone_check_cayley(cw, [0.0, 1.0])
+        g = GeneralGraph(cw.w.values[cw.group.sub_index_table()])
+        with pytest.raises(DomainError):
+            monotone_violation_search(g, [-1.0, 1.0])
+        with pytest.raises(DomainError):
+            heat_row_cayley(cw, math.inf)
+
+    def test_nonfinite_general_is_refused(self):
+        # the Laplacian's eigenvectors come back NaN; a loop skipping NaN
+        # steps reported passed=True with worst margin inf
+        big = 1e154
+        W = np.array([[0, big, big], [big, 0, 1.0], [big, 1.0, 0]])
+        with np.errstate(all="ignore"), pytest.raises(NumericalConsistencyError):
+            monotone_violation_search(GeneralGraph(W), default_t_grid())
+
+    def test_nonfinite_cayley_is_refused(self):
+        G = FiniteAbelianGroup((4,))
+        with np.errstate(all="ignore"):
+            cw = CayleyWeights(G, GroupFunction(G, np.array([0.0, 1e308, 1e308, 1e308])))
+        with np.errstate(all="ignore"), pytest.raises(NumericalConsistencyError):
+            monotone_check_cayley(cw, default_t_grid())
+
+    def test_nonfinite_step_is_refused_not_skipped(self):
+        # a NaN step must not hide behind, or be picked over, a finite one
+        ratio = np.array([[1.0, 0.5, 0.2], [1.0, 0.4, 0.3], [1.0, np.nan, 0.4]])
+        t = np.array([1.0, 2.0, 3.0])
+
+        def report(t_grid):
+            ratios = lambda tb: ratio[np.searchsorted(t, tb)]  # noqa: E731
+            return heat._monotone_report(
+                ratios, t_grid, 3, 1e-10, "monotone_cayley", lambda v: f"v={v}"
+            )
+
+        with pytest.raises(NumericalConsistencyError):
+            report(t)
+        rep = report(t[:2])
+        assert rep.worst_margin == pytest.approx(-0.1)
+        assert rep.witness == "v=1, t=1, t'=2"
 
 
 class TestCTRW:
