@@ -7,6 +7,7 @@ tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,12 +37,20 @@ class CheckReport:
 def check_rsd(
     chi: GroupFunction, g1: GroupElement, g2: GroupElement, tol: float
 ) -> CheckReport:
-    """chi(g1)^2 chi(g2)^2 <= chi(g1+g2) chi(g1-g2) chi(0)^2."""
+    """chi(g1)^2 chi(g2)^2 <= chi(g1+g2) chi(g1-g2) chi(0)^2.
+
+    An overflow (a square, or a margin that is not finite) is refused with
+    NumericalConsistencyError, as in the sweeps."""
     if chi.at_index(0) <= 0:
         raise DomainError("check requires chi(0) > 0")
-    lhs = chi(g1) ** 2 * chi(g2) ** 2
-    rhs = chi(g1 + g2) * chi(g1 - g2) * chi.at_index(0) ** 2
+    try:
+        lhs = chi(g1) ** 2 * chi(g2) ** 2
+        rhs = chi(g1 + g2) * chi(g1 - g2) * chi.at_index(0) ** 2
+    except OverflowError:
+        raise NumericalConsistencyError("rsd: a square overflows") from None
     margin = rhs - lhs
+    if not math.isfinite(margin):
+        raise NumericalConsistencyError("rsd: the margin is not finite")
     return CheckReport(
         passed=margin >= -tol,
         worst_margin=margin,
@@ -54,12 +63,16 @@ def check_rsd(
 def check_mean_ineq(
     chi: GroupFunction, g1: GroupElement, g2: GroupElement, tol: float
 ) -> CheckReport:
-    """chi(g1)chi(g2)/chi(0) <= (chi(g1+g2) + chi(g1-g2))/2."""
+    """chi(g1)chi(g2)/chi(0) <= (chi(g1+g2) + chi(g1-g2))/2.
+
+    A margin that is not finite is refused with NumericalConsistencyError."""
     if chi.at_index(0) <= 0:
         raise DomainError("check requires chi(0) > 0")
     lhs = chi(g1) * chi(g2) / chi.at_index(0)
     rhs = 0.5 * (chi(g1 + g2) + chi(g1 - g2))
     margin = rhs - lhs
+    if not math.isfinite(margin):
+        raise NumericalConsistencyError("mean_ineq: the margin is not finite")
     return CheckReport(
         passed=margin >= -tol,
         worst_margin=margin,

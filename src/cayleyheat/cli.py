@@ -317,6 +317,8 @@ def cmd_sphere(args) -> int:
         symmetric_ineq_check_sphere,
     )
 
+    if args.trials < 1:
+        raise DomainError("--trials must be at least 1")
     t0 = time.monotonic()
     rng = np.random.default_rng(args.seed)
     t_values = (0.05, 0.2, 1.0, 5.0)

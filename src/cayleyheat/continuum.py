@@ -72,10 +72,21 @@ def h3_heat(d: float, t: float) -> float:
     )
 
 
+def _cosh_squared(d1: float) -> float:
+    """cosh(d1)^2, refused where it or cosh(d1) overflows (d1 above ~355.4)."""
+    try:
+        return math.cosh(d1) ** 2
+    except OverflowError:
+        raise NumericalConsistencyError(
+            f"cosh(d1)^2 overflows at d1={d1}; the isosceles triple needs d1 <= 355"
+        ) from None
+
+
 def h3_abc(d1: float) -> tuple[HyperboloidPoint, HyperboloidPoint, HyperboloidPoint]:
     """The explicit isoceles configuration with leg length d1."""
-    if d1 <= 0:
-        raise DomainError("d1 must be positive")
+    if not 0 < d1 < math.inf:
+        raise DomainError("d1 must be positive and finite")
+    _cosh_squared(d1)  # the hyperboloid form of a and c is cosh^2 d1 - sinh^2 d1
     c, s = math.cosh(d1), math.sinh(d1)
     return (
         HyperboloidPoint(np.array([c, s, 0.0, 0.0])),
@@ -106,9 +117,9 @@ def h3_log_heat(d: float, t: float) -> float:
 
 def h3_reduced_log(d1: float, t: float) -> tuple[float, float]:
     """(log LS, log RS) of the reduced reflection inequality."""
-    if d1 <= 0 or t <= 0:
-        raise DomainError("d1 and t must be positive")
-    d2 = math.acosh(math.cosh(d1) ** 2)
+    if not 0 < d1 < math.inf or t <= 0:
+        raise DomainError("d1 must be positive and finite, and t positive")
+    d2 = math.acosh(_cosh_squared(d1))
     log_ls = 2.0 * _log_d_over_sinh(d1) - d1 * d1 / (2.0 * t)
     log_rs = _log_d_over_sinh(d2) - d2 * d2 / (4.0 * t)
     return log_ls, log_rs
@@ -182,7 +193,9 @@ class SpherePoint:
 def _legendre_series(cos_theta, t: float, l_max: int, even_only: bool):
     """sum over l of (2l+1)/(4 pi) exp(-l(l+1)t) P_l(cos theta).
 
-    Three-term recurrence; vectorized over cos_theta.  Returns (value,
+    Three-term recurrence; vectorized over cos_theta.  The loop ends at
+    l_max, or earlier at the first l from which no term can change a bit of
+    the sum, so the value is bitwise the full loop's.  Returns (value,
     truncation bound per evaluation).
     """
     if l_max < 1:
@@ -196,7 +209,25 @@ def _legendre_series(cos_theta, t: float, l_max: int, even_only: bool):
     p_prev = np.ones_like(x)  # P_0
     p_curr = x.copy()  # P_1
     total = np.zeros_like(x)
+    decreasing = False
     for l in range(0, l_max + 1):
+        c = (2 * l + 1) / (4.0 * math.pi) * math.exp(-l * (l + 1) * t)
+        # Stop once no term from l on can change a bit of total.
+        # (a) c_{l+1}/c_l = (2l+3)/(2l+1) exp(-2(l+1)t) falls with l, since
+        #     (2l+1)(2l+5) < (2l+3)^2; once it is below 1 (`decreasing`), c_l
+        #     bounds every later coefficient.
+        # (b) |P_l| <= 1; the factor 2 covers a computed |P_l| slightly above
+        #     1 and the roundoff in c.  Under round-to-nearest an addend below
+        #     a quarter of spacing(|total|) leaves total as it is, even where
+        #     total is a power of two and the gap below it is half the gap
+        #     above.  spacing grows with |total|, so the smallest one decides
+        #     (an empty input has none and runs to l_max).
+        # Then total never changes again, so the sum, the tail and every
+        # report built on them are bitwise the full loop's; even_only adds a
+        # subset of the terms, so the stop holds for it too.
+        decreasing = decreasing or (2 * l + 3) * math.exp(-2 * (l + 1) * t) < 2 * l + 1
+        if decreasing and 2.0 * c < np.spacing(abs(total).min(initial=math.inf)) / 4.0:
+            break
         if l == 0:
             p_l = p_prev
         elif l == 1:
@@ -205,7 +236,7 @@ def _legendre_series(cos_theta, t: float, l_max: int, even_only: bool):
             p_l = ((2 * l - 1) * x * p_curr - (l - 1) * p_prev) / l
             p_prev, p_curr = p_curr, p_l
         if not even_only or l % 2 == 0:
-            total += (2 * l + 1) / (4.0 * math.pi) * math.exp(-l * (l + 1) * t) * p_l
+            total += c * p_l
     # |P_l| <= 1, so the dropped tail is bounded termwise
     tail = 0.0
     for l in range(l_max + 1, l_max + 400):
@@ -259,12 +290,29 @@ def random_sphere_point(rng: np.random.Generator) -> SpherePoint:
     return SpherePoint(v / np.linalg.norm(v))
 
 
-def _space_kernel(space: str, cos_vals: np.ndarray, t: float, l_max: int):
+def _triple_kernels(
+    space: str, a: SpherePoint, b: SpherePoint, c: SpherePoint, t: float, l_max: int
+):
+    """(H(a,b), H(b,c), H(a,c), H(a,s_b(c)), H(a,a), tail) on S2 or RP2,
+    from one series evaluation at the five cosines."""
     if space == "S2":
-        return sphere_heat(cos_vals, t, l_max)
-    if space == "RP2":
-        return rp2_heat(cos_vals, t, l_max)
-    raise DomainError(f"unknown series space {space!r}")
+        kernel = sphere_heat
+    elif space == "RP2":
+        kernel = rp2_heat
+    else:
+        raise DomainError(f"unknown series space {space!r}")
+    sbc = sphere_point_symmetry(b, c)
+    cos_vals = np.array(
+        [
+            float(np.dot(a.u, b.u)),
+            float(np.dot(b.u, c.u)),
+            float(np.dot(a.u, c.u)),
+            float(np.dot(a.u, sbc.u)),
+            1.0,
+        ]
+    )
+    vals, tail = kernel(cos_vals, t, l_max)
+    return (*(float(v) for v in vals), tail)
 
 
 def symmetric_ineq_check_sphere(
@@ -281,18 +329,7 @@ def symmetric_ineq_check_sphere(
     The tolerance is widened by ten times the combined truncation bounds,
     so series truncation can never manufacture a violation.
     """
-    sbc = sphere_point_symmetry(b, c)
-    cos_vals = np.array(
-        [
-            float(np.dot(a.u, b.u)),
-            float(np.dot(b.u, c.u)),
-            float(np.dot(a.u, c.u)),
-            float(np.dot(a.u, sbc.u)),
-            1.0,
-        ]
-    )
-    vals, tail = _space_kernel(space, cos_vals, t, l_max)
-    hab, hbc, hac, hasbc, haa = (float(v) for v in vals)
+    hab, hbc, hac, hasbc, haa, tail = _triple_kernels(space, a, b, c, t, l_max)
     lhs = hab**2 * hbc**2
     rhs = hac * hasbc * haa**2
     # per-evaluation error: truncation tail plus series roundoff; |P_l| <= 1
@@ -326,18 +363,7 @@ def heat_lemma_check_sphere(
     l_max: int = DEFAULT_L_MAX,
 ) -> CheckReport:
     """H(a,b)H(b,c)/H(a,a) <= (H(a,c) + H(a,s_b(c)))/2 on S2 or RP2."""
-    sbc = sphere_point_symmetry(b, c)
-    cos_vals = np.array(
-        [
-            float(np.dot(a.u, b.u)),
-            float(np.dot(b.u, c.u)),
-            float(np.dot(a.u, c.u)),
-            float(np.dot(a.u, sbc.u)),
-            1.0,
-        ]
-    )
-    vals, tail = _space_kernel(space, cos_vals, t, l_max)
-    hab, hbc, hac, hasbc, haa = (float(v) for v in vals)
+    hab, hbc, hac, hasbc, haa, tail = _triple_kernels(space, a, b, c, t, l_max)
     lhs = hab * hbc / haa
     rhs = 0.5 * (hac + hasbc)
     per_eval = 10.0 * tail + 100.0 * np.finfo(float).eps * haa

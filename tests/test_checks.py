@@ -157,6 +157,23 @@ class TestPairSweep:
         with np.errstate(all="ignore"), pytest.raises(NumericalConsistencyError):
             sweep(chi, 0.0)
 
+    @pytest.mark.parametrize(
+        "check, values, g",
+        [
+            # a square overflows Python's float pow
+            (check_rsd, [1e200, 1.0, 1.0, 1.0], 0),
+            # both sides overflow: inf - inf
+            (check_rsd, [1e100, 1e90, 1e80, 1e90], 0),
+            # chi(g1) chi(g2) / chi(0) overflows: margin -inf
+            (check_mean_ineq, [1e-300, 1e10, 1e10, 1e10], 1),
+        ],
+    )
+    def test_single_pair_refuses_as_the_sweeps_do(self, check, values, g):
+        G = FiniteAbelianGroup((4,))
+        chi = GroupFunction(G, np.array(values))
+        with pytest.raises(NumericalConsistencyError):
+            check(chi, G.from_index(g), G.from_index(g), 0.0)
+
     def test_overflow_in_one_block_is_refused(self, monkeypatch):
         # only the last row block overflows; the finite blocks before it
         # must not decide the verdict

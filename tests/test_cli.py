@@ -196,6 +196,21 @@ class TestOtherCommands:
         code, _ = run_cli(capsys, "sphere-check", "--trials", "4", "--lmax", "1")
         assert code == 3
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_sphere_check_needs_a_trial(self, capsys, trials):
+        # no trial left the worst margin at inf, printed as non-JSON Infinity
+        code = main(["sphere-check", "--trials", trials])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and "--trials" in err
+
+    @pytest.mark.parametrize("d1", ["400", "800"])
+    def test_h3_overflow_is_refused(self, capsys, d1):
+        code = main(["h3-violation", "--d1", d1])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == "" and "overflows" in err
+
     def test_bad_group_spec_exit_2(self, capsys):
         code, _ = run_cli(capsys, "pushforward", "--group", "Q8", "--instances", "1")
         assert code == 2

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cayleyheat import continuum
 from cayleyheat.continuum import (
     HyperboloidPoint,
     SpherePoint,
@@ -17,6 +18,7 @@ from cayleyheat.continuum import (
     heat_lemma_check_h3,
     heat_lemma_check_sphere,
     minkowski,
+    _legendre_series,
     random_sphere_point,
     rp2_heat,
     sphere_heat,
@@ -26,6 +28,49 @@ from cayleyheat.continuum import (
     symmetric_ineq_check_sphere,
 )
 from cayleyheat.errors import DomainError, NumericalConsistencyError
+
+
+def loop_series(cos_theta, t, l_max, even_only):
+    """Reference: the Legendre recurrence over every l up to l_max, with the
+    library's operations in the same order, and its termwise tail."""
+    x = np.clip(np.asarray(cos_theta, dtype=float), -1.0, 1.0)
+    p_prev, p_curr = np.ones_like(x), x.copy()
+    total = np.zeros_like(x)
+    for l in range(0, l_max + 1):
+        if l == 0:
+            p_l = p_prev
+        elif l == 1:
+            p_l = p_curr
+        else:
+            p_l = ((2 * l - 1) * x * p_curr - (l - 1) * p_prev) / l
+            p_prev, p_curr = p_curr, p_l
+        if not even_only or l % 2 == 0:
+            total += (2 * l + 1) / (4.0 * math.pi) * math.exp(-l * (l + 1) * t) * p_l
+    tail = 0.0
+    for l in range(l_max + 1, l_max + 400):
+        term = (2 * l + 1) / (4.0 * math.pi) * math.exp(-l * (l + 1) * t)
+        tail += term
+        if term < 1e-300:
+            break
+    return total, tail
+
+
+def series_cosines(seed=12, trials=40):
+    """The five cosines of each check on random triples, plus the ends and
+    near-antipodal points."""
+    rng = np.random.default_rng(seed)
+    cos = []
+    for _ in range(trials):
+        a, b, c = (random_sphere_point(rng) for _ in range(3))
+        s = sphere_point_symmetry(b, c)
+        cos += [a.u @ b.u, b.u @ c.u, a.u @ c.u, a.u @ s.u, 1.0]
+    return np.array(cos + [1.0, -1.0, -1.0 + 1e-15, -1.0 + 1e-9, -0.9999, 1.0 - 1e-15])
+
+
+def assert_bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
 
 
 def random_boost(rng):
@@ -148,6 +193,25 @@ class TestH3ReducedCheck:
         c_rs = np.polyfit(d1s, log_rs, 2)[0]
         assert abs(c_ls - (-1 / (2 * t))) < 0.1 * (1 / (2 * t))
         assert abs(c_rs - (-1 / t)) < 0.1 * (1 / t)
+
+    def test_answers_up_to_the_overflow_point(self):
+        for d1 in (300.0, 355.0):
+            assert h3_reduced_check(d1, 1.0)[2]
+
+    @pytest.mark.parametrize("d1", [356.0, 400.0, 800.0, 1e6])
+    def test_overflowing_d1_is_refused(self, d1):
+        # cosh(d1)^2 overflows from d1 ~ 355.4 on, cosh(d1) itself past 710
+        with pytest.raises(NumericalConsistencyError, match="overflows"):
+            h3_reduced_check(d1, 1.0)
+        with pytest.raises(NumericalConsistencyError, match="overflows"):
+            h3_abc(d1)
+
+    @pytest.mark.parametrize("d1", [math.inf, math.nan])
+    def test_nonfinite_d1_is_rejected(self, d1):
+        with pytest.raises(DomainError):
+            h3_reduced_log(d1, 1.0)
+        with pytest.raises(DomainError):
+            h3_abc(d1)
 
     def test_explicit_triple_fails_symmetric_ineq(self):
         a, b, c = h3_abc(3.0)
@@ -278,3 +342,61 @@ class TestSphereMonotone:
         ratio = float(vals[0] / vals[1])
         assert ratio < 1.0
         assert 1.0 - ratio < 1e-3
+
+
+class TestSeriesEarlyStop:
+    """The series stops once no later term can change a bit of the sum, so
+    every value and tail is bitwise the full l_max loop's."""
+
+    @pytest.mark.parametrize("t", [0.05, 0.07, 0.2, 1.0, 5.0])
+    @pytest.mark.parametrize("space", ["S2", "RP2"])
+    def test_matches_full_loop(self, space, t):
+        x = series_cosines()
+        if space == "S2":
+            val, tail = sphere_heat(x, t)
+            ref, ref_tail = loop_series(x, t, 200, even_only=False)
+        else:
+            val, tail = rp2_heat(x, t)
+            ref, ref_tail = loop_series(x, t, 200, even_only=True)
+            ref, ref_tail = 2.0 * ref, 2.0 * ref_tail
+        assert_bitwise(val, ref)
+        assert tail == ref_tail
+
+    @pytest.mark.parametrize("even_only", [False, True])
+    @pytest.mark.parametrize("t, l_max", [(0.05, 2), (0.05, 20), (0.05, 35), (0.2, 10), (1.0, 4)])
+    def test_l_max_below_the_stop_runs_the_full_loop(self, t, l_max, even_only):
+        x = series_cosines(trials=10)
+        val, tail = _legendre_series(x, t, l_max, even_only)
+        ref, ref_tail = loop_series(x, t, l_max, even_only)
+        assert_bitwise(val, ref)
+        assert tail == ref_tail
+
+    def test_scalar_input(self):
+        for t in (0.05, 1.0):
+            val, tail = _legendre_series(0.3, t, 200, False)
+            ref, ref_tail = loop_series(0.3, t, 200, False)
+            assert_bitwise(val, ref)
+            assert tail == ref_tail
+
+    def test_cost_does_not_grow_with_l_max(self, monkeypatch):
+        x = series_cosines(trials=5)
+        expected = sphere_heat(x, 0.05)
+
+        class CountingMath:
+            # the module's math, with a cap on exp calls: a loop that ran to
+            # l_max = 10^6 would need a million
+            calls = 0
+
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def exp(self, y):
+                CountingMath.calls += 1
+                if CountingMath.calls > 10_000:
+                    raise AssertionError("the series ran past its stop point")
+                return math.exp(y)
+
+        monkeypatch.setattr(continuum, "math", CountingMath())
+        val, tail = sphere_heat(x, 0.05, l_max=10**6)
+        assert_bitwise(val, expected[0])
+        assert tail == 0.0 == expected[1]
