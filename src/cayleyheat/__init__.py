@@ -27,6 +27,7 @@ from .lattices import (
     fiber_product,
     gaussian_mass,
     pushforward,
+    random_hom,
     rho_point,
 )
 from .checks import CheckReport, check_convolve_even, check_mean_ineq, check_rsd
@@ -63,6 +64,7 @@ __all__ = [
     "fiber_product",
     "gaussian_mass",
     "pushforward",
+    "random_hom",
     "rho_point",
     "CheckReport",
     "check_convolve_even",

@@ -27,8 +27,8 @@ class CheckReport:
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "passed": self.passed,
-            "worst_margin": self.worst_margin,
+            "passed": bool(self.passed),
+            "worst_margin": float(self.worst_margin),
             "witness": self.witness,
             "count": self.count,
         }

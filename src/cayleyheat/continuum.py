@@ -32,8 +32,10 @@ class HyperboloidPoint:
         x = np.asarray(self.x, dtype=float)
         if x.shape != (4,):
             raise DomainError("hyperboloid points are 4-vectors")
-        q = x[0] ** 2 - x[1] ** 2 - x[2] ** 2 - x[3] ** 2
-        if abs(q - 1.0) > 1e-8 * max(1.0, x[0] ** 2) or x[0] < 1.0 - 1e-10:
+        x0, x1, x2, x3 = x.tolist()
+        # not finite when a coordinate is not, or when a square overflows
+        q = x0 * x0 - x1 * x1 - x2 * x2 - x3 * x3
+        if not math.isfinite(q) or abs(q - 1.0) > 1e-8 * max(1.0, x0 * x0) or x0 < 1.0 - 1e-10:
             raise DomainError(f"point not on the hyperboloid (form value {q})")
         x.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -56,7 +58,10 @@ def _d_over_sinh(d: float) -> float:
     # Taylor guard against cancellation near 0
     if d < 1e-4:
         return 1.0 - d * d / 6.0 + 7.0 * d**4 / 360.0
-    return d / math.sinh(d)
+    try:
+        return d / math.sinh(d)
+    except OverflowError:  # d above ~710: the log form, which underflows to 0
+        return math.exp(_log_d_over_sinh(d))
 
 
 def h3_heat(d: float, t: float) -> float:

@@ -282,33 +282,11 @@ def idft(s: SpectrumFunction, imag_rel_tol: float = 1e-8) -> GroupFunction:
     return GroupFunction(s.group, idft_stack(s.group, s.values[None], imag_rel_tol)[0])
 
 
-def dft_direct(f: GroupFunction) -> SpectrumFunction:
-    """O(|G|^2) character-sum transform; oracle for dft()."""
-    G = f.group
-    out = np.zeros(G.order, dtype=complex)
-    for k in range(G.order):
-        kr = G.residues_of(k)
-        acc = 0.0 + 0.0j
-        for g in range(G.order):
-            gr = G.residues_of(g)
-            ang = sum(
-                ki * gi / n for ki, gi, n in zip(kr, gr, G.factor_sizes)
-            )
-            acc += f.values[g] * np.exp(-2j * np.pi * ang)
-        out[k] = acc
-    return SpectrumFunction(G, out)
-
-
-def convolve(f: GroupFunction, g: GroupFunction, method: str = "spectral") -> GroupFunction:
-    """(f*g)(x) = sum_y f(x-y) g(y)."""
+def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
+    """(f*g)(x) = sum_y f(x-y) g(y), through the transform."""
     _same_group(f, g)
-    if method == "direct":
-        table = f.group.sub_index_table()
-        return GroupFunction(f.group, f.values[table] @ g.values)
-    if method == "spectral":
-        prod = dft(f).values * dft(g).values
-        return idft(SpectrumFunction(f.group, prod))
-    raise DomainError(f"unknown convolution method {method!r}")
+    prod = dft(f).values * dft(g).values
+    return idft(SpectrumFunction(f.group, prod))
 
 
 def cexp_spectral(upsilon: GroupFunction) -> GroupFunction:
@@ -363,13 +341,6 @@ def phi_basis_decompose(upsilon: GroupFunction) -> list[tuple[float, GroupElemen
         alpha = v / 2.0 if i == j else v  # phi doubles on self-inverse orbits
         out.append((alpha, G.from_index(i)))
     return out
-
-
-def recompose(group: FiniteAbelianGroup, terms: list[tuple[float, GroupElement]]) -> GroupFunction:
-    acc = np.zeros(group.order)
-    for alpha, g0 in terms:
-        acc += alpha * phi(group, g0).values
-    return GroupFunction(group, acc)
 
 
 _GROUP_RE = re.compile(r"^z(\d+)$", re.IGNORECASE)

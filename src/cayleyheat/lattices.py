@@ -159,8 +159,8 @@ def gaussian_mass(
     lattice: Lattice, epsilon: float = DEFAULT_EPSILON, point_cap: int = DEFAULT_POINT_CAP
 ) -> tuple[float, float]:
     """Total Gaussian weight sum_{x in L} exp(-pi ||x||^2) with tail bound."""
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    if not 0 < epsilon < 1:
+        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
     if lattice.dim == 0:
         return 1.0, 0.0
     R, m, tail = _enumeration_box(lattice, epsilon, point_cap)
@@ -178,8 +178,8 @@ def pushforward(
     point_cap: int = DEFAULT_POINT_CAP,
 ) -> PushforwardResult:
     """Gaussian pushforward chi(g) = rho(h^{-1}(g)), certified to ``epsilon``."""
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    if not 0 < epsilon < 1:
+        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
     G = hom.target
     d = hom.lattice.dim
     if d == 0:
@@ -297,3 +297,18 @@ def fiber_product(h1: LatticeHom, h2: LatticeHom) -> LatticeHom:
         for j in range(K.shape[1])
     )
     return LatticeHom(Lattice(basis), G, images)
+
+
+def random_hom(group: FiniteAbelianGroup, rng: np.random.Generator, max_dim: int) -> LatticeHom:
+    """A random homomorphism from a lattice of dimension 1..max_dim into group.
+
+    The basis has entries uniform in [-1.5, 1.5], redrawn until its smallest
+    singular value exceeds 0.3; each basis vector maps to a uniform element.
+    """
+    d = int(rng.integers(1, max_dim + 1))
+    while True:
+        B = rng.uniform(-1.5, 1.5, size=(d, d))
+        if np.linalg.svd(B, compute_uv=False)[-1] > 0.3:
+            break
+    images = tuple(group.from_index(int(rng.integers(group.order))) for _ in range(d))
+    return LatticeHom(Lattice(B), group, images)

@@ -38,7 +38,7 @@ from cayleyheat.heat import (
     monotone_check_cayley,
     search_monotonicity_violations,
 )
-from cayleyheat.lattices import Lattice, LatticeHom, direct_sum, fiber_product, pushforward
+from cayleyheat.lattices import direct_sum, fiber_product, pushforward, random_hom
 
 
 def report(num, passed, detail=""):
@@ -52,16 +52,6 @@ def random_even_weights(G, rng, scale=2.0):
     v = v + v[G.neg_index_table()]
     v[0] = 0.0
     return CayleyWeights(G, GroupFunction(G, v))
-
-
-def random_hom(G, rng, max_dim=2, min_scale=0.3):
-    d = int(rng.integers(1, max_dim + 1))
-    while True:
-        B = rng.uniform(-1.5, 1.5, (d, d))
-        if np.linalg.svd(B, compute_uv=False)[-1] > min_scale:
-            break
-    images = tuple(G.from_index(int(rng.integers(G.order))) for _ in range(d))
-    return LatticeHom(Lattice(B), G, images)
 
 
 SMALL_GROUPS = [(6,), (12,), (24,), (2, 4), (3, 3), (2, 2, 2), (8,), (2, 12)]
@@ -79,7 +69,7 @@ def pushforward_corpus():
     corpus = []
     for i in range(50):
         G = FiniteAbelianGroup(SMALL_GROUPS[i % len(SMALL_GROUPS)])
-        h1, h2 = random_hom(G, rng), random_hom(G, rng)
+        h1, h2 = random_hom(G, rng, 2), random_hom(G, rng, 2)
         chi1 = pushforward(h1, 1e-12)
         chi2 = pushforward(h2, 1e-12)
         chi_ds = pushforward(direct_sum(h1, h2), 1e-12)

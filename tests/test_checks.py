@@ -12,9 +12,7 @@ from cayleyheat.checks import (
 )
 from cayleyheat.errors import DomainError, NumericalConsistencyError
 from cayleyheat.groups import FiniteAbelianGroup, GroupFunction, convolve, delta, phi
-from cayleyheat.lattices import Lattice, LatticeHom, pushforward
-
-from test_lattices import random_hom
+from cayleyheat.lattices import Lattice, LatticeHom, pushforward, random_hom
 
 
 def pushed_chi(G, rng, max_dim=2):

@@ -1,7 +1,10 @@
 import csv
+import inspect
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -10,9 +13,11 @@ from pathlib import Path
 import pytest
 
 import cayleyheat
-from cayleyheat import checks
+from cayleyheat import checks, cli, selftest
 from cayleyheat.checks import CheckReport
-from cayleyheat.cli import main
+from cayleyheat.cli import COMMANDS, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -30,8 +35,11 @@ def weights_file(tmp_path):
 
 class TestSelftest:
     def test_passes_on_fresh_build(self, capsys):
-        code, _ = run_cli(capsys, "selftest")
+        code, out = run_cli(capsys, "selftest")
         assert code == 0
+        reports = json.loads(out)["reports"]
+        assert [r["name"] for r in reports] == [name for name, _ in selftest.INVARIANTS]
+        assert all(r["passed"] for r in reports)
 
     def test_mutation_is_caught(self, capsys, monkeypatch):
         # flip the inequality's sign: the suite must fail and name the check
@@ -48,9 +56,10 @@ class TestSelftest:
         _orig = checks.check_rsd
         monkeypatch.setattr(checks, "check_rsd", flipped)
         code = main(["selftest"])
-        out = capsys.readouterr().out
+        reports = {r["name"]: r for r in json.loads(capsys.readouterr().out)["reports"]}
         assert code == 1
-        assert "pushforward_closure_and_inequalities" in out
+        assert reports["pushforward_closure_and_inequalities"]["passed"] is False
+        assert sum(not r["passed"] for r in reports.values()) == 1
 
     def test_mutation_is_caught_under_optimize(self):
         # python -O strips assert statements; the invariants must not be them
@@ -67,7 +76,7 @@ class TestSelftest:
                 )
 
             checks.check_rsd = flipped
-            print(",".join(selftest.run()))
+            print(",".join(r.name for r in selftest.run() if not r.passed))
             """
         )
         src = str(Path(cayleyheat.__file__).resolve().parents[1])
@@ -220,9 +229,114 @@ class TestOtherCommands:
         _, out = run_cli(capsys, "check-monotone", "--weights", weights_file)
         assert json.loads(out)["config"]["tolerance"] == 1e-4
 
+    @pytest.mark.parametrize("env", ["1e-4", "abc"])
+    def test_tol_flag_beats_env(self, capsys, weights_file, monkeypatch, env):
+        monkeypatch.setenv("HEAT_TOL", env)
+        code, out = run_cli(capsys, "check-monotone", "--weights", weights_file, "--tol", "1e-3")
+        assert code == 0
+        assert json.loads(out)["config"]["tolerance"] == 1e-3
+
+    def test_env_epsilon_sets_the_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("HEAT_EPS", "1e-10")
+        _, out = run_cli(capsys, "rate-check", "--lemma", "35", "--ns", "16,32")
+        assert json.loads(out)["config"]["epsilon"] == 1e-10
+
     def test_jobs_flag_is_rejected(self, capsys):
         # no command runs in parallel, so no command takes --jobs
-        with pytest.raises(SystemExit) as exc:
-            main(["pushforward", "--instances", "1", "--jobs", "2"])
-        assert exc.value.code == 2
+        assert main(["pushforward", "--instances", "1", "--jobs", "2"]) == 2
         assert "--jobs" in capsys.readouterr().err
+
+
+class TestCommandTable:
+    def test_each_command_takes_exactly_the_flags_it_reads(self):
+        for cmd in COMMANDS.values():
+            dests = [kwargs.get("dest", flag.lstrip("-")) for flag, kwargs in cmd.flags.items()]
+            assert list(inspect.signature(cmd.run).parameters) == dests
+
+    def test_flag_count(self):
+        # every command also takes --format and --output
+        assert sum(len(cmd.flags) + 2 for cmd in COMMANDS.values()) == 47
+
+    def test_readme_examples_pass(self, tmp_path, monkeypatch):
+        block = re.search(r"## CLI\n\n```sh\n(.*?)```", README.read_text(), re.S).group(1)
+        lines = block.strip().splitlines()
+        assert len(lines) == len(COMMANDS)
+        (tmp_path / "w.json").write_text(
+            json.dumps({"group": "Z12", "weights": {"1": 2.0, "3": 1.0}})
+        )
+        monkeypatch.chdir(tmp_path)
+        for line in lines:
+            prog, *argv = shlex.split(line)
+            assert prog == "cayleyheat"
+            assert main(argv) == 0, line
+
+
+def _raises(exc):
+    def fn(*args, **kwargs):
+        raise exc
+
+    return fn
+
+
+# (argv, environment, patches of cli names, exit code), run in a directory
+# holding w.json and abc.json (a weight that is not a number). Every way in
+# which a command used to crash, accept a flag it ignored, or print non-JSON.
+ARGV_CASES = {
+    "ns_not_integers": (["rate-check", "--lemma", "35", "--ns", "16,abc"], {}, {}, 2),
+    "ns_single_point": (["rate-check", "--lemma", "35", "--ns", "16"], {}, {}, 2),
+    "ns_repeated_point": (["rate-check", "--lemma", "35", "--ns", "16,16"], {}, {}, 2),
+    "g0_out_of_range": (["rate-check", "--lemma", "35", "--g0", "99"], {}, {}, 2),
+    "dim_zero": (["pushforward", "--dim", "0"], {}, {}, 2),
+    "instances_zero": (["pushforward", "--instances", "0"], {}, {}, 2),
+    "negative_seed": (["pushforward", "--seed", "-1"], {}, {}, 2),
+    "eps_above_one": (["pushforward", "--eps", "4"], {}, {}, 2),
+    "search_n_two": (["search-counterexample", "--n", "2"], {}, {}, 2),
+    "search_negative_trials": (["search-counterexample", "--trials", "-1"], {}, {}, 2),
+    "steps_one": (["h3-monotone", "--steps", "1"], {}, {}, 2),
+    "nan_float": (["h3-violation", "--t", "nan"], {}, {}, 2),
+    "heat_tol_malformed": (["search-counterexample", "--trials", "1"], {"HEAT_TOL": "abc"}, {}, 2),
+    "heat_eps_malformed": (["pushforward", "--instances", "1"], {"HEAT_EPS": "abc"}, {}, 2),
+    "output_dir_missing": (["h3-violation", "--output", "missing/x.json"], {}, {}, 2),
+    "weights_missing": (["check-monotone", "--weights", "missing/w.json"], {}, {}, 2),
+    "weight_not_a_number": (["check-monotone", "--weights", "abc.json"], {}, {}, 2),
+    "no_command": ([], {}, {}, 2),
+    "help": (["--help"], {}, {}, 0),
+    "h3_monotone_d_1000": (["h3-monotone", "--d", "1000"], {}, {}, 0),
+    # one dropped flag per command
+    "selftest_seed": (["selftest", "--seed", "1"], {}, {}, 2),
+    "check_monotone_seed": (["check-monotone", "--weights", "w.json", "--seed", "1"], {}, {}, 2),
+    "pushforward_tol": (["pushforward", "--tol", "1"], {}, {}, 2),
+    "rate_check_seed": (["rate-check", "--lemma", "35", "--seed", "1"], {}, {}, 2),
+    "search_eps": (["search-counterexample", "--eps", "1"], {}, {}, 2),
+    "h3_violation_seed": (["h3-violation", "--seed", "1"], {}, {}, 2),
+    "h3_monotone_tol": (["h3-monotone", "--tol", "5"], {}, {}, 2),
+    "sphere_check_tol": (["sphere-check", "--tol", "1"], {}, {}, 2),
+    # numerical guards, and a margin that is not finite
+    "sphere_truncation": (["sphere-check", "--trials", "4", "--lmax", "1"], {}, {}, 3),
+    "h3_cosh_overflow": (["h3-violation", "--d1", "400"], {}, {}, 3),
+    "infinite_margin": (
+        ["h3-violation"], {}, {"h3_reduced_check": lambda d1, t: (float("inf"), 0.0, True)}, 3
+    ),
+    "overflow": (["h3-violation"], {}, {"h3_reduced_check": _raises(OverflowError("x"))}, 3),
+    "internal_error": (["h3-violation"], {}, {"h3_reduced_check": _raises(KeyError("x"))}, 4),
+}
+
+
+@pytest.mark.parametrize("case", ARGV_CASES)
+def test_argv_exit_codes(case, capsys, tmp_path, monkeypatch):
+    argv, env, patches, expected = ARGV_CASES[case]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    for name, fn in patches.items():
+        monkeypatch.setattr(cli, name, fn)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w.json").write_text(json.dumps({"group": "Z4", "weights": {"1": 1.0}}))
+    (tmp_path / "abc.json").write_text(json.dumps({"group": "Z4", "weights": {"1": "abc"}}))
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == expected, err
+    assert "Traceback" not in err
+    if code >= 2:
+        assert out == "" and err.strip()
+    if code >= 3:
+        assert len(err.splitlines()) == 1

@@ -119,6 +119,14 @@ class TestH3Geometry:
         with pytest.raises(DomainError):
             HyperboloidPoint(np.array([1.0, 0.5, 0, 0]))
 
+    @pytest.mark.parametrize(
+        "x", [(1e200, 1e200, 0, 0), (math.nan, 0, 0, 0), (math.inf, 0, 0, 0), (1, 0, math.nan, 0)]
+    )
+    def test_nonfinite_form_rejected(self, x):
+        # an overflowing square or a NaN coordinate makes the form value not finite
+        with pytest.raises(DomainError):
+            HyperboloidPoint(np.array(x, dtype=float))
+
 
 class TestH3Symmetry:
     def test_fixed_point(self):
@@ -158,6 +166,14 @@ class TestH3Heat:
     def test_log_heat_matches(self):
         for d, t in [(0.5, 0.25), (3.0, 1.0), (10.0, 4.0)]:
             assert abs(h3_log_heat(d, t) - math.log(h3_heat(d, t))) < 1e-10
+
+    def test_d_over_sinh_past_the_sinh_overflow(self):
+        # unchanged wherever sinh d is finite; the log form only beyond
+        for d in (1e-4, 1.0, 30.0, 709.0, 710.4):
+            assert continuum._d_over_sinh(d) == d / math.sinh(d)
+        assert 0.0 < continuum._d_over_sinh(710.6) < 1e-305
+        assert continuum._d_over_sinh(1000.0) == 0.0
+        assert h3_heat(1000.0, 1.0) == 0.0
 
 
 class TestH3ReducedCheck:
@@ -232,6 +248,11 @@ class TestH3Monotone:
     @pytest.mark.parametrize("d", [0.5, 2.0, 8.0])
     def test_sweep(self, d):
         assert h3_monotone_check(d, np.geomspace(0.05, 50, 20)).passed
+
+    def test_answers_past_the_sinh_overflow(self):
+        # the ratio underflows to 0 at every t, so every step is 0
+        rep = h3_monotone_check(1000.0, np.geomspace(0.05, 50, 20))
+        assert rep.passed and rep.worst_margin == 0.0
 
 
 class TestSphereHeat:

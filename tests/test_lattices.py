@@ -12,22 +12,13 @@ from cayleyheat.lattices import (
     fiber_product,
     gaussian_mass,
     pushforward,
+    random_hom,
     rho_point,
     _integer_kernel,
 )
 
 # direct summation over |k| <= 10; the tail is below e^{-100 pi}
 MASS_Z = 1.0864348112133082
-
-
-def random_hom(G, rng, max_dim=2, min_scale=0.3):
-    d = int(rng.integers(1, max_dim + 1))
-    while True:
-        B = rng.uniform(-1.5, 1.5, (d, d))
-        if np.linalg.svd(B, compute_uv=False)[-1] > min_scale:
-            break
-    images = tuple(G.from_index(int(rng.integers(G.order))) for _ in range(d))
-    return LatticeHom(Lattice(B), G, images)
 
 
 class TestRho:
@@ -72,6 +63,16 @@ class TestGaussianMass:
         with pytest.raises(DomainError):
             gaussian_mass(Lattice.integers(1.0), epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [4.0, math.nan])
+    def test_epsilon_below_one(self, epsilon):
+        # past 2 the radius equation took the root of a negative number
+        G = FiniteAbelianGroup((3,))
+        h = LatticeHom(Lattice.integers(1.0), G, (G.from_index(1),))
+        with pytest.raises(DomainError):
+            gaussian_mass(h.lattice, epsilon=epsilon)
+        with pytest.raises(DomainError):
+            pushforward(h, epsilon=epsilon)
+
 
 class TestPushforward:
     def test_trivial_target_collects_mass(self):
@@ -103,7 +104,7 @@ class TestPushforward:
         rng = np.random.default_rng(11)
         G = FiniteAbelianGroup((2, 4))
         for _ in range(5):
-            res = pushforward(random_hom(G, rng))
+            res = pushforward(random_hom(G, rng, 2))
             assert np.all(res.chi.values >= 0)
             neg = G.neg_index_table()
             assert np.max(np.abs(res.chi.values - res.chi.values[neg])) <= max(
@@ -113,14 +114,14 @@ class TestPushforward:
     def test_mass_conservation(self):
         rng = np.random.default_rng(5)
         G = FiniteAbelianGroup((6,))
-        h = random_hom(G, rng)
+        h = random_hom(G, rng, 2)
         res = pushforward(h)
         mass, tail = gaussian_mass(h.lattice)
         assert abs(res.chi.values.sum() - mass) < 2 * (res.tail_bound + tail) * G.order + 1e-12
 
     def test_tail_bound_within_epsilon(self):
         rng = np.random.default_rng(2)
-        res = pushforward(random_hom(FiniteAbelianGroup((8,)), rng), epsilon=1e-10)
+        res = pushforward(random_hom(FiniteAbelianGroup((8,)), rng, 2), epsilon=1e-10)
         assert res.tail_bound <= 1e-10
 
 
@@ -130,7 +131,7 @@ class TestDirectSum:
         for _ in range(50):
             sizes = [(6,), (12,), (2, 4), (24,), (3, 3)][int(rng.integers(5))]
             G = FiniteAbelianGroup(sizes)
-            h1, h2 = random_hom(G, rng), random_hom(G, rng)
+            h1, h2 = random_hom(G, rng, 2), random_hom(G, rng, 2)
             lhs = pushforward(direct_sum(h1, h2)).chi
             rhs = convolve(pushforward(h1).chi, pushforward(h2).chi)
             assert np.max(np.abs(lhs.values - rhs.values)) < 1e-8
@@ -146,7 +147,7 @@ class TestDirectSum:
     def test_block_diagonal_gram(self):
         G = FiniteAbelianGroup((4,))
         rng = np.random.default_rng(0)
-        h1, h2 = random_hom(G, rng), random_hom(G, rng)
+        h1, h2 = random_hom(G, rng, 2), random_hom(G, rng, 2)
         gram = direct_sum(h1, h2).lattice.gram
         d1 = h1.lattice.dim
         assert np.allclose(gram[:d1, d1:], 0.0)
@@ -179,7 +180,7 @@ class TestFiberProduct:
         for _ in range(50):
             sizes = [(6,), (12,), (2, 4), (8,), (3, 3)][int(rng.integers(5))]
             G = FiniteAbelianGroup(sizes)
-            h1, h2 = random_hom(G, rng), random_hom(G, rng)
+            h1, h2 = random_hom(G, rng, 2), random_hom(G, rng, 2)
             lhs = pushforward(fiber_product(h1, h2)).chi
             rhs = pushforward(h1).chi.values * pushforward(h2).chi.values
             assert np.max(np.abs(lhs.values - rhs)) < 1e-8
@@ -194,7 +195,7 @@ class TestFiberProduct:
     def test_kernel_basis_satisfies_congruence(self):
         rng = np.random.default_rng(17)
         G = FiniteAbelianGroup((2, 4))
-        h1, h2 = random_hom(G, rng), random_hom(G, rng)
+        h1, h2 = random_hom(G, rng, 2), random_hom(G, rng, 2)
         fp = fiber_product(h1, h2)
         # invert block basis to recover integer coordinates in L1 (+) L2
         d1 = h1.lattice.dim
