@@ -25,22 +25,18 @@ from .lattices import (
     PushforwardResult,
     direct_sum,
     fiber_product,
-    gaussian_mass,
     pushforward,
     random_hom,
-    rho_point,
 )
 from .checks import CheckReport, check_convolve_even, check_mean_ineq, check_rsd
 from .heat import (
     CayleyWeights,
     GeneralGraph,
-    HeatRow,
     ctrw_simulate,
     heat_matrix_general,
     heat_row_cayley,
     monotone_check_cayley,
     monotone_violation_search,
-    tau_from_weights,
 )
 
 __all__ = [
@@ -62,21 +58,17 @@ __all__ = [
     "PushforwardResult",
     "direct_sum",
     "fiber_product",
-    "gaussian_mass",
     "pushforward",
     "random_hom",
-    "rho_point",
     "CheckReport",
     "check_convolve_even",
     "check_mean_ineq",
     "check_rsd",
     "CayleyWeights",
     "GeneralGraph",
-    "HeatRow",
     "ctrw_simulate",
     "heat_matrix_general",
     "heat_row_cayley",
     "monotone_check_cayley",
     "monotone_violation_search",
-    "tau_from_weights",
 ]

@@ -58,14 +58,6 @@ class RateReport:
     fitted_order: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "ns": list(self.ns),
-            "errors": list(self.errors),
-            "fitted_order": self.fitted_order,
-            "passed": self.passed,
-        }
-
 
 def check_power_diff(a: float, b: float, C: float, n: int, slack: float = 1e-12) -> bool:
     """|a^n - b^n| <= n C^{n-1} |a - b| for a, b in [0, C]."""

@@ -8,12 +8,12 @@ tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericalConsistencyError
-from .groups import GroupElement, GroupFunction
+from .groups import GroupElement, GroupFunction, convolve
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,6 @@ def check_convolve_even(
     chi: GroupFunction, upsilon: GroupFunction, tol: float
 ) -> CheckReport:
     """With omega = chi * upsilon: chi(g)/chi(0) <= omega(g)/omega(0) for all g."""
-    from .groups import convolve
-
     if np.any(upsilon.values < 0) or not upsilon.is_even():
         raise DomainError("upsilon must be even and nonnegative")
     omega = convolve(chi, upsilon)

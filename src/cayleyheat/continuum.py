@@ -10,15 +10,15 @@ reflection inequality fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .checks import CheckReport
 from .errors import DomainError, NumericalConsistencyError
+from .heat import _monotone_report, _t_grid
 
 DEFAULT_L_MAX = 200
-MIN_SPHERE_T = 0.05
 
 
 # --- hyperbolic 3-space, hyperboloid model ---
@@ -162,20 +162,13 @@ def h3_reduced_check(d1: float, t: float) -> tuple[float, float, bool]:
 
 def h3_monotone_check(d: float, t_grid, tol: float = 1e-12) -> CheckReport:
     """Ratio H_t(d)/H_t(0) = (d/sinh d) exp(-d^2/4t) nondecreasing in t."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
-        raise DomainError("t_grid must be strictly increasing")
-    ratios = _d_over_sinh(d) * np.exp(-d * d / (4.0 * t_grid))
-    margins = np.diff(ratios)
-    worst_i = int(np.argmin(margins))
-    worst = float(margins[worst_i])
-    return CheckReport(
-        passed=worst >= -tol,
-        worst_margin=worst,
-        witness=f"d={d}, t={t_grid[worst_i]:.6g}, t'={t_grid[worst_i + 1]:.6g}",
-        count=len(margins),
-        name="h3_monotone",
-    )
+    if d < 0:
+        raise DomainError("distance must be nonnegative")
+
+    def ratios(t):
+        return (_d_over_sinh(d) * np.exp(-d * d / (4.0 * t)))[:, None]
+
+    return _monotone_report(ratios, _t_grid(t_grid), 1, tol, "h3_monotone", lambda _: f"d={d}")
 
 
 # --- sphere and projective plane via Legendre series ---
@@ -252,19 +245,24 @@ def _legendre_series(cos_theta, t: float, l_max: int, even_only: bool):
     return total, tail
 
 
-def sphere_heat(cos_theta, t: float, l_max: int = DEFAULT_L_MAX):
-    """Heat kernel on the unit 2-sphere as a function of the angle.
-
-    Returns (value, truncation_bound); refuses when the bound is not
-    small against the value.
-    """
-    val, tail = _legendre_series(cos_theta, t, l_max, even_only=False)
+def _refuse_large_tail(val, tail):
+    """(val, tail), refused when the truncation bound is not small against
+    the value."""
     ref = float(np.min(np.abs(val))) if np.ndim(val) else abs(float(val))
     if tail > 1e-3 * max(ref, 1e-300):
         raise NumericalConsistencyError(
             f"truncation bound {tail:.3e} too large; raise l_max or t"
         )
     return val, tail
+
+
+def sphere_heat(cos_theta, t: float, l_max: int = DEFAULT_L_MAX):
+    """Heat kernel on the unit 2-sphere as a function of the angle.
+
+    Returns (value, truncation_bound); refuses when the bound is not
+    small against the value.
+    """
+    return _refuse_large_tail(*_legendre_series(cos_theta, t, l_max, even_only=False))
 
 
 def rp2_heat(cos_theta, t: float, l_max: int = DEFAULT_L_MAX):
@@ -274,14 +272,7 @@ def rp2_heat(cos_theta, t: float, l_max: int = DEFAULT_L_MAX):
     degree-balanced inequality checks.
     """
     val, tail = _legendre_series(cos_theta, t, l_max, even_only=True)
-    val = 2.0 * val
-    tail = 2.0 * tail
-    ref = float(np.min(np.abs(val))) if np.ndim(val) else abs(float(val))
-    if tail > 1e-3 * max(ref, 1e-300):
-        raise NumericalConsistencyError(
-            f"truncation bound {tail:.3e} too large; raise l_max or t"
-        )
-    return val, tail
+    return _refuse_large_tail(2.0 * val, 2.0 * tail)
 
 
 def sphere_point_symmetry(b: SpherePoint, c: SpherePoint) -> SpherePoint:
@@ -298,26 +289,61 @@ def random_sphere_point(rng: np.random.Generator) -> SpherePoint:
 def _triple_kernels(
     space: str, a: SpherePoint, b: SpherePoint, c: SpherePoint, t: float, l_max: int
 ):
-    """(H(a,b), H(b,c), H(a,c), H(a,s_b(c)), H(a,a), tail) on S2 or RP2,
-    from one series evaluation at the five cosines."""
-    if space == "S2":
-        kernel = sphere_heat
-    elif space == "RP2":
-        kernel = rp2_heat
-    else:
+    """(H(a,b), H(b,c), H(a,c), H(a,s_b(c)), H(a,a), err) on S2 or RP2, from
+    one series evaluation at the five cosines.
+
+    err bounds each value's error: ten times the truncation tail plus the
+    series roundoff, since |P_l| <= 1 bounds the termwise absolute sum by
+    the value at distance zero.
+    """
+    kernel = {"S2": sphere_heat, "RP2": rp2_heat}.get(space)
+    if kernel is None:
         raise DomainError(f"unknown series space {space!r}")
-    sbc = sphere_point_symmetry(b, c)
-    cos_vals = np.array(
-        [
-            float(np.dot(a.u, b.u)),
-            float(np.dot(b.u, c.u)),
-            float(np.dot(a.u, c.u)),
-            float(np.dot(a.u, sbc.u)),
-            1.0,
-        ]
-    )
+    pairs = ((a, b), (b, c), (a, c), (a, sphere_point_symmetry(b, c)))
+    cos_vals = np.array([float(np.dot(x.u, y.u)) for x, y in pairs] + [1.0])
     vals, tail = kernel(cos_vals, t, l_max)
-    return (*(float(v) for v in vals), tail)
+    hab, hbc, hac, hasbc, haa = vals.tolist()
+    return hab, hbc, hac, hasbc, haa, 10.0 * tail + 100.0 * np.finfo(float).eps * haa
+
+
+def _h3_kernels(a: HyperboloidPoint, b: HyperboloidPoint, c: HyperboloidPoint, t: float):
+    """(H(a,b), H(b,c), H(a,c), H(a,s_b(c)), H(a,a), err) on H3; the closed
+    form is taken as exact, so err is 0."""
+    pairs = ((a, b), (b, c), (a, c), (a, h3_point_symmetry(b, c)))
+    return (*[h3_heat(h3_distance(x, y), t) for x, y in pairs], h3_heat(0.0, t), 0.0)
+
+
+def _triple_check(kind: str, kernels, tol: float, witness: str) -> CheckReport:
+    """The reflection inequality (kind "symmetric_ineq") or its mean form
+    (kind "heat_lemma") from the five kernel values and their error err.
+
+    The tolerance is widened by err times a crude first-order sensitivity of
+    the two sides to it, so an error in the values can never manufacture a
+    violation.
+    """
+    hab, hbc, hac, hasbc, haa, err = kernels
+    if kind == "symmetric_ineq":
+        lhs = hab**2 * hbc**2
+        rhs = hac * hasbc * haa**2
+        widen = err * (
+            2 * abs(hab) * hbc**2
+            + 2 * abs(hbc) * hab**2
+            + abs(hasbc * haa**2)
+            + abs(hac * haa**2)
+            + 2 * abs(hac * hasbc * haa)
+        )
+    else:
+        lhs = hab * hbc / haa
+        rhs = 0.5 * (hac + hasbc)
+        widen = err * (abs(hab) / haa + abs(hbc) / haa + 1.0 + lhs / haa)
+    margin = rhs - lhs
+    return CheckReport(
+        passed=margin >= -(tol + widen),
+        worst_margin=margin,
+        witness=witness,
+        count=1,
+        name=kind,
+    )
 
 
 def symmetric_ineq_check_sphere(
@@ -329,33 +355,10 @@ def symmetric_ineq_check_sphere(
     tol: float = 0.0,
     l_max: int = DEFAULT_L_MAX,
 ) -> CheckReport:
-    """H(a,b)^2 H(b,c)^2 <= H(a,c) H(a,s_b(c)) H(a,a)^2 on S2 or RP2.
-
-    The tolerance is widened by ten times the combined truncation bounds,
-    so series truncation can never manufacture a violation.
-    """
-    hab, hbc, hac, hasbc, haa, tail = _triple_kernels(space, a, b, c, t, l_max)
-    lhs = hab**2 * hbc**2
-    rhs = hac * hasbc * haa**2
-    # per-evaluation error: truncation tail plus series roundoff; |P_l| <= 1
-    # bounds the termwise absolute sum by the value at distance zero
-    per_eval = 10.0 * tail + 100.0 * np.finfo(float).eps * haa
-    # crude first-order sensitivity of each side to per-evaluation error
-    trunc = per_eval * (
-        2 * abs(hab) * hbc**2
-        + 2 * abs(hbc) * hab**2
-        + abs(hasbc * haa**2)
-        + abs(hac * haa**2)
-        + 2 * abs(hac * hasbc * haa)
-    )
-    margin = rhs - lhs
-    return CheckReport(
-        passed=margin >= -(tol + trunc),
-        worst_margin=margin,
-        witness=f"space={space}, t={t}",
-        count=1,
-        name="symmetric_ineq",
-    )
+    """H(a,b)^2 H(b,c)^2 <= H(a,c) H(a,s_b(c)) H(a,a)^2 on S2 or RP2, with
+    the tolerance widened by the series error."""
+    kernels = _triple_kernels(space, a, b, c, t, l_max)
+    return _triple_check("symmetric_ineq", kernels, tol, f"space={space}, t={t}")
 
 
 def heat_lemma_check_sphere(
@@ -367,20 +370,10 @@ def heat_lemma_check_sphere(
     tol: float = 0.0,
     l_max: int = DEFAULT_L_MAX,
 ) -> CheckReport:
-    """H(a,b)H(b,c)/H(a,a) <= (H(a,c) + H(a,s_b(c)))/2 on S2 or RP2."""
-    hab, hbc, hac, hasbc, haa, tail = _triple_kernels(space, a, b, c, t, l_max)
-    lhs = hab * hbc / haa
-    rhs = 0.5 * (hac + hasbc)
-    per_eval = 10.0 * tail + 100.0 * np.finfo(float).eps * haa
-    trunc = per_eval * (abs(hab) / haa + abs(hbc) / haa + 1.0 + lhs / haa)
-    margin = rhs - lhs
-    return CheckReport(
-        passed=margin >= -(tol + trunc),
-        worst_margin=margin,
-        witness=f"space={space}, t={t}",
-        count=1,
-        name="heat_lemma",
-    )
+    """H(a,b)H(b,c)/H(a,a) <= (H(a,c) + H(a,s_b(c)))/2 on S2 or RP2, with
+    the tolerance widened by the series error."""
+    kernels = _triple_kernels(space, a, b, c, t, l_max)
+    return _triple_check("heat_lemma", kernels, tol, f"space={space}, t={t}")
 
 
 def symmetric_ineq_check_h3(
@@ -391,21 +384,7 @@ def symmetric_ineq_check_h3(
     tol: float = 0.0,
 ) -> CheckReport:
     """The reflection inequality on hyperbolic 3-space (closed form)."""
-    sbc = h3_point_symmetry(b, c)
-    lhs = h3_heat(h3_distance(a, b), t) ** 2 * h3_heat(h3_distance(b, c), t) ** 2
-    rhs = (
-        h3_heat(h3_distance(a, c), t)
-        * h3_heat(h3_distance(a, sbc), t)
-        * h3_heat(0.0, t) ** 2
-    )
-    margin = rhs - lhs
-    return CheckReport(
-        passed=margin >= -tol,
-        worst_margin=margin,
-        witness=f"space=H3, t={t}",
-        count=1,
-        name="symmetric_ineq",
-    )
+    return _triple_check("symmetric_ineq", _h3_kernels(a, b, c, t), tol, f"space=H3, t={t}")
 
 
 def heat_lemma_check_h3(
@@ -415,43 +394,26 @@ def heat_lemma_check_h3(
     t: float,
     tol: float = 0.0,
 ) -> CheckReport:
-    sbc = h3_point_symmetry(b, c)
-    haa = h3_heat(0.0, t)
-    lhs = h3_heat(h3_distance(a, b), t) * h3_heat(h3_distance(b, c), t) / haa
-    rhs = 0.5 * (
-        h3_heat(h3_distance(a, c), t) + h3_heat(h3_distance(a, sbc), t)
-    )
-    margin = rhs - lhs
-    return CheckReport(
-        passed=margin >= -tol,
-        worst_margin=margin,
-        witness="space=H3",
-        count=1,
-        name="heat_lemma",
-    )
+    """The mean form on hyperbolic 3-space (closed form)."""
+    return _triple_check("heat_lemma", _h3_kernels(a, b, c, t), tol, f"space=H3, t={t}")
 
 
 def sphere_monotone_check(
     cos_theta: float, t_grid, l_max: int = DEFAULT_L_MAX, tol: float = 0.0
 ) -> CheckReport:
-    """H_t(theta)/H_t(0) nondecreasing in t on the sphere."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
-        raise DomainError("t_grid must be strictly increasing")
-    ratios = []
+    """H_t(theta)/H_t(0) nondecreasing in t on the sphere, with the
+    tolerance widened by ten times the largest relative truncation bound."""
     tails = []
-    for t in t_grid:
-        vals, tail = sphere_heat(np.array([cos_theta, 1.0]), float(t), l_max)
-        ratios.append(float(vals[0] / vals[1]))
-        tails.append(tail / float(vals[1]))
-    margins = np.diff(ratios)
-    worst_i = int(np.argmin(margins))
-    worst = float(margins[worst_i])
-    trunc = 10.0 * max(tails)
-    return CheckReport(
-        passed=worst >= -(tol + trunc),
-        worst_margin=worst,
-        witness=f"t={t_grid[worst_i]:.6g}, t'={t_grid[worst_i + 1]:.6g}",
-        count=len(margins),
-        name="sphere_monotone",
+
+    def ratios(t):
+        out = []
+        for ti in t:
+            vals, tail = sphere_heat(np.array([cos_theta, 1.0]), float(ti), l_max)
+            out.append(float(vals[0] / vals[1]))
+            tails.append(tail / float(vals[1]))
+        return np.array(out)[:, None]
+
+    rep = _monotone_report(
+        ratios, _t_grid(t_grid), 1, tol, "sphere_monotone", lambda _: f"cos={cos_theta}"
     )
+    return replace(rep, passed=rep.worst_margin >= -(tol + 10.0 * max(tails)))

@@ -23,16 +23,21 @@ from .errors import (
     NumericalConsistencyError,
 )
 
-DEFAULT_ORDER_CAP = 4096
+# largest group order accepted
+ORDER_CAP = 4096
+
+# an inverse transform discards an imaginary residue up to this share of the
+# spectrum norm, and refuses a larger one
+IMAG_REL_TOL = 1e-8
 
 # relative tolerance with absolute floor, used for all "equals" checks
 REL_TOL = 1e-10
 ABS_TOL = 1e-14
 
 
-def _close(a: np.ndarray, b: np.ndarray, rel: float = REL_TOL, abs_: float = ABS_TOL) -> bool:
+def _close(a: np.ndarray, b: np.ndarray) -> bool:
     scale = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
-    return bool(np.max(np.abs(a - b), initial=0.0) <= rel * scale + abs_)
+    return bool(np.max(np.abs(a - b), initial=0.0) <= REL_TOL * scale + ABS_TOL)
 
 
 @dataclass(frozen=True)
@@ -40,17 +45,14 @@ class FiniteAbelianGroup:
     """Product of cyclic groups Z_{n1} x ... x Z_{nk}."""
 
     factor_sizes: tuple[int, ...]
-    order_cap: int = DEFAULT_ORDER_CAP
 
     def __post_init__(self):
         if not self.factor_sizes:
             object.__setattr__(self, "factor_sizes", (1,))
         if any(n < 1 for n in self.factor_sizes):
             raise DomainError(f"factor sizes must be >= 1, got {self.factor_sizes}")
-        if self.order > self.order_cap:
-            raise DomainError(
-                f"group order {self.order} exceeds cap {self.order_cap}"
-            )
+        if self.order > ORDER_CAP:
+            raise DomainError(f"group order {self.order} exceeds cap {ORDER_CAP}")
 
     @property
     def order(self) -> int:
@@ -80,10 +82,6 @@ class FiniteAbelianGroup:
     @property
     def identity(self) -> "GroupElement":
         return GroupElement(self, (0,) * self.rank)
-
-    def elements(self):
-        for i in range(self.order):
-            yield self.from_index(i)
 
     # index arithmetic on whole arrays, used by convolution and orbit logic
     def neg_index_table(self) -> np.ndarray:
@@ -135,15 +133,6 @@ class GroupElement:
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         return self + (-other)
 
-    def scale(self, m: int) -> "GroupElement":
-        return self.group.element(tuple(m * r for r in self.residues))
-
-    def order_of(self) -> int:
-        orders = [
-            n // math.gcd(n, r) for r, n in zip(self.residues, self.group.factor_sizes)
-        ]
-        return math.lcm(*orders) if orders else 1
-
     def __str__(self):
         return "(" + ",".join(str(r) for r in self.residues) + ")"
 
@@ -172,13 +161,8 @@ class GroupFunction:
     def at_index(self, i: int) -> float:
         return float(self.values[i])
 
-    def is_even(self, rel: float = REL_TOL) -> bool:
-        neg = self.group.neg_index_table()
-        return _close(self.values, self.values[neg], rel=rel)
-
-    def reversed(self) -> "GroupFunction":
-        """f(-g)."""
-        return GroupFunction(self.group, self.values[self.group.neg_index_table()])
+    def is_even(self) -> bool:
+        return _close(self.values, self.values[self.group.neg_index_table()])
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values), initial=0.0))
@@ -251,14 +235,12 @@ def _over_group_axes(transform, x: np.ndarray, rank: int) -> np.ndarray:
     return x
 
 
-def idft_stack(
-    group: FiniteAbelianGroup, spectra: np.ndarray, imag_rel_tol: float = 1e-8
-) -> np.ndarray:
+def idft_stack(group: FiniteAbelianGroup, spectra: np.ndarray) -> np.ndarray:
     """Inverse transform, with the 1/|G| factor, of each row of a (B, |G|)
     stack of spectra; returns the (B, |G|) real parts.
 
     Raises if a row's spectrum norm is not finite, or if a row's imaginary
-    residue exceeds ``imag_rel_tol`` times that norm; below that the residue
+    residue exceeds IMAG_REL_TOL times that norm; below that the residue
     is discarded.  A finite norm bounds every value of the row's transform,
     so the values returned are finite.
     """
@@ -270,16 +252,16 @@ def idft_stack(
     for i, (res, nrm) in enumerate(zip(imag.tolist(), norm.tolist())):
         if not nrm < math.inf:
             raise NumericalConsistencyError(f"spectrum norm of row {i} is not finite")
-        if not res <= imag_rel_tol * max(nrm, ABS_TOL):  # a NaN residue fails too
+        if not res <= IMAG_REL_TOL * max(nrm, ABS_TOL):  # a NaN residue fails too
             raise NumericalConsistencyError(
-                f"imaginary residue {res:.3e} exceeds {imag_rel_tol:.1e} * ||s|| (row {i})"
+                f"imaginary residue {res:.3e} exceeds {IMAG_REL_TOL:.1e} * ||s|| (row {i})"
             )
     return out.real.copy()
 
 
-def idft(s: SpectrumFunction, imag_rel_tol: float = 1e-8) -> GroupFunction:
+def idft(s: SpectrumFunction) -> GroupFunction:
     """Inverse transform carrying the 1/|G| factor: the one-row idft_stack."""
-    return GroupFunction(s.group, idft_stack(s.group, s.values[None], imag_rel_tol)[0])
+    return GroupFunction(s.group, idft_stack(s.group, s.values[None])[0])
 
 
 def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
@@ -346,7 +328,7 @@ def phi_basis_decompose(upsilon: GroupFunction) -> list[tuple[float, GroupElemen
 _GROUP_RE = re.compile(r"^z(\d+)$", re.IGNORECASE)
 
 
-def parse_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteAbelianGroup:
+def parse_group(spec: str) -> FiniteAbelianGroup:
     """Parse "Zn1xZn2x..." (case-insensitive), e.g. "Z12xZ2"."""
     parts = re.split("x", spec.strip(), flags=re.IGNORECASE)
     sizes = []
@@ -355,4 +337,4 @@ def parse_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteAbelianG
         if not m:
             raise DomainError(f"bad group spec {spec!r}: cannot parse {p!r}")
         sizes.append(int(m.group(1)))
-    return FiniteAbelianGroup(tuple(sizes), order_cap=order_cap)
+    return FiniteAbelianGroup(tuple(sizes))

@@ -99,19 +99,6 @@ class GeneralGraph:
         return np.diag(self.W.sum(axis=1)) - self.W
 
 
-@dataclass(frozen=True)
-class HeatRow:
-    t: float
-    values: GroupFunction
-
-
-def tau_from_weights(cw: CayleyWeights) -> GroupFunction:
-    """Negated Laplacian row at the identity: weights off 0, -degree at 0."""
-    v = cw.w.values.copy()
-    v[0] = -cw.degree
-    return GroupFunction(cw.group, v)
-
-
 def _times(t_grid) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float)
     if not np.all((t > 0) & (t < np.inf)):
@@ -136,9 +123,9 @@ def _heat_matrices(evals: np.ndarray, Q: np.ndarray, t) -> np.ndarray:
     return (Q * np.exp(-t[:, None] * evals)[:, None, :]) @ Q.T
 
 
-def heat_row_cayley(cw: CayleyWeights, t: float) -> HeatRow:
+def heat_row_cayley(cw: CayleyWeights, t: float) -> GroupFunction:
     """Row of exp(-tL) based at the identity: exp(-t*deg) * cexp(t*w)."""
-    return HeatRow(t, GroupFunction(cw.group, _heat_rows(cw, _times([t]))[0]))
+    return GroupFunction(cw.group, _heat_rows(cw, _times([t]))[0])
 
 
 def heat_matrix_general(g: GeneralGraph, t: float) -> np.ndarray:
@@ -224,12 +211,13 @@ def monotone_violation_search(
     )
 
 
-def random_heavy_tailed_graph(n: int, rng: np.random.Generator, density: float = 0.6) -> GeneralGraph:
-    """Random symmetric weight matrix with Pareto-distributed edge weights."""
+def random_heavy_tailed_graph(n: int, rng: np.random.Generator) -> GeneralGraph:
+    """Random symmetric weight matrix: each edge present with probability
+    0.6, with a Pareto-distributed weight."""
     W = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < density:
+            if rng.random() < 0.6:
                 W[i, j] = W[j, i] = rng.pareto(0.8) + 0.01
     return GeneralGraph(W)
 
@@ -238,28 +226,22 @@ def search_monotonicity_violations(
     n_max: int,
     trials: int,
     seed: int,
-    t_grid=None,
     tol: float = 1e-10,
-    stop_after: int = 1,
 ):
-    """Random search for graphs violating ratio monotonicity.
+    """Random search for a graph violating ratio monotonicity.
 
-    Returns a list of (graph, report) pairs for the violating instances
-    found, at most ``stop_after`` of them.
+    Returns [(graph, report)] for the first violating instance found, or []
+    when the trials find none.
     """
-    if t_grid is None:
-        t_grid = default_t_grid()
+    t_grid = default_t_grid()
     rng = np.random.default_rng(seed)
-    found = []
     for _ in range(trials):
         n = int(rng.integers(3, n_max + 1))
         g = random_heavy_tailed_graph(n, rng)
         report = monotone_violation_search(g, t_grid, tol)
         if not report.passed:
-            found.append((g, report))
-            if len(found) >= stop_after:
-                break
-    return found
+            return [(g, report)]
+    return []
 
 
 def ctrw_simulate(

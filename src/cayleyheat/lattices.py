@@ -1,5 +1,5 @@
-"""Lattices, Gaussian mass, homomorphisms into finite Abelian groups and
-Gaussian pushforwards.
+"""Lattices, homomorphisms into finite Abelian groups and Gaussian
+pushforwards.
 
 The pushforward of a lattice L through a homomorphism h into a group G is
 chi(g) = sum of exp(-pi*||x||^2) over lattice points x with h(x) = g.  It is
@@ -108,12 +108,6 @@ class PushforwardResult:
     epsilon: float
 
 
-def rho_point(x: np.ndarray) -> float:
-    """exp(-pi * ||x||^2)."""
-    x = np.asarray(x, dtype=float)
-    return float(np.exp(-np.pi * float(np.dot(x, x))))
-
-
 def _enumeration_box(lattice: Lattice, epsilon: float, point_cap: int):
     """Radius R, per-coordinate box bound m, and certified tail bound.
 
@@ -153,23 +147,6 @@ def _coefficient_grid(d: int, m: int) -> np.ndarray:
     axes = [np.arange(-m, m + 1, dtype=np.int64)] * d
     grid = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grid], axis=1)
-
-
-def gaussian_mass(
-    lattice: Lattice, epsilon: float = DEFAULT_EPSILON, point_cap: int = DEFAULT_POINT_CAP
-) -> tuple[float, float]:
-    """Total Gaussian weight sum_{x in L} exp(-pi ||x||^2) with tail bound."""
-    if not 0 < epsilon < 1:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if lattice.dim == 0:
-        return 1.0, 0.0
-    R, m, tail = _enumeration_box(lattice, epsilon, point_cap)
-    coeffs = _coefficient_grid(lattice.dim, m)
-    pts = coeffs.astype(float) @ lattice.basis.T
-    sq = np.einsum("ij,ij->i", pts, pts)
-    mask = sq <= R * R
-    mass = float(np.sum(np.exp(-np.pi * sq[mask])))
-    return mass, tail
 
 
 def pushforward(

@@ -14,8 +14,7 @@ import numpy as np
 from . import checks
 from .checks import CheckReport
 from .approx import (
-    ApproxSequenceConfig,
-    build_chi_n,
+    cexp_pushforward_factorized,
     check_power_diff,
     convergence_check_lemma37,
     rate_check_lemma35,
@@ -145,6 +144,16 @@ def _check_convergence_lemma37():
     _require(rr.passed, rr)
 
 
+def _check_factorized_cexp():
+    """The paper's construction: cexp(upsilon) as the limit of products of
+    Gaussian pushforward powers, whose error falls as n grows."""
+    G = FiniteAbelianGroup((8,))
+    u = _random_even_nonneg(G, _rng())
+    exact = cexp_spectral(u)
+    errors = [(cexp_pushforward_factorized(u, n) - exact).sup_norm() for n in (16, 64, 256)]
+    _require(errors[0] > errors[1] > errors[2], f"errors {errors} do not fall with n")
+
+
 def _check_power_diff_samples():
     rng = _rng()
     for _ in range(500):
@@ -158,7 +167,7 @@ def _check_heat_cayley():
     G = FiniteAbelianGroup((2,))
     w = GroupFunction(G, np.array([0.0, 1.0]))
     cw = CayleyWeights(G, w)
-    row = heat_row_cayley(cw, 1.0).values.values
+    row = heat_row_cayley(cw, 1.0).values
     _require(abs(row[0] - (1 + math.exp(-2)) / 2) < 1e-12, "Z2 heat row at 0")
     _require(abs(row[1] / row[0] - math.tanh(1.0)) < 1e-12, "Z2 heat ratio != tanh")
     rng = _rng()
@@ -176,7 +185,7 @@ def _check_heat_cayley():
             if i != j:
                 W[i, j] = v[(i - j) % 12]
     H = heat_matrix_general(GeneralGraph(W), 0.7)
-    row = heat_row_cayley(cw12, 0.7).values.values
+    row = heat_row_cayley(cw12, 0.7).values
     _require(np.max(np.abs(H[0] - row)) < 1e-9, "circulant eigh row != Cayley row")
 
 
@@ -194,6 +203,7 @@ INVARIANTS = [
     ("pushforward_closure_and_inequalities", _check_pushforward_closure),
     ("lemma35_rate", _check_rate_lemma35),
     ("lemma37_convergence", _check_convergence_lemma37),
+    ("factorized_cexp_convergence", _check_factorized_cexp),
     ("power_diff_bound", _check_power_diff_samples),
     ("cayley_heat", _check_heat_cayley),
     ("continuum", _check_continuum),

@@ -23,8 +23,9 @@ def loop_sweep(chi, tol, single, name):
     """Reference sweep: the single-pair check on every (g1, g2), keeping the
     first strictly smaller margin."""
     worst, witness = np.inf, ""
-    for g1 in chi.group.elements():
-        for g2 in chi.group.elements():
+    elements = [chi.group.from_index(i) for i in range(chi.group.order)]
+    for g1 in elements:
+        for g2 in elements:
             rep = single(chi, g1, g2, tol)
             if rep.worst_margin < worst:
                 worst, witness = rep.worst_margin, rep.witness

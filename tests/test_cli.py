@@ -87,6 +87,16 @@ class TestSelftest:
         ).stdout
         assert out.split() == ["pushforward_closure_and_inequalities"]
 
+    def test_runs_as_python_dash_m(self):
+        src = str(Path(cayleyheat.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-m", "cayleyheat", "selftest"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        assert all(r["passed"] for r in json.loads(out.stdout)["reports"])
+
 
 class TestCheckMonotone:
     def test_passes(self, capsys, weights_file):
@@ -302,6 +312,7 @@ ARGV_CASES = {
     "no_command": ([], {}, {}, 2),
     "help": (["--help"], {}, {}, 0),
     "h3_monotone_d_1000": (["h3-monotone", "--d", "1000"], {}, {}, 0),
+    "h3_monotone_negative_d": (["h3-monotone", "--d=-5"], {}, {}, 2),
     # one dropped flag per command
     "selftest_seed": (["selftest", "--seed", "1"], {}, {}, 2),
     "check_monotone_seed": (["check-monotone", "--weights", "w.json", "--seed", "1"], {}, {}, 2),

@@ -421,3 +421,181 @@ class TestSeriesEarlyStop:
         val, tail = sphere_heat(x, 0.05, l_max=10**6)
         assert_bitwise(val, expected[0])
         assert tail == 0.0 == expected[1]
+
+
+# --- the continuum checks as they were written before they shared one
+# triple check and heat._monotone_report: references for bitwise equality ---
+
+
+def old_kernels(space, a, b, c, t, l_max=200):
+    kernel = sphere_heat if space == "S2" else rp2_heat
+    sbc = sphere_point_symmetry(b, c)
+    cos_vals = np.array(
+        [
+            float(np.dot(a.u, b.u)),
+            float(np.dot(b.u, c.u)),
+            float(np.dot(a.u, c.u)),
+            float(np.dot(a.u, sbc.u)),
+            1.0,
+        ]
+    )
+    vals, tail = kernel(cos_vals, t, l_max)
+    return (*(float(v) for v in vals), tail)
+
+
+def old_symmetric_sphere(kernels, tol):
+    hab, hbc, hac, hasbc, haa, tail = kernels
+    lhs = hab**2 * hbc**2
+    rhs = hac * hasbc * haa**2
+    per_eval = 10.0 * tail + 100.0 * np.finfo(float).eps * haa
+    trunc = per_eval * (
+        2 * abs(hab) * hbc**2
+        + 2 * abs(hbc) * hab**2
+        + abs(hasbc * haa**2)
+        + abs(hac * haa**2)
+        + 2 * abs(hac * hasbc * haa)
+    )
+    margin = rhs - lhs
+    return margin >= -(tol + trunc), margin
+
+
+def old_heat_lemma_sphere(kernels, tol):
+    hab, hbc, hac, hasbc, haa, tail = kernels
+    lhs = hab * hbc / haa
+    rhs = 0.5 * (hac + hasbc)
+    per_eval = 10.0 * tail + 100.0 * np.finfo(float).eps * haa
+    trunc = per_eval * (abs(hab) / haa + abs(hbc) / haa + 1.0 + lhs / haa)
+    margin = rhs - lhs
+    return margin >= -(tol + trunc), margin
+
+
+def old_symmetric_h3(a, b, c, t, tol):
+    sbc = h3_point_symmetry(b, c)
+    lhs = h3_heat(h3_distance(a, b), t) ** 2 * h3_heat(h3_distance(b, c), t) ** 2
+    rhs = (
+        h3_heat(h3_distance(a, c), t)
+        * h3_heat(h3_distance(a, sbc), t)
+        * h3_heat(0.0, t) ** 2
+    )
+    margin = rhs - lhs
+    return margin >= -tol, margin
+
+
+def old_heat_lemma_h3(a, b, c, t, tol):
+    sbc = h3_point_symmetry(b, c)
+    haa = h3_heat(0.0, t)
+    lhs = h3_heat(h3_distance(a, b), t) * h3_heat(h3_distance(b, c), t) / haa
+    rhs = 0.5 * (h3_heat(h3_distance(a, c), t) + h3_heat(h3_distance(a, sbc), t))
+    margin = rhs - lhs
+    return margin >= -tol, margin
+
+
+def old_h3_monotone(d, t_grid, tol=1e-12):
+    ratios = continuum._d_over_sinh(d) * np.exp(-d * d / (4.0 * t_grid))
+    margins = np.diff(ratios)
+    worst_i = int(np.argmin(margins))
+    worst = float(margins[worst_i])
+    return worst >= -tol, worst, f"d={d}, t={t_grid[worst_i]:.6g}, t'={t_grid[worst_i + 1]:.6g}"
+
+
+def old_sphere_monotone(cos_theta, t_grid, l_max=200, tol=0.0):
+    # the witness now also names the cosine
+    ratios, tails = [], []
+    for t in t_grid:
+        vals, tail = sphere_heat(np.array([cos_theta, 1.0]), float(t), l_max)
+        ratios.append(float(vals[0] / vals[1]))
+        tails.append(tail / float(vals[1]))
+    margins = np.diff(ratios)
+    worst_i = int(np.argmin(margins))
+    worst = float(margins[worst_i])
+    witness = f"cos={cos_theta}, t={t_grid[worst_i]:.6g}, t'={t_grid[worst_i + 1]:.6g}"
+    return worst >= -(tol + 10.0 * max(tails)), worst, witness
+
+
+def random_h3_point(rng, max_radius=3.0):
+    r = rng.uniform(0.0, max_radius)
+    v = rng.normal(size=3)
+    v /= np.linalg.norm(v)
+    return HyperboloidPoint(np.concatenate([[math.cosh(r)], math.sinh(r) * v]))
+
+
+TRIPLE_T = (0.05, 0.2, 1.0, 5.0)
+# tolerances 0 and two negative ones, so some checks fail and the widened
+# tolerance decides verdicts both ways
+TRIPLE_TOLS = (0.0, -1e-4, -1e-2)
+
+
+def assert_same_report(rep, old, name, witness, count=1):
+    passed, margin = old[:2]
+    assert (rep.name, rep.count, rep.witness) == (name, count, witness)
+    assert bool(rep.passed) == bool(passed)
+    assert rep.worst_margin.hex() == float(margin).hex()
+
+
+class TestMergedContinuumChecks:
+    """The shared triple check and the monotone report give bitwise the
+    margins, and the verdicts and counts, of the checks they replaced."""
+
+    @pytest.mark.parametrize("space", ["S2", "RP2"])
+    def test_sphere_triples(self, space):
+        rng = np.random.default_rng(61)
+        failed = 0
+        for i in range(1000):
+            a, b, c = (random_sphere_point(rng) for _ in range(3))
+            t, tol = TRIPLE_T[i % 4], TRIPLE_TOLS[i % 3]
+            kernels = old_kernels(space, a, b, c, t)
+            witness = f"space={space}, t={t}"
+            for check, old, name in (
+                (symmetric_ineq_check_sphere, old_symmetric_sphere, "symmetric_ineq"),
+                (heat_lemma_check_sphere, old_heat_lemma_sphere, "heat_lemma"),
+            ):
+                rep = check(space, a, b, c, t, tol)
+                assert_same_report(rep, old(kernels, tol), name, witness)
+                failed += not rep.passed
+        assert 0 < failed < 2000
+
+    def test_h3_triples(self):
+        rng = np.random.default_rng(62)
+        triples = [tuple(random_h3_point(rng) for _ in range(3)) for _ in range(1000)]
+        triples += [h3_abc(d1) for d1 in np.geomspace(0.05, 30.0, 40)]
+        failed = 0
+        for i, (a, b, c) in enumerate(triples):
+            t, tol = TRIPLE_T[i % 4], TRIPLE_TOLS[i % 3] * 1e-3
+            witness = f"space=H3, t={t}"
+            for check, old, name in (
+                (symmetric_ineq_check_h3, old_symmetric_h3, "symmetric_ineq"),
+                (heat_lemma_check_h3, old_heat_lemma_h3, "heat_lemma"),
+            ):
+                rep = check(a, b, c, t, tol)
+                assert_same_report(rep, old(a, b, c, t, tol), name, witness)
+                failed += not rep.passed
+        assert 0 < failed < 2 * len(triples)
+
+    def test_h3_monotone(self):
+        grids = (np.geomspace(0.05, 50, 20), np.linspace(0.01, 3.0, 40))
+        for d in [0.0, 1e-5, 709.0, 712.0, *np.geomspace(1e-6, 1000.0, 100)]:
+            for grid in grids:
+                for tol in (1e-12, -1e-3):
+                    rep = h3_monotone_check(float(d), grid, tol)
+                    passed, margin, witness = old_h3_monotone(float(d), grid, tol)
+                    assert_same_report(rep, (passed, margin), "h3_monotone", witness, len(grid) - 1)
+
+    def test_sphere_monotone(self):
+        grid = np.geomspace(0.1, 5, 10)
+        for i, x in enumerate([*np.linspace(-1.0, 1.0, 101), 1.0 - 1e-15]):
+            tol = (0.0, -1e-3)[i % 2]
+            rep = sphere_monotone_check(float(x), grid, tol=tol)
+            passed, margin, witness = old_sphere_monotone(float(x), grid, tol=tol)
+            assert_same_report(rep, (passed, margin), "sphere_monotone", witness, len(grid) - 1)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_monotone_checks_refuse_a_bad_t(self, bad):
+        # without the grid check, h3 at t = -1 reported a made-up failure (margin -1.30)
+        for check in (h3_monotone_check, sphere_monotone_check):
+            with pytest.raises(DomainError, match="t must be positive and finite"):
+                check(0.5, [bad, 1.0, 2.0])
+
+    def test_h3_monotone_refuses_a_negative_distance(self):
+        # d/sinh d took its Taylor branch at d = -5 and answered 8.99
+        with pytest.raises(DomainError, match="nonnegative"):
+            h3_monotone_check(-5.0, np.geomspace(0.05, 50, 20))

@@ -10,10 +10,8 @@ from cayleyheat.lattices import (
     LatticeHom,
     direct_sum,
     fiber_product,
-    gaussian_mass,
     pushforward,
     random_hom,
-    rho_point,
     _integer_kernel,
 )
 
@@ -21,16 +19,12 @@ from cayleyheat.lattices import (
 MASS_Z = 1.0864348112133082
 
 
-class TestRho:
-    def test_origin(self):
-        assert rho_point(np.zeros(3)) == 1.0
-
-    def test_unit_vector(self):
-        assert abs(rho_point(np.array([1.0, 0.0])) - 0.04321391826377226) < 1e-15
-
-    def test_even(self):
-        x = np.array([0.3, -1.2, 0.7])
-        assert rho_point(x) == rho_point(-x)
+def gaussian_mass(lattice, epsilon=1e-12):
+    """Total Gaussian weight of the lattice, with its tail bound: the
+    pushforward into the trivial group."""
+    Z1 = FiniteAbelianGroup((1,))
+    res = pushforward(LatticeHom(lattice, Z1, (Z1.identity,) * lattice.dim), epsilon)
+    return res.chi.values[0], res.tail_bound
 
 
 class TestLattice:
