@@ -54,6 +54,18 @@ GUARD_ERRORS = (NumericalConsistencyError, EnumerationBudgetError, DivergenceErr
 
 SPHERE_T_VALUES = (0.05, 0.2, 1.0, 5.0)
 
+# Largest pushforward --dim.  With --group Z12 (the default) and seeds 0-19,
+# every run answered at --dim 1-5 (the slowest in 1.3 s, peak RSS 0.43 GB,
+# on a 2-core VM); at --dim 6 one seed in 20 and at --dim 7 three were
+# refused (exit 3), runs took up to 5.6 s and 1.5 GB, and at --dim 8 two of
+# three.  The cost comes from the fiber product, whose raw basis sets the
+# enumeration radius.
+MAX_DIM = 5
+# Largest search-counterexample --n, the vertex count of the random graphs:
+# one trial at n = 1024 took 3.0 s and 131 MB peak RSS (same VM); its cost
+# grows as n^3 and its memory as n^2.
+MAX_GRAPH_N = 1024
+
 
 def _fmt(x) -> str:
     return f"{x:.17g}"
@@ -77,6 +89,10 @@ def _checked(convert, ok, expected: str) -> Callable[[str], object]:
 
 def _int_at_least(lo: int) -> Callable[[str], int]:
     return _checked(int, lambda v: v >= lo, f"an integer >= {lo}")
+
+
+def _int_between(lo: int, hi: int) -> Callable[[str], int]:
+    return _checked(int, lambda v: lo <= v <= hi, f"an integer from {lo} to {hi}")
 
 
 FINITE = _checked(float, math.isfinite, "a finite number")
@@ -242,7 +258,7 @@ COMMANDS = {
         "pushforward closure and inequality sweeps",
         {
             "--group": dict(default="Z12"),
-            "--dim": dict(type=_int_at_least(1), default=2),
+            "--dim": dict(type=_int_between(1, MAX_DIM), default=2),
             "--instances": dict(type=_int_at_least(1), default=5),
             **EPS,
             **SEED,
@@ -264,7 +280,7 @@ COMMANDS = {
         _search_counterexample,
         "random search for non-Cayley violations",
         {
-            "--n": dict(type=_int_at_least(3), default=8),
+            "--n": dict(type=_int_between(3, MAX_GRAPH_N), default=8),
             "--trials": dict(type=_int_at_least(0), default=5000),
             **SEED,
             **TOL,

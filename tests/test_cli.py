@@ -230,6 +230,17 @@ class TestOtherCommands:
         assert code == 3
         assert out == "" and "overflows" in err
 
+    # one seed per configuration on which the box enumeration was refused
+    @pytest.mark.parametrize(
+        "group, dim, seed",
+        [("Z12", "2", "17"), ("Z64", "2", "0"), ("Z2xZ2xZ16", "2", "0"), ("Z12", "3", "0")],
+    )
+    def test_pushforward_answers_past_the_old_box_cap(self, capsys, group, dim, seed):
+        code, out = run_cli(capsys, "pushforward", "--group", group, "--dim", dim, "--seed", seed)
+        assert code == 0
+        closure = [r for r in json.loads(out)["reports"] if r["name"] == "pushforward_closure"]
+        assert len(closure) == 5 and all(r["passed"] for r in closure)
+
     def test_bad_group_spec_exit_2(self, capsys):
         code, _ = run_cli(capsys, "pushforward", "--group", "Q8", "--instances", "1")
         assert code == 2
@@ -301,6 +312,10 @@ ARGV_CASES = {
     "negative_seed": (["pushforward", "--seed", "-1"], {}, {}, 2),
     "eps_above_one": (["pushforward", "--eps", "4"], {}, {}, 2),
     "search_n_two": (["search-counterexample", "--n", "2"], {}, {}, 2),
+    "search_n_above_cap": (["search-counterexample", "--n", "1025"], {}, {}, 2),
+    "search_n_at_cap": (["search-counterexample", "--n", "1024", "--trials", "0"], {}, {}, 1),
+    "dim_above_cap": (["pushforward", "--dim", "6"], {}, {}, 2),
+    "dim_at_cap": (["pushforward", "--dim", "5", "--instances", "1"], {}, {}, 0),
     "search_negative_trials": (["search-counterexample", "--trials", "-1"], {}, {}, 2),
     "steps_one": (["h3-monotone", "--steps", "1"], {}, {}, 2),
     "nan_float": (["h3-violation", "--t", "nan"], {}, {}, 2),

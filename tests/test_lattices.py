@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cayleyheat.errors import DomainError, GroupMismatchError
-from cayleyheat.groups import FiniteAbelianGroup, convolve
+from cayleyheat.errors import DomainError, EnumerationBudgetError, GroupMismatchError
+from cayleyheat.groups import FiniteAbelianGroup, convolve, parse_group
 from cayleyheat.lattices import (
     Lattice,
     LatticeHom,
@@ -12,6 +12,8 @@ from cayleyheat.lattices import (
     fiber_product,
     pushforward,
     random_hom,
+    _ball_candidates,
+    _enumeration_box,
     _integer_kernel,
 )
 
@@ -210,3 +212,136 @@ class TestFiberProduct:
         h2 = LatticeHom(Lattice.integers(1.0), Gb, (Gb.element((1,)),))
         with pytest.raises(GroupMismatchError):
             fiber_product(h1, h2)
+
+
+def box_pushforward(hom, epsilon=1e-12):
+    """Reference pushforward by the box route: every coefficient vector with
+    |c_i| <= m, in meshgrid order, then the float test ||Bc||^2 <= R^2.
+    Returns (chi values, tail bound, in-ball coefficients)."""
+    G, d = hom.target, hom.lattice.dim
+    R, m, tail = _enumeration_box(hom.lattice, epsilon)
+    axes = [np.arange(-m, m + 1, dtype=np.int64)] * d
+    coeffs = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    pts = coeffs.astype(float) @ hom.lattice.basis.T
+    sq = np.einsum("ij,ij->i", pts, pts)
+    mask = sq <= R * R
+    coeffs = coeffs[mask]
+    weights = np.exp(-np.pi * sq[mask])
+    residues = (coeffs @ hom.image_matrix().T) % np.array(G.factor_sizes, dtype=np.int64)
+    flat = np.ravel_multi_index(tuple(residues.T), G.factor_sizes)
+    return np.bincount(flat, weights=weights, minlength=G.order), tail, coeffs
+
+
+def ball_coefficients(hom, epsilon=1e-12):
+    """The in-ball coefficient vectors of the ball route, in its order."""
+    R, m, _ = _enumeration_box(hom.lattice, epsilon)
+    coeffs = _ball_candidates(hom.lattice, R, m, 10**7)
+    pts = coeffs.astype(float) @ hom.lattice.basis.T
+    return coeffs[np.einsum("ij,ij->i", pts, pts) <= R * R]
+
+
+def _box_size(hom):
+    _, m, _ = _enumeration_box(hom.lattice, 1e-12)
+    return (2 * m + 1) ** hom.lattice.dim
+
+
+def _rotation(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return q
+
+
+def _onto_z5(basis):
+    G = FiniteAbelianGroup((5,))
+    d = len(basis)
+    return LatticeHom(Lattice(basis), G, tuple(G.from_index(1 + i % 4) for i in range(d)))
+
+
+def oracle_corpus(family):
+    """Homomorphisms of one family of the box-oracle corpus."""
+    if family in ("Z12", "Z64", "Z2xZ2xZ16"):
+        # CLI draws at dims 1-3, with their direct sums and fiber products
+        G = parse_group(family)
+        for dim in (1, 2, 3):
+            rng = np.random.default_rng(dim)
+            for _ in range(3):
+                h1, h2 = random_hom(G, rng, dim), random_hom(G, rng, dim)
+                yield from (h1, h2, direct_sum(h1, h2), fiber_product(h1, h2))
+    elif family == "integers":
+        # past r = R the radius is the basis norm, so +-1 lies on the sphere
+        for r in (0.05, 0.3, 1.0, 2.5, 4.0, 50.0):
+            yield _onto_z5(Lattice.integers(r).basis)
+    elif family == "skewed":
+        # a rotated triangular basis with column lengths from s to s*kappa,
+        # whose first column stays short, so the box stays small;
+        # condition numbers up to about 1e6
+        rng = np.random.default_rng(6)
+        for d in (2, 3):
+            for kappa in (1e2, 1e4, 1e6):
+                for s in (0.5, 1.0):
+                    lengths = np.geomspace(s, s * kappa, d)
+                    tri = np.eye(d) + np.triu(rng.uniform(-0.5, 0.5, (d, d)), 1)
+                    yield _onto_z5(_rotation(rng, d) @ (tri * lengths))
+    elif family == "long":
+        # every basis vector longer than R: R is the shortest one's norm and
+        # that vector lies on the sphere, where rounding decides the test
+        rng = np.random.default_rng(8)
+        for d in (2, 3):
+            for _ in range(8):
+                b = rng.uniform(-1.5, 1.5, size=(d, d))
+                yield _onto_z5(b * (6.0 / np.min(np.linalg.norm(b, axis=0))))
+
+
+class TestBallMatchesBox:
+    """The ball enumeration sums the box route's points in the box route's
+    order, so chi and the tail bound are bitwise equal."""
+
+    BOX_LIMIT = 400_000  # largest box the reference enumerates
+
+    @pytest.mark.parametrize("family", ["Z12", "Z64", "Z2xZ2xZ16", "integers", "skewed", "long"])
+    def test_bitwise_equal(self, family):
+        compared = 0
+        for hom in oracle_corpus(family):
+            if _box_size(hom) > self.BOX_LIMIT:
+                continue
+            chi, tail, coeffs = box_pushforward(hom)
+            res = pushforward(hom)
+            assert np.array_equal(res.chi.values, chi)
+            assert res.tail_bound == tail
+            assert np.array_equal(ball_coefficients(hom), coeffs)
+            compared += 1
+        assert compared >= 6
+
+    def test_answers_where_the_box_is_over_the_cap(self):
+        # the fifth pair that `pushforward --group Z12 --seed 17` draws: its
+        # fiber product's box holds 17.9 M points, over the 10 M cap
+        G = parse_group("Z12")
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            h1, h2 = random_hom(G, rng, 2), random_hom(G, rng, 2)
+        hf = fiber_product(h1, h2)
+        assert _box_size(hf) > 10**7
+        lhs = pushforward(hf).chi.values
+        assert np.max(np.abs(lhs - pushforward(h1).chi.values * pushforward(h2).chi.values)) < 1e-8
+
+
+class TestPointCap:
+    def _unit_square(self):
+        G = FiniteAbelianGroup((3,))
+        return LatticeHom(Lattice(np.eye(2)), G, (G.from_index(1), G.from_index(2)))
+
+    def test_cap_counts_candidates(self):
+        h = self._unit_square()
+        R, m, _ = _enumeration_box(h.lattice, 1e-12)
+        count = len(_ball_candidates(h.lattice, R, m, 10**7))
+        assert count < 2 * R * R * math.pi < (2 * m + 1) ** 2
+        pushforward(h, point_cap=count)
+        with pytest.raises(EnumerationBudgetError):
+            pushforward(h, point_cap=count - 1)
+
+    def test_first_level_is_capped(self):
+        # about 2e9 candidates for c_1 alone: refused before any allocation
+        G = FiniteAbelianGroup((2,))
+        h = LatticeHom(Lattice.integers(4e-9), G, (G.from_index(1),))
+        with pytest.raises(EnumerationBudgetError):
+            pushforward(h)
+
