@@ -8,7 +8,6 @@ from .groups import (
     FiniteAbelianGroup,
     GroupElement,
     GroupFunction,
-    SpectrumFunction,
     cexp_series,
     cexp_spectral,
     convolve,
@@ -32,7 +31,6 @@ from .checks import CheckReport, check_convolve_even, check_mean_ineq, check_rsd
 from .heat import (
     CayleyWeights,
     GeneralGraph,
-    ctrw_simulate,
     heat_matrix_general,
     heat_row_cayley,
     monotone_check_cayley,
@@ -43,7 +41,6 @@ __all__ = [
     "FiniteAbelianGroup",
     "GroupElement",
     "GroupFunction",
-    "SpectrumFunction",
     "cexp_series",
     "cexp_spectral",
     "convolve",
@@ -66,7 +63,6 @@ __all__ = [
     "check_rsd",
     "CayleyWeights",
     "GeneralGraph",
-    "ctrw_simulate",
     "heat_matrix_general",
     "heat_row_cayley",
     "monotone_check_cayley",

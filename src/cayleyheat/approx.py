@@ -16,10 +16,8 @@ import numpy as np
 
 from .errors import DomainError
 from .groups import (
-    FiniteAbelianGroup,
     GroupElement,
     GroupFunction,
-    SpectrumFunction,
     cexp_spectral,
     delta,
     dft,
@@ -39,19 +37,6 @@ DEFAULT_NS = (16, 32, 64, 128, 256)
 
 
 @dataclass(frozen=True)
-class ApproxSequenceConfig:
-    alpha: float
-    g0: GroupElement
-    n: int
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise DomainError("alpha must be nonnegative")
-        if self.n < 2 or (self.alpha > 0 and self.n <= self.alpha):
-            raise DomainError(f"need n > alpha and n >= 2, got n={self.n}")
-
-
-@dataclass(frozen=True)
 class RateReport:
     ns: tuple[int, ...]
     errors: tuple[float, ...]
@@ -67,24 +52,19 @@ def check_power_diff(a: float, b: float, C: float, n: int, slack: float = 1e-12)
 
 
 def build_chi_n(
-    cfg: ApproxSequenceConfig,
-    group: FiniteAbelianGroup,
-    epsilon: float = DEFAULT_EPSILON,
+    alpha: float, g0: GroupElement, n: int, epsilon: float = DEFAULT_EPSILON
 ) -> PushforwardResult:
-    """Pushforward of r_n*Z with r_n chosen so rho(r_n) = alpha/n."""
-    if cfg.g0.group != group:
-        raise DomainError("g0 must belong to the given group")
-    if cfg.alpha == 0:
-        return PushforwardResult(delta(group), 0.0, epsilon)
-    r_n = math.sqrt(math.log(cfg.n / cfg.alpha) / math.pi)
-    hom = LatticeHom(Lattice.integers(r_n), group, (cfg.g0,))
+    """Pushforward of r_n*Z onto g0's group, with r_n chosen so
+    rho(r_n) = alpha/n; needs alpha >= 0, n >= 2 and n > alpha."""
+    if alpha < 0:
+        raise DomainError("alpha must be nonnegative")
+    if n < 2 or (alpha > 0 and n <= alpha):
+        raise DomainError(f"need n > alpha and n >= 2, got n={n}")
+    if alpha == 0:
+        return PushforwardResult(delta(g0.group), 0.0, epsilon)
+    r_n = math.sqrt(math.log(n / alpha) / math.pi)
+    hom = LatticeHom(Lattice.integers(r_n), g0.group, (g0,))
     return pushforward(hom, epsilon)
-
-
-def _chi_power(chi: GroupFunction, n: int) -> GroupFunction:
-    """n-fold convolution power, computed spectrally."""
-    spec = dft(chi).values
-    return idft(SpectrumFunction(chi.group, spec**n))
 
 
 def _fit_slope(ns, errors) -> float:
@@ -97,17 +77,17 @@ def _fit_slope(ns, errors) -> float:
 def rate_check_lemma35(
     alpha: float,
     g0: GroupElement,
-    group: FiniteAbelianGroup,
     ns=DEFAULT_NS,
     epsilon: float = DEFAULT_EPSILON,
 ) -> RateReport:
     """Sup-norm error of delta + alpha*phi/n - chi_n; expects fourth-order decay."""
     ns = tuple(sorted(int(n) for n in ns))
+    G = g0.group
+    bump = phi(G, g0)
     errors = []
-    bump = phi(group, g0)
     for n in ns:
-        chi = build_chi_n(ApproxSequenceConfig(alpha, g0, n), group, epsilon).chi
-        target = delta(group) + (alpha / n) * bump
+        chi = build_chi_n(alpha, g0, n, epsilon).chi
+        target = delta(G) + (alpha / n) * bump
         errors.append((target - chi).sup_norm())
     slope = _fit_slope(ns, errors)
     return RateReport(ns, tuple(errors), slope, passed=slope <= -3.5)
@@ -116,7 +96,6 @@ def rate_check_lemma35(
 def convergence_check_lemma37(
     alpha: float,
     g0: GroupElement,
-    group: FiniteAbelianGroup,
     ns=(16, 64, 256),
     epsilon: float = DEFAULT_EPSILON,
 ) -> RateReport:
@@ -127,11 +106,12 @@ def convergence_check_lemma37(
     range, not a specific slope.
     """
     ns = tuple(sorted(int(n) for n in ns))
-    target = cexp_spectral(alpha * phi(group, g0))
+    G = g0.group
+    target = cexp_spectral(alpha * phi(G, g0))
     errors = []
     for n in ns:
-        chi = build_chi_n(ApproxSequenceConfig(alpha, g0, n), group, epsilon).chi
-        errors.append((_chi_power(chi, n) - target).sup_norm())
+        chi = build_chi_n(alpha, g0, n, epsilon).chi
+        errors.append((idft(G, dft(chi) ** n) - target).sup_norm())
     slope = _fit_slope(ns, errors) if min(errors) > 0 else -math.inf
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
     big_drop = errors[-1] < errors[0] / 4 if errors[0] > 0 else True
@@ -148,10 +128,8 @@ def cexp_pushforward_factorized(
     """
     G = upsilon.group
     terms = phi_basis_decompose(upsilon)
-    acc = dft(delta(G)).values
+    acc = dft(delta(G))
     for alpha, g0 in terms:
-        if n <= alpha:
-            raise DomainError(f"need n > alpha for every orbit (alpha={alpha})")
-        chi = build_chi_n(ApproxSequenceConfig(alpha, g0, n), G, epsilon).chi
-        acc = acc * dft(chi).values ** n
-    return idft(SpectrumFunction(G, acc))
+        chi = build_chi_n(alpha, g0, n, epsilon).chi
+        acc = acc * dft(chi) ** n
+    return idft(G, acc)

@@ -181,21 +181,6 @@ class GroupFunction:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class SpectrumFunction:
-    """Complex function on the character group, indexed like the group."""
-
-    group: FiniteAbelianGroup
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (self.group.order,):
-            raise DomainError("spectrum length != group order")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-
 def _same_group(f, g):
     if f.group != g.group:
         raise GroupMismatchError("operands live on different groups")
@@ -216,36 +201,38 @@ def phi(group: FiniteAbelianGroup, g0: GroupElement) -> GroupFunction:
     return GroupFunction(group, v)
 
 
-def dft(f: GroupFunction) -> SpectrumFunction:
-    """Forward transform with conjugated characters.
+def dft(f: GroupFunction) -> np.ndarray:
+    """Forward transform with conjugated characters, as a complex (|G|,) array
+    indexed like the group.
 
     f_hat(k) = sum_g f(g) exp(-2*pi*i sum_j k_j g_j / n_j); this makes the
     convolution theorem a plain pointwise product.
     """
-    shaped = f.values.reshape(f.group.factor_sizes)
-    out = _over_group_axes(np.fft.fft, shaped, f.group.rank)
-    return SpectrumFunction(f.group, out.ravel())
+    return _over_group_axes(np.fft.fft, f.group, f.values)
 
 
-def _over_group_axes(transform, x: np.ndarray, rank: int) -> np.ndarray:
-    """np.fft.fft or ifft over the last ``rank`` axes of x, last axis first:
-    what fftn and ifftn do, without their per-call argument handling."""
-    for axis in range(-1, -rank - 1, -1):
-        x = transform(x, axis=axis)
-    return x
+def _over_group_axes(transform, group: FiniteAbelianGroup, x: np.ndarray) -> np.ndarray:
+    """np.fft.fft or ifft over the group axes of each length-|G| row of x, last
+    axis first: what fftn and ifftn do, without their per-call argument
+    handling.  Returns an array of x's shape."""
+    out = x.reshape(x.shape[:-1] + group.factor_sizes)
+    for axis in range(-1, -group.rank - 1, -1):
+        out = transform(out, axis=axis)
+    return out.reshape(x.shape)
 
 
 def idft_stack(group: FiniteAbelianGroup, spectra: np.ndarray) -> np.ndarray:
     """Inverse transform, with the 1/|G| factor, of each row of a (B, |G|)
     stack of spectra; returns the (B, |G|) real parts.
 
-    Raises if a row's spectrum norm is not finite, or if a row's imaginary
-    residue exceeds IMAG_REL_TOL times that norm; below that the residue
-    is discarded.  A finite norm bounds every value of the row's transform,
-    so the values returned are finite.
+    Raises if the stack is not (B, |G|), if a row's spectrum norm is not
+    finite, or if a row's imaginary residue exceeds IMAG_REL_TOL times that
+    norm; below that the residue is discarded.  A finite norm bounds every
+    value of the row's transform, so the values returned are finite.
     """
-    shaped = spectra.reshape((-1,) + group.factor_sizes)
-    out = _over_group_axes(np.fft.ifft, shaped, group.rank).reshape(spectra.shape)
+    if spectra.ndim != 2 or spectra.shape[1] != group.order:
+        raise DomainError(f"spectra of shape {spectra.shape} are not rows of length {group.order}")
+    out = _over_group_axes(np.fft.ifft, group, spectra)
     imag = np.abs(out.imag).max(axis=1)
     # the row norms np.linalg.norm(spectra, axis=1) gives, without its overhead
     norm = np.sqrt(np.add.reduce((spectra.conj() * spectra).real, axis=1))
@@ -259,43 +246,44 @@ def idft_stack(group: FiniteAbelianGroup, spectra: np.ndarray) -> np.ndarray:
     return out.real.copy()
 
 
-def idft(s: SpectrumFunction) -> GroupFunction:
+def idft(group: FiniteAbelianGroup, spectrum: np.ndarray) -> GroupFunction:
     """Inverse transform carrying the 1/|G| factor: the one-row idft_stack."""
-    return GroupFunction(s.group, idft_stack(s.group, s.values[None])[0])
+    return GroupFunction(group, idft_stack(group, np.asarray(spectrum)[None])[0])
 
 
 def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
     """(f*g)(x) = sum_y f(x-y) g(y), through the transform."""
     _same_group(f, g)
-    prod = dft(f).values * dft(g).values
-    return idft(SpectrumFunction(f.group, prod))
+    return idft(f.group, dft(f) * dft(g))
 
 
 def cexp_spectral(upsilon: GroupFunction) -> GroupFunction:
     """Convolutional exponential via idft(exp(dft(upsilon)))."""
-    return idft(SpectrumFunction(upsilon.group, np.exp(dft(upsilon).values)))
+    return idft(upsilon.group, np.exp(dft(upsilon)))
 
 
 def cexp_series(upsilon: GroupFunction, tol: float = 1e-14) -> GroupFunction:
     """Convolutional exponential by partial sums of sum_n upsilon^{*n}/n!.
 
     Stops once the next term's sup norm falls below tol times the running
-    sup norm.
+    sup norm.  An overflow stops it too, since a NaN or infinite sup norm
+    fails the test that continues it, and the sum is then refused as not
+    finite (DomainError).
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
     G = upsilon.group
-    acc = delta(G)
-    term = delta(G)
-    ups_hat = dft(upsilon).values
+    acc = term = delta(G).values
+    ups_hat = dft(upsilon)
     l1 = float(np.sum(np.abs(upsilon.values)))
     cap = max(4, int(math.ceil(10 * (1 + l1))))
     for n in range(1, cap + 1):
         # convolve(term, upsilon), with upsilon transformed once
-        term = idft(SpectrumFunction(G, dft(term).values * ups_hat)) * (1.0 / n)
+        spectrum = _over_group_axes(np.fft.fft, G, term) * ups_hat
+        term = _over_group_axes(np.fft.ifft, G, spectrum).real * (1.0 / n)
         acc = acc + term
-        if term.sup_norm() <= tol * max(acc.sup_norm(), ABS_TOL):
-            return acc
+        if not np.max(np.abs(term)) > tol * max(np.max(np.abs(acc)), ABS_TOL):
+            return GroupFunction(G, acc)
     raise DivergenceError(f"cexp series did not converge in {cap} terms")
 
 

@@ -80,7 +80,7 @@ def _check_group_core():
         np.allclose(direct, convolve(f, g).values, atol=1e-10),
         "direct and spectral convolution differ",
     )
-    _require(np.allclose(idft(dft(f)).values, f.values, atol=1e-12), "idft(dft(f)) != f")
+    _require(np.allclose(idft(G, dft(f)).values, f.values, atol=1e-12), "idft(dft(f)) != f")
     u = _random_even_nonneg(G, rng)
     _require(
         np.allclose(
@@ -134,13 +134,13 @@ def _require_sweep_replays(chi, sweep, single, tol):
 
 def _check_rate_lemma35():
     G = FiniteAbelianGroup((12,))
-    rr = rate_check_lemma35(1.0, G.from_index(1), G, ns=(16, 32, 64, 128))
+    rr = rate_check_lemma35(1.0, G.from_index(1), ns=(16, 32, 64, 128))
     _require(rr.passed, f"fitted order {rr.fitted_order}")
 
 
 def _check_convergence_lemma37():
     G = FiniteAbelianGroup((8,))
-    rr = convergence_check_lemma37(1.0, G.from_index(1), G, ns=(16, 64, 256))
+    rr = convergence_check_lemma37(1.0, G.from_index(1), ns=(16, 64, 256))
     _require(rr.passed, rr)
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cayleyheat.approx import (
-    ApproxSequenceConfig,
     build_chi_n,
     cexp_pushforward_factorized,
     check_power_diff,
@@ -21,7 +20,6 @@ from cayleyheat.groups import (
     dft,
     idft,
     phi,
-    SpectrumFunction,
 )
 
 
@@ -49,17 +47,17 @@ class TestBuildChiN:
     def test_config_requires_n_above_alpha(self):
         G = FiniteAbelianGroup((12,))
         with pytest.raises(DomainError):
-            ApproxSequenceConfig(5.0, G.element((1,)), 4)
+            build_chi_n(5.0, G.element((1,)), 4)
 
     def test_first_shell_value(self):
         G = FiniteAbelianGroup((12,))
-        res = build_chi_n(ApproxSequenceConfig(1.0, G.element((1,)), 100), G)
+        res = build_chi_n(1.0, G.element((1,)), 100)
         assert abs(res.chi.values[1] - 0.01) < 1e-15
         assert res.chi.values[0] >= 1.0
 
     def test_second_shell_fourth_power(self):
         G = FiniteAbelianGroup((12,))
-        res = build_chi_n(ApproxSequenceConfig(1.0, G.element((1,)), 100), G)
+        res = build_chi_n(1.0, G.element((1,)), 100)
         assert abs(res.chi.values[2] - 1e-8) < 1e-16
 
     def test_sup_error_bound(self):
@@ -68,7 +66,7 @@ class TestBuildChiN:
         g0 = G.element((1,))
         for n in (16, 64, 256):
             alpha = 1.0
-            res = build_chi_n(ApproxSequenceConfig(alpha, g0, n), G)
+            res = build_chi_n(alpha, g0, n)
             target = delta(G) + (alpha / n) * phi(G, g0)
             err = (target - res.chi).sup_norm()
             assert err <= 3 * (alpha / n) ** 4
@@ -77,47 +75,47 @@ class TestBuildChiN:
 class TestLemma35Rate:
     def test_fitted_order_near_minus_four(self):
         G = FiniteAbelianGroup((12,))
-        rr = rate_check_lemma35(1.0, G.element((1,)), G)
+        rr = rate_check_lemma35(1.0, G.element((1,)))
         assert rr.passed
         assert -4.5 <= rr.fitted_order <= -3.5
 
     def test_successive_ratios(self):
         G = FiniteAbelianGroup((12,))
-        rr = rate_check_lemma35(1.0, G.element((1,)), G, ns=(16, 32, 64, 128, 256))
+        rr = rate_check_lemma35(1.0, G.element((1,)), ns=(16, 32, 64, 128, 256))
         for e_n, e_2n in zip(rr.errors, rr.errors[1:]):
             ratio = e_2n / e_n
             assert 2**-5 <= ratio <= 2**-3  # within a factor 2 of 2^-4
 
     def test_degenerate_g0_zero(self):
         G = FiniteAbelianGroup((12,))
-        rr = rate_check_lemma35(1.0, G.identity, G, ns=(16, 32, 64, 128))
+        rr = rate_check_lemma35(1.0, G.identity, ns=(16, 32, 64, 128))
         assert rr.passed
 
 
 class TestLemma37Convergence:
     def test_decreasing_on_z8(self):
         G = FiniteAbelianGroup((8,))
-        rr = convergence_check_lemma37(1.0, G.element((1,)), G)
+        rr = convergence_check_lemma37(1.0, G.element((1,)))
         assert rr.passed
         assert all(b < a for a, b in zip(rr.errors, rr.errors[1:]))
 
     def test_slope_near_euler_limit_order(self):
         # total error dominated by the (1 + x/n)^n - e^x gap, first order in 1/n
         G = FiniteAbelianGroup((8,))
-        rr = convergence_check_lemma37(1.0, G.element((1,)), G, ns=(16, 64, 256))
+        rr = convergence_check_lemma37(1.0, G.element((1,)), ns=(16, 64, 256))
         assert -1.5 <= rr.fitted_order <= -0.6
 
     def test_value_at_origin_converges(self):
         G = FiniteAbelianGroup((8,))
         g0 = G.element((1,))
         target = cexp_spectral(phi(G, g0)).values[0]
-        chi = build_chi_n(ApproxSequenceConfig(1.0, g0, 1024), G).chi
-        power = idft(SpectrumFunction(G, dft(chi).values ** 1024))
+        chi = build_chi_n(1.0, g0, 1024).chi
+        power = idft(G, dft(chi) ** 1024)
         assert abs(power.values[0] - target) < 5e-3
 
     def test_alpha_zero_edge(self):
         G = FiniteAbelianGroup((8,))
-        res = build_chi_n(ApproxSequenceConfig(0.0, G.element((1,)), 16), G)
+        res = build_chi_n(0.0, G.element((1,)), 16)
         assert np.allclose(res.chi.values, delta(G).values)
 
 
@@ -129,9 +127,9 @@ class TestLemma34Consequence:
         alpha = 1.0
         K = math.exp(2 * alpha)
         for n in (16, 64, 256):
-            chi = build_chi_n(ApproxSequenceConfig(alpha, g0, n), G).chi
-            a_n = 1.0 + alpha * dft(phi(G, g0)).values.real / n
-            b_n = dft(chi).values.real
+            chi = build_chi_n(alpha, g0, n).chi
+            a_n = 1.0 + alpha * dft(phi(G, g0)).real / n
+            b_n = dft(chi).real
             gap = np.abs(a_n**n - b_n**n)
             bound = K * n * np.abs(a_n - b_n)
             assert np.all(gap <= bound + 1e-12)
@@ -142,8 +140,8 @@ class TestPushforwardPowersSatisfyInequalities:
         G = FiniteAbelianGroup((8,))
         g0 = G.element((1,))
         for n in (16, 64):
-            chi = build_chi_n(ApproxSequenceConfig(1.0, g0, n), G).chi
-            power = idft(SpectrumFunction(G, dft(chi).values ** n))
+            chi = build_chi_n(1.0, g0, n).chi
+            power = idft(G, dft(chi) ** n)
             for f in (chi, power):
                 assert sweep_rsd(f, 1e-12 * f.at_index(0) ** 4).passed
                 assert sweep_mean_ineq(f, 1e-12 * f.at_index(0) ** 2).passed
@@ -163,8 +161,8 @@ class TestFactorized:
         g0 = G.element((1,))
         u = 1.0 * phi(G, g0)
         out = cexp_pushforward_factorized(u, 256)
-        chi = build_chi_n(ApproxSequenceConfig(1.0, g0, 256), G).chi
-        power = idft(SpectrumFunction(G, dft(chi).values ** 256))
+        chi = build_chi_n(1.0, g0, 256).chi
+        power = idft(G, dft(chi) ** 256)
         assert np.max(np.abs(out.values - power.values)) < 1e-10
 
     def test_converges_to_cexp_on_z6(self):

@@ -366,3 +366,78 @@ def test_argv_exit_codes(case, capsys, tmp_path, monkeypatch):
         assert out == "" and err.strip()
     if code >= 3:
         assert len(err.splitlines()) == 1
+
+
+# Value pools for the argv fuzz test, each small enough that one run takes
+# milliseconds: per flag, values that parse, then edge values and malformed
+# text.
+FUZZ_VALUES = {
+    "--group": (["Z12", "Z4", "Z1", "Z2xZ2", "Z64"], ["Z0", "Z5000", "Zq", "Z3xx"]),
+    "--weights": (["w.json"], ["abc.json", "bad.json", "neg.json", "missing.json"]),
+    "--tmin": (["0.05", "1", "1e-300"], ["0", "-1", "inf", "x"]),
+    "--tmax": (["50", "0.5", "1e300"], ["nan"]),
+    "--steps": (["2", "20", "200"], ["1", "-3", "2.5"]),
+    "--tol": (["1e-10", "0", "-1", "1e300"], ["x"]),
+    "--dim": (["1", "2"], ["0", "6", "x"]),
+    "--instances": (["1", "2"], ["0", "-1"]),
+    "--eps": (["1e-12", "1e-30", "0.5"], ["0", "-1", "4", "nan"]),
+    "--seed": (["0", "7"], ["-1", "1.5"]),
+    "--lemma": (["35", "37"], ["36", "x"]),
+    "--alpha": (["1", "0", "0.5", "5", "1e300"], ["-1", "inf"]),
+    "--g0": (["0", "1", "3", "11"], ["99", "-1", "x"]),
+    "--ns": (["16,32", "16,64,256", "2,4", "1,2", "16,1000000"], ["16", "16,16", "a,b", ","]),
+    "--n": (["3", "8"], ["2", "1025", "x"]),
+    "--trials": (["0", "1", "5"], ["-1", "x"]),
+    "--d1": (["3", "0", "30", "400", "1e300"], ["-1", "nan"]),
+    "--t": (["1", "1e-300", "0", "-1", "1e300"], ["x"]),
+    "--d": (["2", "0", "1000", "1e300"], ["-5"]),
+    "--space": (["S2", "RP2"], ["S3"]),
+    "--lmax": (["200", "5", "1", "0", "-3", "100000"], ["x"]),
+}
+# text argparse never reads as --help: no "h" in the alphabet
+MALFORMED = "-=,.0123456789exZ "
+
+
+def test_argv_fuzz(capsys, tmp_path, monkeypatch):
+    """Random argv: the exit code is 0-4 and no traceback is printed; a run
+    that answers prints strict JSON, and a refused run prints nothing."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    assert {f for cmd in COMMANDS.values() for f in cmd.flags} <= set(FUZZ_VALUES)
+    monkeypatch.chdir(tmp_path)
+    for name, weights in [("w", {"1": 1.0}), ("abc", {"1": "abc"}), ("neg", {"1": -1.0})]:
+        (tmp_path / f"{name}.json").write_text(json.dumps({"group": "Z4", "weights": weights}))
+    (tmp_path / "bad.json").write_text("{")
+    everything = sorted({v for pools in FUZZ_VALUES.values() for pool in pools for v in pool})
+
+    @st.composite
+    def argvs(draw):
+        command = draw(st.sampled_from(sorted(COMMANDS)))
+        argv = [command]
+        for flag, kwargs in COMMANDS[command].flags.items():
+            if kwargs.get("required") or draw(st.booleans()):
+                valid, malformed = FUZZ_VALUES[flag]
+                pool = valid + malformed if draw(st.integers(0, 3)) == 0 else valid
+                argv += [flag, draw(st.sampled_from(pool))]
+        extras = st.one_of(
+            st.sampled_from(sorted(FUZZ_VALUES)),  # a flag, maybe another command's
+            st.sampled_from(everything),
+            st.text(MALFORMED, max_size=6),
+        )
+        if draw(st.integers(0, 3)) == 0:
+            argv.insert(draw(st.integers(0, len(argv))), draw(extras))
+        return argv
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(argvs())
+    def run(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in range(5), (argv, code)
+        assert "Traceback" not in err, argv
+        if code <= 1:
+            json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in {argv}"))
+        else:
+            assert out == "", argv
+
+    run()

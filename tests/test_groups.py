@@ -12,7 +12,6 @@ from cayleyheat.errors import (
 from cayleyheat.groups import (
     FiniteAbelianGroup,
     GroupFunction,
-    SpectrumFunction,
     cexp_series,
     cexp_spectral,
     convolve,
@@ -40,7 +39,7 @@ def dft_direct(f):
             ang = sum(ki * gi / n for ki, gi, n in zip(kr, gr, G.factor_sizes))
             acc += f.values[g] * np.exp(-2j * np.pi * ang)
         out[k] = acc
-    return SpectrumFunction(G, out)
+    return out
 
 
 def convolve_direct(f, g):
@@ -54,6 +53,30 @@ def recompose(G, terms):
     for alpha, g0 in terms:
         acc += alpha * phi(G, g0).values
     return GroupFunction(G, acc)
+
+
+def cexp_series_by_wrappers(upsilon, tol=1e-14):
+    """cexp_series's term loop written on GroupFunction terms, which checks
+    each term and partial sum for finiteness and inverts each term's
+    spectrum as a one-row idft_stack; the bitwise reference for the array
+    loop."""
+    G = upsilon.group
+    acc = term = delta(G)
+    ups_hat = dft(upsilon)
+    cap = max(4, int(math.ceil(10 * (1 + float(np.sum(np.abs(upsilon.values)))))))
+    for n in range(1, cap + 1):
+        term = idft(G, dft(term) * ups_hat) * (1.0 / n)
+        acc = acc + term
+        if term.sup_norm() <= tol * max(acc.sup_norm(), 1e-14):
+            return acc
+    raise DivergenceError(cap)
+
+
+# the Cayley groups of the perfbench heat_tgrid workload, orders 32 to 4096
+HEAT_TGRID_GROUPS = [
+    (32,), (2,) * 5, (8, 8), (256,), (16, 16), (2,) * 8, (1024,),
+    (32, 32), (2,) * 10, (4096,), (64, 64), (8,) * 4, (4,) * 6,
+]
 
 
 def random_fn(G, rng=RNG):
@@ -124,7 +147,7 @@ class TestDeltaPhi:
 
     def test_delta_flat_spectrum(self):
         G = FiniteAbelianGroup((2, 3))
-        assert np.allclose(dft(delta(G)).values, 1.0)
+        assert np.allclose(dft(delta(G)), 1.0)
 
     def test_phi_z5(self):
         G = FiniteAbelianGroup((5,))
@@ -145,48 +168,60 @@ class TestDFT:
     def test_z2_sign_character(self):
         G = FiniteAbelianGroup((2,))
         s = dft(GroupFunction(G, np.array([0.0, 1.0])))
-        assert np.allclose(s.values, [1, -1])
+        assert np.allclose(s, [1, -1])
 
     def test_round_trip(self):
         G = FiniteAbelianGroup((3, 4))
         f = random_fn(G)
-        assert np.allclose(idft(dft(f)).values, f.values, atol=1e-12)
+        assert np.allclose(idft(G, dft(f)).values, f.values, atol=1e-12)
 
     def test_matches_direct_character_sum(self):
         for sizes in [(7,), (2, 3), (2, 2, 3)]:
             G = FiniteAbelianGroup(sizes)
             f = random_fn(G)
-            assert np.allclose(dft(f).values, dft_direct(f).values, atol=1e-10)
+            assert np.allclose(dft(f), dft_direct(f), atol=1e-10)
 
     def test_idft_constant(self):
         G = FiniteAbelianGroup((3,))
-        out = idft(SpectrumFunction(G, np.array([3.0, 0, 0], dtype=complex)))
+        out = idft(G, np.array([3.0, 0, 0], dtype=complex))
         assert np.allclose(out.values, 1.0)
 
     def test_idft_rejects_large_imaginary(self):
         G = FiniteAbelianGroup((3,))
-        bad = SpectrumFunction(G, np.array([1.0, 1j, 0.0]))
+        bad = np.array([1.0, 1j, 0.0])
         with pytest.raises(NumericalConsistencyError):
-            idft(bad)
+            idft(G, bad)
 
     def test_stack_rows_match_idft_and_ifftn(self):
         for sizes in [(1,), (7,), (12,), (2, 3), (2, 2, 2), (4,) * 4, (16, 16)]:
             G = FiniteAbelianGroup(sizes)
-            spectra = np.stack([dft(random_fn(G)).values for _ in range(3)])
+            spectra = np.stack([dft(random_fn(G)) for _ in range(3)])
             rows = idft_stack(G, spectra)
             ref = np.fft.ifftn(spectra.reshape((3,) + sizes), axes=range(1, len(sizes) + 1))
             assert np.array_equal(rows, ref.real.reshape(3, -1))
             for s, row in zip(spectra, rows):
-                assert np.array_equal(idft(SpectrumFunction(G, s)).values, row)
+                assert np.array_equal(idft(G, s).values, row)
+
+    def test_idft_refuses_wrong_length(self):
+        G = FiniteAbelianGroup((2, 2))
+        for spectrum in (np.ones(3), np.ones(5), np.ones((2, 4))):
+            with pytest.raises(DomainError, match="rows of length 4"):
+                idft(G, spectrum)
+
+    def test_stack_refuses_wrong_shape(self):
+        G = FiniteAbelianGroup((2, 2))
+        for spectra in (np.ones((2, 3)), np.ones((1, 8)), np.ones(4), np.ones((1, 2, 2))):
+            with pytest.raises(DomainError, match="rows of length 4"):
+                idft_stack(G, spectra)
 
     def test_dft_is_fftn(self):
         for sizes in [(7,), (2, 3), (4,) * 4, (2,) * 10]:
             f = random_fn(FiniteAbelianGroup(sizes))
-            assert np.array_equal(dft(f).values, np.fft.fftn(f.values.reshape(sizes)).ravel())
+            assert np.array_equal(dft(f), np.fft.fftn(f.values.reshape(sizes)).ravel())
 
     def test_stack_with_one_bad_row_trips_residue_check(self):
         G = FiniteAbelianGroup((8,))
-        good = dft(random_fn(G)).values
+        good = dft(random_fn(G))
         bad = good + 1e-6j * np.eye(8)[1]
         with pytest.raises(NumericalConsistencyError, match="row 2"):
             idft_stack(G, np.stack([good, good, bad]))
@@ -195,7 +230,7 @@ class TestDFT:
         # the bad row's residue is tiny beside the big row's norm: a shared
         # norm would let it through
         G = FiniteAbelianGroup((8,))
-        good = dft(random_fn(G)).values
+        good = dft(random_fn(G))
         bad = good + 1e-6j * np.eye(8)[1]
         idft_stack(G, np.stack([1e12 * good, good]))
         with pytest.raises(NumericalConsistencyError, match="row 1"):
@@ -204,7 +239,7 @@ class TestDFT:
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_stack_refuses_nonfinite_spectra(self, value):
         G = FiniteAbelianGroup((2, 4))
-        spectra = np.stack([dft(random_fn(G)).values] * 2)
+        spectra = np.stack([dft(random_fn(G))] * 2)
         spectra[1, 0] = value
         with np.errstate(all="ignore"):
             with pytest.raises(NumericalConsistencyError, match="row 1"):
@@ -213,13 +248,13 @@ class TestDFT:
     def test_even_function_real_spectrum(self):
         G = FiniteAbelianGroup((8,))
         f = random_even_nonneg(G)
-        assert np.max(np.abs(dft(f).values.imag)) < 1e-10
+        assert np.max(np.abs(dft(f).imag)) < 1e-10
 
     def test_plancherel(self):
         G = FiniteAbelianGroup((3, 5))
         f = random_fn(G)
         lhs = np.sum(f.values**2)
-        rhs = np.sum(np.abs(dft(f).values) ** 2) / G.order
+        rhs = np.sum(np.abs(dft(f)) ** 2) / G.order
         assert abs(lhs - rhs) < 1e-10 * max(1.0, lhs)
 
 
@@ -300,6 +335,35 @@ class TestCexp:
         out = cexp_spectral(u)
         assert out.is_even()
         assert np.all(out.values > 0)
+
+    @pytest.mark.parametrize("sizes", HEAT_TGRID_GROUPS, ids=str)
+    def test_series_bitwise_equal_to_wrapper_loop(self, sizes):
+        # weights drawn as heat_tgrid draws them: 2-6 generators, mirrored
+        G = FiniteAbelianGroup(sizes)
+        rng = np.random.default_rng(G.order + G.rank)
+        neg = G.neg_index_table()
+        for _ in range(2):
+            w = np.zeros(G.order)
+            for g in rng.integers(1, G.order, size=rng.integers(2, 7)):
+                w[g] = w[neg[g]] = rng.uniform(0.1, 1.0)
+            for u in (GroupFunction(G, 0.5 * w), GroupFunction(G, 3.0 * w)):
+                got = cexp_series(u).values
+                assert got.tobytes() == cexp_series_by_wrappers(u).values.tobytes()
+
+    @pytest.mark.parametrize(
+        "sizes, weight",
+        [((4,), 400.0), ((4,), 800.0), ((4,), 1e200), ((2, 2), 1e200), ((64,), 1e155)],
+    )
+    def test_series_overflow_is_refused(self, sizes, weight):
+        # the terms overflow to inf or NaN: the stop test fires and the sum
+        # is refused, without running to the term cap (about 4e201 terms at
+        # weight 1e200)
+        G = FiniteAbelianGroup(sizes)
+        v = np.zeros(G.order)
+        v[1] = v[G.neg_index_table()[1]] = weight
+        with np.errstate(all="ignore"):
+            with pytest.raises(DomainError, match="finite"):
+                cexp_series(GroupFunction(G, v))
 
     def test_series_tol_precondition(self):
         G = FiniteAbelianGroup((2,))

@@ -11,7 +11,6 @@ from cayleyheat.errors import DomainError, NumericalConsistencyError
 from cayleyheat.groups import (
     FiniteAbelianGroup,
     GroupFunction,
-    SpectrumFunction,
     cexp_series,
     convolve,
     dft,
@@ -20,7 +19,6 @@ from cayleyheat.groups import (
 from cayleyheat.heat import (
     CayleyWeights,
     GeneralGraph,
-    ctrw_simulate,
     default_t_grid,
     heat_matrix_general,
     heat_row_cayley,
@@ -29,6 +27,8 @@ from cayleyheat.heat import (
     random_heavy_tailed_graph,
     search_monotonicity_violations,
 )
+
+from ctrw import ctrw_simulate
 
 GROUP_POOL = [
     (2,), (3,), (5,), (8,), (12,), (17,), (24,),
@@ -67,8 +67,8 @@ def loop_monotone_cayley(cw, t_grid, tol=1e-10):
     the first strictly smaller step."""
     worst, witness, count, prev = math.inf, "", 0, None
     for t in np.asarray(t_grid, dtype=float):
-        spec = np.exp(t * dft(cw.w).values - t * cw.degree)
-        row = idft(SpectrumFunction(cw.group, spec)).values
+        spec = np.exp(t * dft(cw.w) - t * cw.degree)
+        row = idft(cw.group, spec).values
         ratio = row / row[0]
         if prev is not None:
             margins = ratio - prev
