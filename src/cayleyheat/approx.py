@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalConsistencyError
 from .groups import (
     GroupElement,
     GroupFunction,
@@ -67,7 +67,18 @@ def build_chi_n(
     return pushforward(hom, epsilon)
 
 
+def _refuse_alpha_zero(alpha: float) -> None:
+    """At alpha = 0, chi_n is delta exactly: every error is 0, with no rate."""
+    if alpha == 0:
+        raise DomainError("alpha = 0 makes chi_n = delta exactly; there is no rate to fit")
+
+
 def _fit_slope(ns, errors) -> float:
+    """Least-squares slope of log error against log n.  An error of exactly 0
+    (a pushforward cut to a few points by a large epsilon, or an alpha so
+    small that chi_n rounds to its target) has no logarithm and is refused."""
+    if min(errors) <= 0:
+        raise NumericalConsistencyError(f"an error of 0 in {list(errors)} leaves no rate to fit")
     logs_n = np.log(np.asarray(ns, dtype=float))
     logs_e = np.log(np.asarray(errors, dtype=float))
     slope, _ = np.polyfit(logs_n, logs_e, 1)
@@ -80,7 +91,9 @@ def rate_check_lemma35(
     ns=DEFAULT_NS,
     epsilon: float = DEFAULT_EPSILON,
 ) -> RateReport:
-    """Sup-norm error of delta + alpha*phi/n - chi_n; expects fourth-order decay."""
+    """Sup-norm error of delta + alpha*phi/n - chi_n; expects fourth-order
+    decay.  Refuses alpha = 0."""
+    _refuse_alpha_zero(alpha)
     ns = tuple(sorted(int(n) for n in ns))
     G = g0.group
     bump = phi(G, g0)
@@ -103,8 +116,9 @@ def convergence_check_lemma37(
 
     The total gap is dominated by the classical Euler-limit error, so the
     pass condition is monotone decrease with at least a 4x drop across the
-    range, not a specific slope.
+    range, not a specific slope.  Refuses alpha = 0.
     """
+    _refuse_alpha_zero(alpha)
     ns = tuple(sorted(int(n) for n in ns))
     G = g0.group
     target = cexp_spectral(alpha * phi(G, g0))
@@ -112,7 +126,7 @@ def convergence_check_lemma37(
     for n in ns:
         chi = build_chi_n(alpha, g0, n, epsilon).chi
         errors.append((idft(G, dft(chi) ** n) - target).sup_norm())
-    slope = _fit_slope(ns, errors) if min(errors) > 0 else -math.inf
+    slope = _fit_slope(ns, errors)
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
     big_drop = errors[-1] < errors[0] / 4 if errors[0] > 0 else True
     return RateReport(ns, tuple(errors), slope, passed=decreasing and big_drop)

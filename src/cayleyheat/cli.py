@@ -29,6 +29,7 @@ from .checks import CheckReport, sweep_mean_ineq, sweep_rsd
 from .continuum import (
     h3_monotone_check,
     h3_reduced_check,
+    h3_reduced_log,
     heat_lemma_check_sphere,
     random_sphere_point,
     symmetric_ineq_check_sphere,
@@ -186,12 +187,16 @@ def _search_counterexample(n, trials, seed, tolerance) -> list[CheckReport]:
 
 
 def _h3_violation(d1, t) -> list[CheckReport]:
-    ls, rs, violated = h3_reduced_check(d1, t)
+    """The verdict is h3_reduced_check's, cross-checked against the
+    unreduced inequality.  The sides are reported as logs: at t = 1, RS
+    underflows to 0 from d1 = 27."""
+    _, _, violated = h3_reduced_check(d1, t)
+    log_ls, log_rs = h3_reduced_log(d1, t)
     return [
         CheckReport(
             passed=violated,
-            worst_margin=rs - ls,
-            witness=f"violated={violated}, LS={_fmt(ls)}, RS={_fmt(rs)}",
+            worst_margin=log_rs - log_ls,
+            witness=f"violated={violated}, log LS={_fmt(log_ls)}, log RS={_fmt(log_rs)}",
             count=1,
             name="h3_violation_reproduced",
         )

@@ -265,25 +265,42 @@ def cexp_spectral(upsilon: GroupFunction) -> GroupFunction:
 def cexp_series(upsilon: GroupFunction, tol: float = 1e-14) -> GroupFunction:
     """Convolutional exponential by partial sums of sum_n upsilon^{*n}/n!.
 
-    Stops once the next term's sup norm falls below tol times the running
-    sup norm.  An overflow stops it too, since a NaN or infinite sup norm
-    fails the test that continues it, and the sum is then refused as not
-    finite (DomainError).
+    The sum runs on the spectrum: with z = dft(upsilon), term n has spectrum
+    z^n/n!, and one inverse transform at the end gives the values.  For a
+    function f on G with spectrum s,
+
+        sup|f| <= ||s||_1 / |G|    (f(x) is the mean of s(k) times
+                                    unit-modulus characters)
+        sup|f| >= ||s||_2 / |G|    (Parseval: ||f||_2 = ||s||_2 / sqrt|G|)
+
+    The series stops at the first n >= max|z| - 1 at which the first bound
+    for term n is at most tol * max(the second bound for the partial sum,
+    ABS_TOL).  Then sup|term n| <= tol * max(sup|sum|, ABS_TOL), the test a
+    value-domain loop makes on the true sup norms, so that loop would have
+    stopped at the same term or earlier.  And since |z(k)|/(n+1) <= 1, the
+    first omitted term's first bound is at most term n's, so it obeys the
+    same inequality.  The term cap raises DivergenceError.  A bound that is
+    not finite (an overflow) is refused with DomainError.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
     G = upsilon.group
-    acc = term = delta(G).values
-    ups_hat = dft(upsilon)
+    z = dft(upsilon)
+    acc = np.ones(G.order, dtype=complex)  # the spectrum of delta
+    term = acc.copy()
+    z_max = float(np.max(np.abs(z)))
     l1 = float(np.sum(np.abs(upsilon.values)))
     cap = max(4, int(math.ceil(10 * (1 + l1))))
     for n in range(1, cap + 1):
-        # convolve(term, upsilon), with upsilon transformed once
-        spectrum = _over_group_axes(np.fft.fft, G, term) * ups_hat
-        term = _over_group_axes(np.fft.ifft, G, spectrum).real * (1.0 / n)
-        acc = acc + term
-        if not np.max(np.abs(term)) > tol * max(np.max(np.abs(acc)), ABS_TOL):
-            return GroupFunction(G, acc)
+        term *= z
+        term *= 1.0 / n
+        acc += term
+        upper = float(np.add.reduce(np.abs(term))) / G.order
+        lower = math.sqrt(np.vdot(acc, acc).real) / G.order
+        if not (upper < math.inf and lower < math.inf):
+            raise DomainError(f"cexp series term {n} is not finite")
+        if n + 1 >= z_max and upper <= tol * max(lower, ABS_TOL):
+            return idft(G, acc)
     raise DivergenceError(f"cexp series did not converge in {cap} terms")
 
 

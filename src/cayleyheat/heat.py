@@ -110,12 +110,14 @@ def _heat_rows(cw: CayleyWeights, t) -> np.ndarray:
     """(T, |G|) rows of exp(-tL) based at the identity, one per t > 0:
     exp(-t*deg) * cexp(t*w), through one DFT and one stacked inverse FFT.
 
-    The degree shift is applied inside the spectral exponential; the
-    exponents t*(w_hat(k) - deg) are never positive, so no overflow at
-    large t.
+    The spectrum exponentiated is Re dft(w), the transform of w's even part
+    (w(g) + w(-g))/2.  CayleyWeights holds w even to REL_TOL, so that is w
+    itself to that tolerance, and the exponential is a real one.  The
+    degree shift is applied inside it; the exponents t*(Re w_hat(k) - deg)
+    are never positive, so no overflow at large t.
     """
     t = t[:, None]
-    return idft_stack(cw.group, np.exp(t * dft(cw.w) - t * cw.degree))
+    return idft_stack(cw.group, np.exp(t * dft(cw.w).real - t * cw.degree))
 
 
 def _heat_matrices(evals: np.ndarray, Q: np.ndarray, t) -> np.ndarray:

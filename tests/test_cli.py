@@ -2,12 +2,14 @@ import csv
 import inspect
 import io
 import json
+import math
 import os
 import re
 import shlex
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ import cayleyheat
 from cayleyheat import checks, cli, selftest
 from cayleyheat.checks import CheckReport
 from cayleyheat.cli import COMMANDS, main
+from cayleyheat.continuum import h3_reduced_log
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -182,6 +185,26 @@ class TestOtherCommands:
         witness = json.loads(out)["reports"][0]["witness"]
         assert "violated=True" in witness
 
+    def test_h3_violation_reports_logs_past_underflow(self, capsys):
+        # RS = exp(log RS) is 0 in floats at d1 = 30; the margin is the log gap
+        code, out = run_cli(capsys, "h3-violation", "--d1", "30", "--t", "1")
+        assert code == 0
+        rep = json.loads(out)["reports"][0]
+        log_ls, log_rs = h3_reduced_log(30.0, 1.0)
+        assert math.exp(log_rs) == 0.0
+        assert rep["worst_margin"] == log_rs - log_ls < 0
+        assert "violated=True" in rep["witness"] and "log RS=" in rep["witness"]
+
+    @pytest.mark.parametrize("lemma", ["35", "37"])
+    def test_rate_check_alpha_zero_is_refused(self, capsys, lemma):
+        # chi_n is delta exactly at alpha = 0: no rate, and no log 0 warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["rate-check", "--lemma", lemma, "--alpha", "0"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and "alpha = 0" in err and "Warning" not in err
+
     def test_h3_monotone(self, capsys):
         code, _ = run_cli(capsys, "h3-monotone", "--d", "2")
         assert code == 0
@@ -340,8 +363,10 @@ ARGV_CASES = {
     # numerical guards, and a margin that is not finite
     "sphere_truncation": (["sphere-check", "--trials", "4", "--lmax", "1"], {}, {}, 3),
     "h3_cosh_overflow": (["h3-violation", "--d1", "400"], {}, {}, 3),
+    # --eps 0.5 cuts chi_n to three points: one error is exactly 0
+    "rate_check_zero_error": (["rate-check", "--lemma", "35", "--eps", "0.5"], {}, {}, 3),
     "infinite_margin": (
-        ["h3-violation"], {}, {"h3_reduced_check": lambda d1, t: (float("inf"), 0.0, True)}, 3
+        ["h3-violation"], {}, {"h3_reduced_log": lambda d1, t: (float("inf"), 0.0)}, 3
     ),
     "overflow": (["h3-violation"], {}, {"h3_reduced_check": _raises(OverflowError("x"))}, 3),
     "internal_error": (["h3-violation"], {}, {"h3_reduced_check": _raises(KeyError("x"))}, 4),
@@ -399,8 +424,10 @@ MALFORMED = "-=,.0123456789exZ "
 
 
 def test_argv_fuzz(capsys, tmp_path, monkeypatch):
-    """Random argv: the exit code is 0-4 and no traceback is printed; a run
-    that answers prints strict JSON, and a refused run prints nothing."""
+    """Random argv: the exit code is 0-3 (no internal error, which is also
+    where a NumPy warning made an error by the pytest settings ends up) and
+    no traceback is printed; a run that answers prints strict JSON, and a
+    refused run prints nothing."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     assert {f for cmd in COMMANDS.values() for f in cmd.flags} <= set(FUZZ_VALUES)
@@ -433,7 +460,7 @@ def test_argv_fuzz(capsys, tmp_path, monkeypatch):
     def run(argv):
         code = main(argv)
         out, err = capsys.readouterr()
-        assert code in range(5), (argv, code)
+        assert code in range(4), (argv, code, err)
         assert "Traceback" not in err, argv
         if code <= 1:
             json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in {argv}"))

@@ -56,10 +56,10 @@ def recompose(G, terms):
 
 
 def cexp_series_by_wrappers(upsilon, tol=1e-14):
-    """cexp_series's term loop written on GroupFunction terms, which checks
-    each term and partial sum for finiteness and inverts each term's
-    spectrum as a one-row idft_stack; the bitwise reference for the array
-    loop."""
+    """cexp_series's old value-domain loop, on GroupFunction terms: each
+    term is convolved with upsilon and inverted as a one-row idft_stack, and
+    the series stops at the first term whose sup is below tol times the
+    partial sum's; the reference for the spectral sum."""
     G = upsilon.group
     acc = term = delta(G)
     ups_hat = dft(upsilon)
@@ -77,6 +77,19 @@ HEAT_TGRID_GROUPS = [
     (32,), (2,) * 5, (8, 8), (256,), (16, 16), (2,) * 8, (1024,),
     (32, 32), (2,) * 10, (4096,), (64, 64), (8,) * 4, (4,) * 6,
 ]
+
+
+def heat_tgrid_upsilons(G):
+    """Two weight draws as heat_tgrid makes them (2-6 generators, mirrored),
+    each at scales 0.5 and 3."""
+    rng = np.random.default_rng(G.order + G.rank)
+    neg = G.neg_index_table()
+    for _ in range(2):
+        w = np.zeros(G.order)
+        for g in rng.integers(1, G.order, size=rng.integers(2, 7)):
+            w[g] = w[neg[g]] = rng.uniform(0.1, 1.0)
+        yield GroupFunction(G, 0.5 * w)
+        yield GroupFunction(G, 3.0 * w)
 
 
 def random_fn(G, rng=RNG):
@@ -338,17 +351,39 @@ class TestCexp:
 
     @pytest.mark.parametrize("sizes", HEAT_TGRID_GROUPS, ids=str)
     def test_series_bitwise_equal_to_wrapper_loop(self, sizes):
-        # weights drawn as heat_tgrid draws them: 2-6 generators, mirrored
+        # the spectral sum stops at the wrapper loop's term or later and
+        # rounds differently, so the two agree to a bound, not bitwise; both
+        # are checked against one FFT pair of np.exp
         G = FiniteAbelianGroup(sizes)
-        rng = np.random.default_rng(G.order + G.rank)
-        neg = G.neg_index_table()
-        for _ in range(2):
-            w = np.zeros(G.order)
-            for g in rng.integers(1, G.order, size=rng.integers(2, 7)):
-                w[g] = w[neg[g]] = rng.uniform(0.1, 1.0)
-            for u in (GroupFunction(G, 0.5 * w), GroupFunction(G, 3.0 * w)):
-                got = cexp_series(u).values
-                assert got.tobytes() == cexp_series_by_wrappers(u).values.tobytes()
+        for u in heat_tgrid_upsilons(G):
+            got = cexp_series(u).values
+            oracle = np.fft.ifftn(np.exp(np.fft.fftn(u.values.reshape(sizes)))).real.ravel()
+            sup = np.max(np.abs(oracle))
+            assert np.max(np.abs(got - cexp_series_by_wrappers(u).values)) <= 1e-12 * sup
+            assert np.max(np.abs(got - oracle)) <= 1e-12 * sup
+
+    @pytest.mark.parametrize("sizes", HEAT_TGRID_GROUPS, ids=str)
+    def test_series_stop_bounds_the_first_omitted_term(self, sizes):
+        # terms u^{*m}/m! by repeated convolution in the value domain; the
+        # partial sum nearest the result is where the series stopped, and the
+        # term after it must be below tol times the result's sup
+        G = FiniteAbelianGroup(sizes)
+        rng = np.random.default_rng(G.order)
+        # not even, so its spectrum is complex, with |z(k)| of order 2
+        odd = GroupFunction(G, rng.normal(size=G.order) * (2 / math.sqrt(G.order)))
+        for u in [*heat_tgrid_upsilons(G), odd]:
+            u_hat = np.fft.fftn(u.values.reshape(sizes))
+            terms = [delta(G).values]
+            for m in range(1, 120):
+                spec = np.fft.fftn(terms[-1].reshape(sizes)) * u_hat / m
+                terms.append(np.fft.ifftn(spec).real.ravel())
+            sums = np.cumsum(terms, axis=0)
+            for tol in (0.5, 1e-3, 1e-6, 1e-9):
+                got = cexp_series(u, tol).values
+                sup = np.max(np.abs(got))
+                n = int(np.argmin(np.max(np.abs(sums - got), axis=1)))
+                assert np.max(np.abs(sums[n] - got)) <= 1e-12 * sup
+                assert np.max(np.abs(terms[n + 1])) <= tol * sup
 
     @pytest.mark.parametrize(
         "sizes, weight",

@@ -15,6 +15,7 @@ from cayleyheat.groups import (
     convolve,
     dft,
     idft,
+    idft_stack,
 )
 from cayleyheat.heat import (
     CayleyWeights,
@@ -67,7 +68,7 @@ def loop_monotone_cayley(cw, t_grid, tol=1e-10):
     the first strictly smaller step."""
     worst, witness, count, prev = math.inf, "", 0, None
     for t in np.asarray(t_grid, dtype=float):
-        spec = np.exp(t * dft(cw.w) - t * cw.degree)
+        spec = np.exp(t * dft(cw.w).real - t * cw.degree)
         row = idft(cw.group, spec).values
         ratio = row / row[0]
         if prev is not None:
@@ -316,6 +317,26 @@ class TestTGridBatch:
     def test_cayley_matches_per_t_loop(self, grid):
         for cw in self.cayley_cases():
             assert_same_report(monotone_check_cayley(cw, grid), loop_monotone_cayley(cw, grid))
+
+    @pytest.mark.parametrize("grid", [default_t_grid(), 0.1 * 1.3 ** np.arange(21)])
+    def test_real_spectrum_matches_complex_spectrum(self, grid, monkeypatch):
+        # the rows once exponentiated the complex spectrum t*(w_hat - deg);
+        # for an even w its imaginary part is rounding, so rows and reports
+        # agree to rounding
+        def complex_rows(cw, t):
+            t = t[:, None]
+            return idft_stack(cw.group, np.exp(t * dft(cw.w) - t * cw.degree))
+
+        for cw in self.cayley_cases():
+            rows = heat._heat_rows(cw, grid)
+            old_rows = complex_rows(cw, grid)
+            assert np.max(np.abs(rows - old_rows)) <= 1e-12 * np.max(np.abs(old_rows))
+            rep = monotone_check_cayley(cw, grid)
+            with monkeypatch.context() as m:
+                m.setattr(heat, "_heat_rows", complex_rows)
+                old = monotone_check_cayley(cw, grid)
+            assert abs(rep.worst_margin - old.worst_margin) <= 1e-12
+            assert (rep.passed, rep.count) == (old.passed, old.count)
 
     @pytest.mark.parametrize("grid", [default_t_grid(), default_t_grid(0.01, 5.0, 7)])
     def test_general_matches_per_t_loop(self, grid):
