@@ -73,12 +73,41 @@ def _refuse_alpha_zero(alpha: float) -> None:
         raise DomainError("alpha = 0 makes chi_n = delta exactly; there is no rate to fit")
 
 
-def _fit_slope(ns, errors) -> float:
-    """Least-squares slope of log error against log n.  An error of exactly 0
-    (a pushforward cut to a few points by a large epsilon, or an alpha so
-    small that chi_n rounds to its target) has no logarithm and is refused."""
-    if min(errors) <= 0:
-        raise NumericalConsistencyError(f"an error of 0 in {list(errors)} leaves no rate to fit")
+_U = 2.0**-53  # unit roundoff of IEEE double precision
+
+
+def _floor(alpha: float, n: int, res: PushforwardResult, log2_order: float = 0.0) -> float:
+    """The largest error in chi_n that truncation and rounding alone can make.
+
+    Entry k of chi_n's shell sum is exp(-pi r_n^2 k^2) = (alpha/n)^{k^2}.  Its
+    exponent x = k^2 ln(n/alpha) passes through about eight roundings (log,
+    /pi, sqrt, k*r_n, square, *pi; pi cancels); exp turns their relative 8u
+    into 8u*x and adds its own u: (1 + 8 ln(n/alpha)) u on the shell k = 1
+    that carries the rate.  As x e^{-x} averages below 1 over the shells, a
+    factor ||chi_n||_1 covers the later shells and the sums on one element
+    (Higham, "Accuracy and Stability of Numerical Algorithms", ch. 3).  So,
+    to first order in u = 2^-53, the computed chi_n is within
+    F = tail + 8 (1 + ln(n/alpha) + log2_order) u ||chi_n||_1 of the exact
+    one.  Lemma 35 takes log2_order = 0.  Lemma 37 takes log2|G|, the
+    transforms' forward error, and scales F by n s^{n-1}, s = ||chi_n||_1:
+    f^{*n} - g^{*n} sums f^{*i} * (f - g) * g^{*(n-1-i)} over i < n, so its
+    sup is at most n s^{n-1} sup|f - g| when ||f||_1, ||g||_1 <= s.
+    tests/test_approx.py checks both floors on 50-digit values.
+    """
+    mass = float(np.sum(res.chi.values))
+    return res.tail_bound + 8 * (1 + math.log(n / alpha) + log2_order) * _U * mass
+
+
+def _fit_slope(ns, errors, floors) -> float:
+    """Least-squares slope of log error against log n.  An error that does
+    not exceed its floor (an error of 0 included) is refused: the fit would
+    measure truncation and rounding, not the lemma."""
+    for n, err, floor in zip(ns, errors, floors):
+        if not err > floor:
+            raise NumericalConsistencyError(
+                f"the error {err:.3e} at n={n} does not exceed {floor:.3e}, "
+                "what truncation and rounding alone can produce"
+            )
     logs_n = np.log(np.asarray(ns, dtype=float))
     logs_e = np.log(np.asarray(errors, dtype=float))
     slope, _ = np.polyfit(logs_n, logs_e, 1)
@@ -92,17 +121,18 @@ def rate_check_lemma35(
     epsilon: float = DEFAULT_EPSILON,
 ) -> RateReport:
     """Sup-norm error of delta + alpha*phi/n - chi_n; expects fourth-order
-    decay.  Refuses alpha = 0."""
+    decay.  Refuses alpha = 0, and an error at or below its ``_floor``."""
     _refuse_alpha_zero(alpha)
     ns = tuple(sorted(int(n) for n in ns))
     G = g0.group
     bump = phi(G, g0)
-    errors = []
+    errors, floors = [], []
     for n in ns:
-        chi = build_chi_n(alpha, g0, n, epsilon).chi
+        res = build_chi_n(alpha, g0, n, epsilon)
         target = delta(G) + (alpha / n) * bump
-        errors.append((target - chi).sup_norm())
-    slope = _fit_slope(ns, errors)
+        errors.append((target - res.chi).sup_norm())
+        floors.append(_floor(alpha, n, res))
+    slope = _fit_slope(ns, errors, floors)
     return RateReport(ns, tuple(errors), slope, passed=slope <= -3.5)
 
 
@@ -116,20 +146,22 @@ def convergence_check_lemma37(
 
     The total gap is dominated by the classical Euler-limit error, so the
     pass condition is monotone decrease with at least a 4x drop across the
-    range, not a specific slope.  Refuses alpha = 0.
+    range, not a specific slope.  Refuses alpha = 0, and a distance at or
+    below n ||chi_n||_1^{n-1} times its ``_floor``.
     """
     _refuse_alpha_zero(alpha)
     ns = tuple(sorted(int(n) for n in ns))
     G = g0.group
     target = cexp_spectral(alpha * phi(G, g0))
-    errors = []
+    errors, floors = [], []
     for n in ns:
-        chi = build_chi_n(alpha, g0, n, epsilon).chi
-        errors.append((idft(G, dft(chi) ** n) - target).sup_norm())
-    slope = _fit_slope(ns, errors)
+        res = build_chi_n(alpha, g0, n, epsilon)
+        errors.append((idft(G, dft(res.chi) ** n) - target).sup_norm())
+        mass = float(np.sum(res.chi.values))
+        floors.append(n * mass ** (n - 1) * _floor(alpha, n, res, math.log2(G.order)))
+    slope = _fit_slope(ns, errors, floors)
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
-    big_drop = errors[-1] < errors[0] / 4 if errors[0] > 0 else True
-    return RateReport(ns, tuple(errors), slope, passed=decreasing and big_drop)
+    return RateReport(ns, tuple(errors), slope, passed=decreasing and errors[-1] < errors[0] / 4)
 
 
 def cexp_pushforward_factorized(

@@ -103,16 +103,12 @@ def _pair_sweep(chi: GroupFunction, tol: float, kind: str) -> CheckReport:
             sq = np.array([x**2 for x in v.tolist()])
         except OverflowError:
             raise NumericalConsistencyError("rsd sweep: a square overflows") from None
-    res = np.unravel_index(np.arange(n), G.factor_sizes)
-    strides = np.cumprod((G.factor_sizes + (1,))[:0:-1])[::-1]
     rows = max(1, _BLOCK_PAIRS // n)
     worst, at = np.inf, (0, 0)
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
-        add, sub = np.zeros((2, i1 - i0, n), dtype=np.intp)
-        for r, m, s in zip(res, G.factor_sizes, strides):
-            add += (r[i0:i1, None] + r) % m * s
-            sub += (r[i0:i1, None] - r) % m * s
+        add = G.flat(r[i0:i1, None] + r for r in G.residues)
+        sub = G.flat(r[i0:i1, None] - r for r in G.residues)
         if kind == "rsd":
             margin = v[add] * v[sub] * v0**2 - np.outer(sq[i0:i1], sq)
         else:

@@ -4,11 +4,14 @@ convolutional exponential.
 Groups are products of cyclic factors Z_{n1} x ... x Z_{nk}.  Elements are
 residue vectors; the flat index of an element is the lexicographic index with
 the last factor varying fastest (numpy C order), so reshaping a value vector
-to shape ``factor_sizes`` lines the axes up with the factors.
+to shape ``factor_sizes`` lines the axes up with the factors.  That layout
+lives in one place: ``FiniteAbelianGroup.residues`` (index to residues) and
+``FiniteAbelianGroup.flat`` (residues to index).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -62,11 +65,27 @@ class FiniteAbelianGroup:
     def rank(self) -> int:
         return len(self.factor_sizes)
 
-    def index_of(self, residues: Sequence[int]) -> int:
-        return int(np.ravel_multi_index(tuple(residues), self.factor_sizes))
+    @functools.cached_property
+    def residues(self) -> np.ndarray:
+        """Read-only (rank, |G|) table: column i holds the residues of element i."""
+        table = np.indices(self.factor_sizes).reshape(self.rank, -1)
+        table.setflags(write=False)
+        return table
+
+    def flat(self, residues) -> np.ndarray:
+        """Flat indices from per-factor integer arrays of any sign, which
+        broadcast together, each reduced mod its factor; accumulated one
+        factor at a time (Horner's rule over the factor sizes), so no stacked
+        (rank, ...) array is built."""
+        out = 0
+        for r, n in zip(residues, self.factor_sizes, strict=True):
+            out = out * n + r % n
+        return out
 
     def residues_of(self, index: int) -> tuple[int, ...]:
-        return tuple(int(r) for r in np.unravel_index(index, self.factor_sizes))
+        if not 0 <= index < self.order:  # a negative index would wrap
+            raise DomainError(f"index {index} out of range for {self}")
+        return tuple(self.residues[:, index].tolist())
 
     def element(self, residues: Sequence[int]) -> "GroupElement":
         res = tuple(int(r) % n for r, n in zip(residues, self.factor_sizes))
@@ -86,21 +105,11 @@ class FiniteAbelianGroup:
     # index arithmetic on whole arrays, used by convolution and orbit logic
     def neg_index_table(self) -> np.ndarray:
         """neg[i] = flat index of -g_i."""
-        grids = np.meshgrid(
-            *[(-np.arange(n)) % n for n in self.factor_sizes], indexing="ij"
-        )
-        return np.ravel_multi_index(grids, self.factor_sizes).ravel()
+        return self.flat(-self.residues)
 
     def sub_index_table(self) -> np.ndarray:
         """table[x, y] = flat index of g_x - g_y."""
-        idx = [np.arange(n) for n in self.factor_sizes]
-        x_res = np.array(
-            np.meshgrid(*idx, indexing="ij")
-        ).reshape(self.rank, -1)  # (k, |G|)
-        diff = (x_res[:, :, None] - x_res[:, None, :]) % np.array(
-            self.factor_sizes
-        ).reshape(self.rank, 1, 1)
-        return np.ravel_multi_index(tuple(diff), self.factor_sizes)
+        return self.flat(r[:, None] - r for r in self.residues)
 
     def __str__(self):
         return "x".join(f"Z{n}" for n in self.factor_sizes)
@@ -118,7 +127,7 @@ class GroupElement:
 
     @property
     def index(self) -> int:
-        return self.group.index_of(self.residues)
+        return int(self.group.flat(self.residues))
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         if other.group != self.group:
@@ -317,17 +326,10 @@ def phi_basis_decompose(upsilon: GroupFunction) -> list[tuple[float, GroupElemen
         raise DomainError("decomposition requires a nonnegative function")
     if not _close(vals, vals[neg]):
         raise DomainError("decomposition requires an even function")
-    out: list[tuple[float, GroupElement]] = []
-    for i in range(G.order):
-        j = int(neg[i])
-        if j < i:
-            continue  # orbit already handled at its smaller index
-        v = float(vals[i])
-        if v <= 0.0:
-            continue
-        alpha = v / 2.0 if i == j else v  # phi doubles on self-inverse orbits
-        out.append((alpha, G.from_index(i)))
-    return out
+    # each orbit's smaller index where upsilon > 0; phi doubles on self-inverse orbits
+    idx = np.flatnonzero((np.arange(G.order) <= neg) & (vals > 0.0))
+    alphas = np.where(idx == neg[idx], vals[idx] / 2.0, vals[idx])
+    return [(a, G.from_index(i)) for a, i in zip(alphas.tolist(), idx.tolist())]
 
 
 _GROUP_RE = re.compile(r"^z(\d+)$", re.IGNORECASE)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .errors import (
     GroupMismatchError,
     NumericalConsistencyError,
 )
-from .groups import FiniteAbelianGroup, GroupElement, GroupFunction
+from .groups import FiniteAbelianGroup, GroupElement, GroupFunction, delta
 
 MIN_SINGULAR_VALUE = 1e-9
 DEFAULT_EPSILON = 1e-12
@@ -91,21 +90,8 @@ class LatticeHom:
 
     def image_matrix(self) -> np.ndarray:
         """(k, d) residue matrix; column i is the residue vector of images[i]."""
-        k = self.target.rank
-        if self.lattice.dim == 0:
-            return np.zeros((k, 0), dtype=np.int64)
-        return np.array(
-            [list(g.residues) for g in self.images], dtype=np.int64
-        ).T
-
-    def apply_coeffs(self, coeffs: Sequence[int]) -> GroupElement:
-        """Image of the lattice point with integer coordinates ``coeffs``."""
-        k = self.target.rank
-        acc = [0] * k
-        for c, g in zip(coeffs, self.images):
-            for j in range(k):
-                acc[j] += int(c) * g.residues[j]
-        return self.target.element(acc)
+        residues = [g.residues for g in self.images]
+        return np.array(residues, dtype=np.int64).reshape(self.lattice.dim, self.target.rank).T
 
 
 @dataclass(frozen=True)
@@ -262,9 +248,7 @@ def pushforward(
     G = hom.target
     d = hom.lattice.dim
     if d == 0:
-        vals = np.zeros(G.order)
-        vals[0] = 1.0
-        return PushforwardResult(GroupFunction(G, vals), 0.0, epsilon)
+        return PushforwardResult(delta(G), 0.0, epsilon)
     R, m, tail = _enumeration_box(hom.lattice, epsilon)
     coeffs = _ball_candidates(hom.lattice, R, m, point_cap)
     pts = coeffs.astype(float) @ hom.lattice.basis.T
@@ -273,10 +257,7 @@ def pushforward(
     coeffs = coeffs[mask]
     weights = np.exp(-np.pi * sq[mask])
 
-    A = hom.image_matrix()  # (k, d)
-    sizes = np.array(G.factor_sizes, dtype=np.int64)
-    residues = (coeffs @ A.T) % sizes  # (N, k)
-    flat = np.ravel_multi_index(tuple(residues.T), G.factor_sizes)
+    flat = G.flat(hom.image_matrix() @ coeffs.T)
     vals = np.bincount(flat, weights=weights, minlength=G.order)
     return PushforwardResult(GroupFunction(G, vals), tail, epsilon)
 
@@ -285,11 +266,16 @@ def direct_sum(h1: LatticeHom, h2: LatticeHom) -> LatticeHom:
     """Orthogonal direct sum; its pushforward is the convolution of the two."""
     if h1.target != h2.target:
         raise GroupMismatchError("direct sum requires a common target group")
+    return LatticeHom(Lattice(_block_basis(h1, h2)), h1.target, h1.images + h2.images)
+
+
+def _block_basis(h1: LatticeHom, h2: LatticeHom) -> np.ndarray:
+    """Basis of L1 (+) L2: the two bases on the block diagonal."""
     d1, d2 = h1.lattice.dim, h2.lattice.dim
     basis = np.zeros((d1 + d2, d1 + d2))
     basis[:d1, :d1] = h1.lattice.basis
     basis[d1:, d1:] = h2.lattice.basis
-    return LatticeHom(Lattice(basis), h1.target, h1.images + h2.images)
+    return basis
 
 
 def _integer_kernel(mat: list[list[int]]) -> list[list[int]]:
@@ -347,35 +333,22 @@ def fiber_product(h1: LatticeHom, h2: LatticeHom) -> LatticeHom:
         raise GroupMismatchError("fiber product requires a common target group")
     G = h1.target
     d1, d2 = h1.lattice.dim, h2.lattice.dim
-    k = G.rank
     A1 = h1.image_matrix()
-    A2 = h2.image_matrix()
     # rows: one congruence per cyclic factor; cols: c1, c2, auxiliary multiples
-    M = [
-        [int(A1[j, i]) for i in range(d1)]
-        + [-int(A2[j, i]) for i in range(d2)]
-        + [G.factor_sizes[j] if jj == j else 0 for jj in range(k)]
-        for j in range(k)
-    ]
-    kernel = _integer_kernel(M)
+    M = np.concatenate([A1, -h2.image_matrix(), np.diag(G.factor_sizes)], axis=1)
+    kernel = _integer_kernel(M.tolist())
     # drop the auxiliary coordinates; the projection is injective on solutions
-    proj = [col[: d1 + d2] for col in kernel]
-    K = np.array([c for c in proj if any(c)], dtype=np.int64).T
-    if K.size == 0:
-        K = np.zeros((d1 + d2, 0), dtype=np.int64)
+    proj = [col[: d1 + d2] for col in kernel if any(col[: d1 + d2])]
+    K = np.array(proj, dtype=np.int64).reshape(len(proj), d1 + d2).T
     if K.shape[1] != d1 + d2:
         raise DomainError(
             f"congruence lattice has rank {K.shape[1]}, expected {d1 + d2}"
         )
-    big = np.zeros((d1 + d2, d1 + d2))
-    big[:d1, :d1] = h1.lattice.basis
-    big[d1:, d1:] = h2.lattice.basis
-    basis = big @ K.astype(float)
-    images = tuple(
-        h1.apply_coeffs([int(K[i, j]) for i in range(d1)])
-        for j in range(K.shape[1])
-    )
-    return LatticeHom(Lattice(basis), G, images)
+    basis = _block_basis(h1, h2) @ K.astype(float)
+    # the kernel's entries are not bounded by the group: reduced mod
+    # lcm(sizes), they keep every residue and the int64 product stays exact
+    flat = G.flat(A1 @ (K[:d1] % math.lcm(*G.factor_sizes)))
+    return LatticeHom(Lattice(basis), G, tuple(map(G.from_index, flat.tolist())))
 
 
 def random_hom(group: FiniteAbelianGroup, rng: np.random.Generator, max_dim: int) -> LatticeHom:

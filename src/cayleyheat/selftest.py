@@ -178,13 +178,8 @@ def _check_heat_cayley():
     cw12 = CayleyWeights(G12, GroupFunction(G12, v))
     rep = monotone_check_cayley(cw12, default_t_grid(count=12), 1e-10)
     _require(rep.passed, rep)
-    # circulant embedding agrees with the eigensolver route
-    W = np.zeros((12, 12))
-    for i in range(12):
-        for j in range(12):
-            if i != j:
-                W[i, j] = v[(i - j) % 12]
-    H = heat_matrix_general(GeneralGraph(W), 0.7)
+    # circulant embedding (v[0] = 0: zero diagonal) agrees with the eigensolver route
+    H = heat_matrix_general(GeneralGraph(v[G12.sub_index_table()]), 0.7)
     row = heat_row_cayley(cw12, 0.7).values
     _require(np.max(np.abs(H[0] - row)) < 1e-9, "circulant eigh row != Cayley row")
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cayleyheat import approx
 from cayleyheat.approx import (
     build_chi_n,
     cexp_pushforward_factorized,
@@ -11,7 +12,7 @@ from cayleyheat.approx import (
     rate_check_lemma35,
 )
 from cayleyheat.checks import sweep_mean_ineq, sweep_rsd
-from cayleyheat.errors import DomainError
+from cayleyheat.errors import DomainError, NumericalConsistencyError
 from cayleyheat.groups import (
     FiniteAbelianGroup,
     GroupFunction,
@@ -117,6 +118,78 @@ class TestLemma37Convergence:
         G = FiniteAbelianGroup((8,))
         res = build_chi_n(0.0, G.element((1,)), 16)
         assert np.allclose(res.chi.values, delta(G).values)
+
+
+class TestErrorFloor:
+    """The floors below which the rate checks refuse, against a 50-digit
+    reference: the computed error is the exact one within the floor."""
+
+    @staticmethod
+    def exact_chi(mp, alpha, N, g0, n):
+        """chi_n on Z_N: sum over k of (alpha/n)^{k^2} at k*g0, to 50 digits."""
+        q = mp.mpf(alpha) / n
+        vals = [mp.mpf(0)] * N
+        for k in range(-60, 61):
+            vals[k * g0 % N] += q ** (k * k)
+        return vals
+
+    CASES = [
+        (alpha, n, eps)
+        for alpha in (1.5, 1.0, 5.0, 1e-2, 1e-4, 1e-8)
+        for n in (2, 16, 64, 256, 10**6)
+        for eps in (1e-12, 1e-30)
+        if n > alpha
+    ]
+
+    @pytest.mark.parametrize("g0", [1, 6, 0])
+    def test_lemma35_floor_bounds_the_rounding(self, g0):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        G = FiniteAbelianGroup((12,))
+        bump = phi(G, G.from_index(g0)).values
+        for alpha, n, eps in self.CASES:
+            res = build_chi_n(alpha, G.from_index(g0), n, eps)
+            computed = ((delta(G) + (alpha / n) * phi(G, G.from_index(g0))) - res.chi).sup_norm()
+            chi = self.exact_chi(mp, alpha, 12, g0, n)
+            target = [(i == 0) + mp.mpf(alpha) / n * int(bump[i]) for i in range(12)]
+            exact = max(abs(t - c) for t, c in zip(target, chi))
+            floor = approx._floor(alpha, n, res)
+            assert abs(computed - exact) <= floor, (alpha, n, eps, computed, float(exact))
+
+    @pytest.mark.parametrize("g0", [1, 4])
+    def test_lemma37_floor_bounds_the_rounding(self, g0):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        N = 8
+        G = FiniteAbelianGroup((N,))
+
+        def dft_exact(v, sign):
+            return [
+                mp.fsum(v[g] * mp.expjpi(sign * mp.mpf(2 * k * g) / N) for g in range(N))
+                for k in range(N)
+            ]
+
+        bump = phi(G, G.from_index(g0)).values
+        for alpha, n, eps in self.CASES:
+            if n > 256:
+                continue
+            res = build_chi_n(alpha, G.from_index(g0), n, eps)
+            target = cexp_spectral(alpha * phi(G, G.from_index(g0)))
+            computed = (idft(G, dft(res.chi) ** n) - target).sup_norm()
+            spec = dft_exact(self.exact_chi(mp, alpha, N, g0, n), -1)
+            cexp_spec = [mp.exp(alpha * z) for z in dft_exact([int(b) for b in bump], -1)]
+            diff = dft_exact([a**n - b for a, b in zip(spec, cexp_spec)], 1)
+            exact = max(abs(mp.re(d)) / N for d in diff)
+            mass = float(np.sum(res.chi.values))
+            floor = n * mass ** (n - 1) * approx._floor(alpha, n, res, math.log2(N))
+            assert abs(computed - exact) <= floor, (alpha, n, eps, computed, float(exact))
+
+    def test_refused_below_the_floor(self):
+        # at alpha = 1e-2 the default epsilon cuts every shell past k = 1
+        # except at n = 16, whose error 1.5e-13 is still below the tail bound
+        G = FiniteAbelianGroup((12,))
+        with pytest.raises(NumericalConsistencyError, match="truncation and rounding"):
+            rate_check_lemma35(1e-2, G.from_index(1))
 
 
 class TestLemma34Consequence:

@@ -34,7 +34,9 @@ def loop_sweep(chi, tol, single, name):
 
 def sweep_cases():
     """(chi, rsd tolerance, mean tolerance) for pushforwards on cyclic,
-    elementary and mixed groups, plus one non-even, strictly positive chi."""
+    elementary and mixed groups, plus one non-even, strictly positive chi,
+    then pushforwards on Z2xZ3xZ5, whose flat-index strides are unequal and
+    odd."""
     rng = np.random.default_rng(4)
     chis = [
         pushed_chi(FiniteAbelianGroup(sizes), rng)
@@ -43,6 +45,7 @@ def sweep_cases():
     ]
     G = FiniteAbelianGroup((3, 4))
     chis.append(GroupFunction(G, rng.uniform(0.2, 2.0, G.order)))
+    chis += [pushed_chi(FiniteAbelianGroup((2, 3, 5)), rng) for _ in range(2)]
     return [(chi, 1e-12 * chi.at_index(0) ** 4, 1e-12 * chi.at_index(0) ** 2) for chi in chis]
 
 

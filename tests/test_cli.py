@@ -365,6 +365,14 @@ ARGV_CASES = {
     "h3_cosh_overflow": (["h3-violation", "--d1", "400"], {}, {}, 3),
     # --eps 0.5 cuts chi_n to three points: one error is exactly 0
     "rate_check_zero_error": (["rate-check", "--lemma", "35", "--eps", "0.5"], {}, {}, 3),
+    # errors no larger than truncation and rounding alone can make
+    "rate_check_below_floor_35": (["rate-check", "--lemma", "35", "--alpha", "1e-4"], {}, {}, 3),
+    "rate_check_below_floor_37": (
+        ["rate-check", "--lemma", "37", "--group", "Z8", "--ns", "16,64,256", "--alpha", "1e-8"],
+        {},
+        {},
+        3,
+    ),
     "infinite_margin": (
         ["h3-violation"], {}, {"h3_reduced_log": lambda d1, t: (float("inf"), 0.0)}, 3
     ),

@@ -47,6 +47,20 @@ def convolve_direct(f, g):
     return GroupFunction(f.group, f.values[f.group.sub_index_table()] @ g.values)
 
 
+def phi_basis_decompose_by_loop(upsilon):
+    """phi_basis_decompose as a loop over the elements: each orbit at its
+    smaller index, alpha halved on self-inverse orbits; the reference."""
+    G, vals = upsilon.group, upsilon.values
+    neg = G.neg_index_table()
+    out = []
+    for i in range(G.order):
+        j = int(neg[i])
+        v = float(vals[i])
+        if j >= i and v > 0.0:
+            out.append((v / 2.0 if i == j else v, G.from_index(i)))
+    return out
+
+
 def recompose(G, terms):
     """sum alpha * phi(g0) over the terms of a phi-basis decomposition."""
     acc = np.zeros(G.order)
@@ -92,6 +106,23 @@ def heat_tgrid_upsilons(G):
         yield GroupFunction(G, 3.0 * w)
 
 
+def neg_index_table_by_meshgrid(G):
+    """neg_index_table built from a meshgrid of negated residues and
+    np.ravel_multi_index; the reference for the layout's tables."""
+    grids = np.meshgrid(*[(-np.arange(n)) % n for n in G.factor_sizes], indexing="ij")
+    return np.ravel_multi_index(grids, G.factor_sizes).ravel()
+
+
+def sub_index_table_by_meshgrid(G):
+    """sub_index_table built from a meshgrid of residues, differences reduced
+    per factor, and np.ravel_multi_index."""
+    idx = [np.arange(n) for n in G.factor_sizes]
+    x_res = np.array(np.meshgrid(*idx, indexing="ij")).reshape(G.rank, -1)  # (k, |G|)
+    sizes = np.array(G.factor_sizes).reshape(G.rank, 1, 1)
+    diff = (x_res[:, :, None] - x_res[:, None, :]) % sizes
+    return np.ravel_multi_index(tuple(diff), G.factor_sizes)
+
+
 def random_fn(G, rng=RNG):
     return GroupFunction(G, rng.normal(size=G.order))
 
@@ -131,9 +162,54 @@ class TestGroupArithmetic:
         assert G.residues_of(1) == (0, 1)
         assert G.residues_of(3) == (1, 0)
 
+    def test_index_out_of_range(self):
+        G = FiniteAbelianGroup((2, 3))
+        for i in (-1, 6):
+            with pytest.raises(DomainError):
+                G.from_index(i)
+
     def test_order_cap(self):
         with pytest.raises(DomainError):
             FiniteAbelianGroup((5000,))
+
+
+class TestLayout:
+    @pytest.mark.parametrize("sizes", HEAT_TGRID_GROUPS, ids=str)
+    def test_residues_and_flat_match_numpy(self, sizes):
+        G = FiniteAbelianGroup(sizes)
+        col = np.array(sizes)[:, None]
+        assert np.array_equal(G.residues, np.unravel_index(np.arange(G.order), sizes))
+        assert not G.residues.flags.writeable
+        assert np.array_equal(G.flat(G.residues), np.arange(G.order))
+        rng = np.random.default_rng(G.order + G.rank)
+        # residues of either sign, and at or above their factor
+        r = rng.integers(-3 * G.order, 3 * G.order, size=(G.rank, 200))
+        assert (r < 0).any() and (r >= col).any()
+        assert np.array_equal(G.flat(r), np.ravel_multi_index(tuple(r % col), sizes))
+        # per-factor arrays broadcast: (4, 1) rows against (1, 5) columns
+        a = rng.integers(-2 * G.order, 2 * G.order, size=(G.rank, 4, 1))
+        b = rng.integers(-2 * G.order, 2 * G.order, size=(G.rank, 1, 5))
+        expected = np.ravel_multi_index(tuple((a - b) % col[:, :, None]), sizes)
+        assert np.array_equal(G.flat(x - y for x, y in zip(a, b)), expected)
+        # one factor's array may carry the whole shape, another a scalar
+        mixed = [a[0] - b[0]] + [-7] * (G.rank - 1)
+        expected = np.ravel_multi_index(
+            tuple(np.broadcast_arrays(*[np.asarray(m) % n for m, n in zip(mixed, sizes)])),
+            sizes,
+        )
+        assert np.array_equal(G.flat(mixed), expected)
+
+    @pytest.mark.parametrize("sizes", HEAT_TGRID_GROUPS, ids=str)
+    def test_neg_index_table_matches_meshgrid(self, sizes):
+        G = FiniteAbelianGroup(sizes)
+        assert np.array_equal(G.neg_index_table(), neg_index_table_by_meshgrid(G))
+
+    @pytest.mark.parametrize(
+        "sizes", [s for s in HEAT_TGRID_GROUPS if math.prod(s) <= 256] + [(2, 3, 5), (1,)], ids=str
+    )
+    def test_sub_index_table_matches_meshgrid(self, sizes):
+        G = FiniteAbelianGroup(sizes)
+        assert np.array_equal(G.sub_index_table(), sub_index_table_by_meshgrid(G))
 
 
 class TestParseGroup:
@@ -173,7 +249,7 @@ class TestDeltaPhi:
     def test_phi_klein_group(self):
         G = FiniteAbelianGroup((2, 2))
         v = phi(G, G.element((1, 0))).values
-        assert v[G.index_of((1, 0))] == 2
+        assert v[G.element((1, 0)).index] == 2
         assert v.sum() == 2
 
 
@@ -429,6 +505,17 @@ class TestPhiBasis:
             u = random_even_nonneg(G, rng)
             back = recompose(G, phi_basis_decompose(u))
             assert np.allclose(back.values, u.values, atol=1e-12)
+
+    def test_matches_orbit_loop(self):
+        # same terms in the same order, alphas equal to the bit
+        rng = np.random.default_rng(11)
+        for sizes in [(1,), (5,), (12,), (2, 2), (2, 3, 4), (4, 6), (2,) * 6, (256,)]:
+            G = FiniteAbelianGroup(sizes)
+            for _ in range(5):
+                v = rng.uniform(0, 1, G.order) * (rng.uniform(size=G.order) < 0.6)
+                u = GroupFunction(G, v + v[G.neg_index_table()])
+                got, want = phi_basis_decompose(u), phi_basis_decompose_by_loop(u)
+                assert [(a.hex(), g) for a, g in got] == [(a.hex(), g) for a, g in want]
 
     def test_identity_orbit_halved(self):
         G = FiniteAbelianGroup((5,))

@@ -170,6 +170,16 @@ class TestIntegerKernel:
         assert len(basis) == 2
 
 
+def image_of(hom, coeffs):
+    """Residues of the image of the lattice point with integer coordinates
+    ``coeffs``, in Python ints: sum_i c_i * images[i], reduced per factor."""
+    sizes = hom.target.factor_sizes
+    return tuple(
+        sum(int(c) * g.residues[j] for c, g in zip(coeffs, hom.images)) % n
+        for j, n in enumerate(sizes)
+    )
+
+
 class TestFiberProduct:
     def test_pushforward_is_pointwise_product(self):
         rng = np.random.default_rng(202)
@@ -202,9 +212,13 @@ class TestFiberProduct:
         K_int = np.rint(K).astype(int)
         assert np.max(np.abs(K - K_int)) < 1e-8
         for j in range(K_int.shape[1]):
-            g1 = h1.apply_coeffs(K_int[:d1, j])
-            g2 = h2.apply_coeffs(K_int[d1:, j])
-            assert g1.residues == g2.residues
+            g1 = image_of(h1, K_int[:d1, j])
+            g2 = image_of(h2, K_int[d1:, j])
+            assert g1 == g2
+        # the fiber product's images are h1's images of its basis
+        assert [g.residues for g in fp.images] == [
+            image_of(h1, K_int[:d1, j]) for j in range(K_int.shape[1])
+        ]
 
     def test_target_mismatch(self):
         Ga, Gb = FiniteAbelianGroup((2,)), FiniteAbelianGroup((3,))
