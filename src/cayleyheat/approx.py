@@ -76,7 +76,7 @@ def _refuse_alpha_zero(alpha: float) -> None:
 _U = 2.0**-53  # unit roundoff of IEEE double precision
 
 
-def _floor(alpha: float, n: int, res: PushforwardResult, log2_order: float = 0.0) -> float:
+def _floor(alpha: float, n: int, res: PushforwardResult, transform_error: float = 0.0) -> float:
     """The largest error in chi_n that truncation and rounding alone can make.
 
     Entry k of chi_n's shell sum is exp(-pi r_n^2 k^2) = (alpha/n)^{k^2}.  Its
@@ -87,15 +87,18 @@ def _floor(alpha: float, n: int, res: PushforwardResult, log2_order: float = 0.0
     factor ||chi_n||_1 covers the later shells and the sums on one element
     (Higham, "Accuracy and Stability of Numerical Algorithms", ch. 3).  So,
     to first order in u = 2^-53, the computed chi_n is within
-    F = tail + 8 (1 + ln(n/alpha) + log2_order) u ||chi_n||_1 of the exact
-    one.  Lemma 35 takes log2_order = 0.  Lemma 37 takes log2|G|, the
-    transforms' forward error, and scales F by n s^{n-1}, s = ||chi_n||_1:
+    F = tail + 8 (1 + ln(n/alpha) + transform_error) u ||chi_n||_1 of the
+    exact one.  Lemma 35 takes transform_error = 0.  Lemma 37 takes the
+    group's ``transform_error``, the forward-error constant of its transform
+    plan: the sum of its dense block sizes (gamma_b ~ b u for an inner
+    product of length b) plus the sum of log2 of its FFT lengths.  It scales
+    F by n s^{n-1}, s = ||chi_n||_1:
     f^{*n} - g^{*n} sums f^{*i} * (f - g) * g^{*(n-1-i)} over i < n, so its
     sup is at most n s^{n-1} sup|f - g| when ||f||_1, ||g||_1 <= s.
     tests/test_approx.py checks both floors on 50-digit values.
     """
     mass = float(np.sum(res.chi.values))
-    return res.tail_bound + 8 * (1 + math.log(n / alpha) + log2_order) * _U * mass
+    return res.tail_bound + 8 * (1 + math.log(n / alpha) + transform_error) * _U * mass
 
 
 def _fit_slope(ns, errors, floors) -> float:
@@ -158,7 +161,7 @@ def convergence_check_lemma37(
         res = build_chi_n(alpha, g0, n, epsilon)
         errors.append((idft(G, dft(res.chi) ** n) - target).sup_norm())
         mass = float(np.sum(res.chi.values))
-        floors.append(n * mass ** (n - 1) * _floor(alpha, n, res, math.log2(G.order)))
+        floors.append(n * mass ** (n - 1) * _floor(alpha, n, res, G.transform_error))
     slope = _fit_slope(ns, errors, floors)
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
     return RateReport(ns, tuple(errors), slope, passed=decreasing and errors[-1] < errors[0] / 4)

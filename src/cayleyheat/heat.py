@@ -5,7 +5,7 @@ On a Cayley graph the kernel is translation-invariant, so a single row
 (based at the identity) determines the whole matrix; it is computed as
 exp(-t*deg) times the convolutional exponential of the t-scaled weights.
 Arbitrary graphs go through a dense symmetric eigendecomposition.  A
-t-grid is computed in one batch: one DFT and one stacked inverse FFT per
+t-grid is computed in one batch: one DFT and one stacked inverse transform per
 Cayley graph, one eigendecomposition per general graph.
 """
 
@@ -108,7 +108,7 @@ def _times(t_grid) -> np.ndarray:
 
 def _heat_rows(cw: CayleyWeights, t) -> np.ndarray:
     """(T, |G|) rows of exp(-tL) based at the identity, one per t > 0:
-    exp(-t*deg) * cexp(t*w), through one DFT and one stacked inverse FFT.
+    exp(-t*deg) * cexp(t*w), through one DFT and one stacked inverse transform.
 
     The spectrum exponentiated is Re dft(w), the transform of w's even part
     (w(g) + w(-g))/2.  CayleyWeights holds w even to REL_TOL, so that is w

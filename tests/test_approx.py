@@ -181,7 +181,7 @@ class TestErrorFloor:
             diff = dft_exact([a**n - b for a, b in zip(spec, cexp_spec)], 1)
             exact = max(abs(mp.re(d)) / N for d in diff)
             mass = float(np.sum(res.chi.values))
-            floor = n * mass ** (n - 1) * approx._floor(alpha, n, res, math.log2(N))
+            floor = n * mass ** (n - 1) * approx._floor(alpha, n, res, G.transform_error)
             assert abs(computed - exact) <= floor, (alpha, n, eps, computed, float(exact))
 
     def test_refused_below_the_floor(self):

@@ -373,6 +373,16 @@ ARGV_CASES = {
         {},
         3,
     ),
+    # the spectrum of cexp(300 phi) is finite but its squares overflow: its
+    # norm is taken on the scaled row, and the check runs and fails, its
+    # errors (3.1e259 at both n) far above the floor
+    "rate_check_squares_overflow_37": (
+        ["rate-check", "--lemma", "37", "--alpha", "300", "--ns", "1000,2000"], {}, {}, 1
+    ),
+    # exp(1000) overflows: cexp_spectral refuses the spectrum
+    "rate_check_exp_overflow_37": (
+        ["rate-check", "--lemma", "37", "--alpha", "500", "--ns", "1000,2000"], {}, {}, 3
+    ),
     "infinite_margin": (
         ["h3-violation"], {}, {"h3_reduced_log": lambda d1, t: (float("inf"), 0.0)}, 3
     ),
@@ -416,7 +426,7 @@ FUZZ_VALUES = {
     "--eps": (["1e-12", "1e-30", "0.5"], ["0", "-1", "4", "nan"]),
     "--seed": (["0", "7"], ["-1", "1.5"]),
     "--lemma": (["35", "37"], ["36", "x"]),
-    "--alpha": (["1", "0", "0.5", "5", "1e300"], ["-1", "inf"]),
+    "--alpha": (["1", "0", "0.5", "5", "300", "1e300"], ["-1", "inf"]),
     "--g0": (["0", "1", "3", "11"], ["99", "-1", "x"]),
     "--ns": (["16,32", "16,64,256", "2,4", "1,2", "16,1000000"], ["16", "16,16", "a,b", ","]),
     "--n": (["3", "8"], ["2", "1025", "x"]),

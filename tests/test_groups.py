@@ -9,6 +9,7 @@ from cayleyheat.errors import (
     GroupMismatchError,
     NumericalConsistencyError,
 )
+from cayleyheat import groups
 from cayleyheat.groups import (
     FiniteAbelianGroup,
     GroupFunction,
@@ -27,19 +28,38 @@ from cayleyheat.groups import (
 RNG = np.random.default_rng(20260823)
 
 
-def dft_direct(f):
-    """O(|G|^2) character-sum transform; oracle for dft()."""
-    G = f.group
-    out = np.zeros(G.order, dtype=complex)
-    for k in range(G.order):
-        kr = G.residues_of(k)
-        acc = 0.0 + 0.0j
-        for g in range(G.order):
-            gr = G.residues_of(g)
-            ang = sum(ki * gi / n for ki, gi, n in zip(kr, gr, G.factor_sizes))
-            acc += f.values[g] * np.exp(-2j * np.pi * ang)
-        out[k] = acc
-    return out
+U = 2.0**-53  # unit roundoff of IEEE double precision
+
+
+def character_table(sizes, inverse=False):
+    """[k, g] = exp(-+2 pi i sum_j k_j g_j / n_j) in np.longdouble, from the
+    exact integer phase sum_j (k_j g_j mod n_j) L/n_j mod L, L = lcm(n_j)."""
+    k = np.indices(sizes).reshape(len(sizes), -1)
+    L = math.lcm(*sizes)
+    phase = sum(np.outer(r, r) % n * (L // n) for r, n in zip(k, sizes)) % L
+    angle = (8 * np.arctan(np.longdouble(1))) * phase.astype(np.longdouble) / L
+    return np.cos(angle) + (1 if inverse else -1) * 1j * np.sin(angle)
+
+
+def character_sums(sizes, x, inverse=False):
+    """Each row of x through the O(|G|^2) character sum: the DFT, or the
+    inverse with its 1/|G|, in np.longdouble; the oracle for the transform
+    plans, built without np.fft or the library's blocks."""
+    mat = character_table(sizes, inverse)
+    out = np.asarray(x, dtype=np.clongdouble) @ mat
+    return out / len(mat) if inverse else out
+
+
+def assert_within_transform_bound(G, got, exact):
+    """Each row within G.transform_error * u of the extended-precision
+    character sum, in the 2-norm relative to that row, plus the oracle's own
+    |G| * u_extended."""
+    u_ext = float(np.finfo(np.longdouble).eps) / 2
+    exact = np.atleast_2d(exact)
+    err = np.linalg.norm((np.atleast_2d(got) - exact).astype(complex), axis=1)
+    scale = np.linalg.norm(exact.astype(complex), axis=1)
+    bound = (G.transform_error * U + G.order * u_ext) * scale
+    assert np.all(err <= bound), (G, err / scale, G.transform_error * U)
 
 
 def convolve_direct(f, g):
@@ -265,10 +285,13 @@ class TestDFT:
         assert np.allclose(idft(G, dft(f)).values, f.values, atol=1e-12)
 
     def test_matches_direct_character_sum(self):
-        for sizes in [(7,), (2, 3), (2, 2, 3)]:
+        # dense-only, FFT-only and mixed plans, within the plan's stated bound
+        for sizes in [(1,), (7,), (12,), (2, 3), (2, 2, 3), (4,) * 4, (3, 9), (2,) * 10,
+                      (15, 15), (16, 16), (256,), (2, 16, 4), (16, 4)]:
             G = FiniteAbelianGroup(sizes)
-            f = random_fn(G)
-            assert np.allclose(dft(f), dft_direct(f), atol=1e-10)
+            fs = [random_fn(G) for _ in range(3)]
+            exact = character_sums(sizes, np.stack([f.values for f in fs]))
+            assert_within_transform_bound(G, np.stack([dft(f) for f in fs]), exact)
 
     def test_idft_constant(self):
         G = FiniteAbelianGroup((3,))
@@ -281,15 +304,31 @@ class TestDFT:
         with pytest.raises(NumericalConsistencyError):
             idft(G, bad)
 
-    def test_stack_rows_match_idft_and_ifftn(self):
-        for sizes in [(1,), (7,), (12,), (2, 3), (2, 2, 2), (4,) * 4, (16, 16)]:
+    def test_stack_rows_match_idft_and_character_sum(self):
+        # dense-only, FFT-only and mixed plans; a row's bits do not depend on
+        # the stack it is in, a one-row stack included
+        for sizes in [(1,), (7,), (12,), (2, 3), (2, 2, 2), (4,) * 4, (3, 9), (2,) * 10,
+                      (16, 16), (64,), (2, 16, 4), (16, 4)]:
             G = FiniteAbelianGroup(sizes)
-            spectra = np.stack([dft(random_fn(G)) for _ in range(3)])
-            rows = idft_stack(G, spectra)
-            ref = np.fft.ifftn(spectra.reshape((3,) + sizes), axes=range(1, len(sizes) + 1))
-            assert np.array_equal(rows, ref.real.reshape(3, -1))
-            for s, row in zip(spectra, rows):
+            spectra = np.stack([dft(random_fn(G)) for _ in range(20)])
+            full = idft_stack(G, spectra)
+            exact = character_sums(sizes, spectra, inverse=True)
+            assert_within_transform_bound(G, full, exact)
+            for b in (1, 2, 20):
+                assert np.array_equal(idft_stack(G, spectra[:b]), full[:b])
+            for s, row in zip(spectra[:3], full):
                 assert np.array_equal(idft(G, s).values, row)
+
+    def test_forward_rows_match_dft(self):
+        for sizes in [(7,), (3, 9), (2,) * 10, (16, 16), (2, 16, 4), (16, 4)]:
+            G = FiniteAbelianGroup(sizes)
+            fs = [random_fn(G) for _ in range(20)]
+            stack = np.stack([f.values for f in fs])
+            full = groups._transform(G, stack, inverse=False)
+            for b in (1, 2, 20):
+                assert np.array_equal(groups._transform(G, stack[:b], inverse=False), full[:b])
+            for f, row in zip(fs, full):
+                assert np.array_equal(dft(f), row)
 
     def test_idft_refuses_wrong_length(self):
         G = FiniteAbelianGroup((2, 2))
@@ -303,10 +342,40 @@ class TestDFT:
             with pytest.raises(DomainError, match="rows of length 4"):
                 idft_stack(G, spectra)
 
-    def test_dft_is_fftn(self):
-        for sizes in [(7,), (2, 3), (4,) * 4, (2,) * 10]:
-            f = random_fn(FiniteAbelianGroup(sizes))
-            assert np.array_equal(dft(f), np.fft.fftn(f.values.reshape(sizes)).ravel())
+    def test_plans(self):
+        # runs of factors below 16 merge into blocks of at most 64 elements;
+        # larger factors keep the FFT; the error constant sums the dense
+        # block sizes and log2 of the FFT lengths
+        cases = {
+            (2,) * 10: ([(2,) * 4, (2,) * 6], 16 + 64),
+            (4,) * 6: ([(4, 4, 4), (4, 4, 4)], 128),
+            (2, 16, 4): ([(4,), None, (2,)], 4 + 4 + 2),
+            (3, 9): ([(3, 9)], 27),
+            (15, 15): ([(15,), (15,)], 30),
+            (64, 64): ([None, None], 12),
+            (1,): ([(1,)], 1),
+        }
+        for sizes, (blocks, error) in cases.items():
+            plan = groups._plan(sizes)
+            assert [step[3] for step in plan.steps] == blocks
+            assert plan.error == error == FiniteAbelianGroup(sizes).transform_error
+            for pre, m, post, _ in plan.steps:
+                assert pre * m * post == math.prod(sizes)
+
+    def test_dense_block_entries(self):
+        # quarter turns exact, p and L - p exact conjugates, each entry within
+        # a few ulps of the root of unity
+        for factors in [(2,), (4,), (8,), (3, 9), (2, 3), (12,), (15,), (4, 4, 4)]:
+            mat = groups._dense_block(factors, inverse=False)
+            exact = character_table(factors)
+            assert np.max(np.abs(mat - exact)) <= 4 * U
+            assert np.array_equal(mat, mat.T)
+            quarter = np.abs(exact.real * exact.imag) < 1e-3 * U  # 1, -i, -1 or i
+            assert set(mat[quarter].tolist()) <= {1, -1j, -1, 1j}
+            neg = FiniteAbelianGroup(factors).neg_index_table()
+            assert np.array_equal(mat[:, neg], mat.conj())
+            inv = groups._dense_block(factors, inverse=True)
+            assert np.max(np.abs(inv @ mat - np.eye(len(mat)))) <= 4 * len(mat) * U
 
     def test_stack_with_one_bad_row_trips_residue_check(self):
         G = FiniteAbelianGroup((8,))
