@@ -342,6 +342,20 @@ class TestDFT:
             with pytest.raises(DomainError, match="rows of length 4"):
                 idft_stack(G, spectra)
 
+    def test_dft_is_fftn(self):
+        # the row-major element layout is numpy's: FFT-only plans give
+        # fftn's bits; dense and mixed plans agree within both routes' bounds
+        # (the plan's stated constant plus log2 of each fftn axis)
+        for sizes in [(16,), (16, 16), (64, 64), (256,), (17, 19)]:
+            f = random_fn(FiniteAbelianGroup(sizes))
+            assert np.array_equal(dft(f), np.fft.fftn(f.values.reshape(sizes)).ravel())
+        for sizes in [(7,), (2, 3), (4,) * 4, (2,) * 10, (2, 16, 4), (16, 4)]:
+            G = FiniteAbelianGroup(sizes)
+            f = random_fn(G)
+            ref = np.fft.fftn(f.values.reshape(sizes)).ravel()
+            bound = (G.transform_error + sum(math.log2(n) for n in sizes)) * U
+            assert np.linalg.norm(dft(f) - ref) <= bound * np.linalg.norm(ref)
+
     def test_plans(self):
         # runs of factors below 16 merge into blocks of at most 64 elements;
         # larger factors keep the FFT; the error constant sums the dense
