@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalConsistencyError
-from .groups import GroupElement, GroupFunction, convolve
+from .groups import PAIR_TABLE_MAX, GroupElement, GroupFunction, convolve
 
 
 @dataclass(frozen=True)
@@ -82,15 +82,17 @@ def check_mean_ineq(
     )
 
 
-# pairs per row block: one block up to |G| = 1024, bounded memory at 4096
-_BLOCK_PAIRS = 1 << 20
+# pairs per row block: one block, the add table kept on the group, up to
+# |G| = 1024; bounded memory at 4096
+_BLOCK_PAIRS = PAIR_TABLE_MAX
 
 
 def _pair_sweep(chi: GroupFunction, tol: float, kind: str) -> CheckReport:
     """check_rsd or check_mean_ineq (kind "rsd" or "mean_ineq") over every
     pair, in row blocks, with the same float operations in the same order;
     the witness is the first worst pair in row-major order, as in a loop.
-    A margin that is not finite (overflow, or inf - inf) is refused."""
+    A margin that is not finite (overflow, or inf - inf) is refused.  The
+    sub block is the add block's columns taken at -g."""
     v0 = chi.at_index(0)
     if v0 <= 0:
         raise DomainError("check requires chi(0) > 0")
@@ -103,19 +105,20 @@ def _pair_sweep(chi: GroupFunction, tol: float, kind: str) -> CheckReport:
             sq = np.array([x**2 for x in v.tolist()])
         except OverflowError:
             raise NumericalConsistencyError("rsd sweep: a square overflows") from None
-    rows = max(1, _BLOCK_PAIRS // n)
+    rows = max(1, _BLOCK_PAIRS // n)  # read here, so a test can shrink it
+    neg = G.neg_index_table()
     worst, at = np.inf, (0, 0)
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
-        add = G.flat(r[i0:i1, None] + r for r in G.residues)
-        sub = G.flat(r[i0:i1, None] - r for r in G.residues)
+        add = G.add_index_table() if rows >= n else G.add_index_rows(i0, i1)
+        sub = np.take(add, neg, axis=1)
         if kind == "rsd":
-            margin = v[add] * v[sub] * v0**2 - np.outer(sq[i0:i1], sq)
+            margin = v[add] * v[sub] * v0**2 - sq[i0:i1, None] * sq
         else:
-            margin = 0.5 * (v[add] + v[sub]) - np.outer(v[i0:i1], v) / v0
+            margin = 0.5 * (v[add] + v[sub]) - v[i0:i1, None] * v / v0
         if not np.isfinite(margin).all():
             raise NumericalConsistencyError(f"{kind} sweep: a margin is not finite")
-        k = int(np.argmin(margin))
+        k = int(margin.argmin())
         if margin.flat[k] < worst:
             worst, at = float(margin.flat[k]), (i0 + k // n, k % n)
     return CheckReport(

@@ -66,6 +66,23 @@ MAX_DIM = 5
 # one trial at n = 1024 took 3.0 s and 131 MB peak RSS (same VM); its cost
 # grows as n^3 and its memory as n^2.
 MAX_GRAPH_N = 1024
+# Largest pushforward --instances.  Each instance costs 0.75 ms at the
+# defaults (Z12, --dim 2), about 0.6 s on a group of order 4096 (its two
+# sweeps) and up to 1.3 s at --dim 5, with 0.5 kB of output; memory does not
+# grow with the count.  So 1 000 instances take under 1 s at the defaults and
+# under half an hour at the worst.
+MAX_INSTANCES = 1000
+# Largest search-counterexample --trials.  A trial costs 0.23 ms at the
+# default --n 8 (vertex counts 3-8), 2.2 ms at --n 64 and up to 3.0 s at
+# --n 1024; memory does not grow with the count.  So 100 000 trials take
+# about 23 s at the default --n.
+MAX_TRIALS = 100_000
+# Largest sphere-check --lmax.  A Legendre degree costs 8 us per series on
+# a triple's five cosines when the series runs to l_max; at sphere-check's
+# t (0.05 and up) it stops by degree 122 whatever l_max is, since the terms
+# underflow.  So 10 000 bounds a series at 80 ms even where it would not
+# stop.
+MAX_LMAX = 10_000
 
 
 def _fmt(x) -> str:
@@ -264,7 +281,7 @@ COMMANDS = {
         {
             "--group": dict(default="Z12"),
             "--dim": dict(type=_int_between(1, MAX_DIM), default=2),
-            "--instances": dict(type=_int_at_least(1), default=5),
+            "--instances": dict(type=_int_between(1, MAX_INSTANCES), default=5),
             **EPS,
             **SEED,
         },
@@ -286,7 +303,7 @@ COMMANDS = {
         "random search for non-Cayley violations",
         {
             "--n": dict(type=_int_between(3, MAX_GRAPH_N), default=8),
-            "--trials": dict(type=_int_at_least(0), default=5000),
+            "--trials": dict(type=_int_between(0, MAX_TRIALS), default=5000),
             **SEED,
             **TOL,
         },
@@ -307,7 +324,7 @@ COMMANDS = {
         {
             "--space": dict(choices=["S2", "RP2"], default="S2"),
             "--trials": dict(type=_int_at_least(1), default=100),
-            "--lmax": dict(type=int, default=200),
+            "--lmax": dict(type=_int_between(1, MAX_LMAX), default=200),
             **SEED,
         },
     ),

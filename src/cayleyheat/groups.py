@@ -6,7 +6,10 @@ residue vectors; the flat index of an element is the lexicographic index with
 the last factor varying fastest (numpy C order), so reshaping a value vector
 to shape ``factor_sizes`` lines the axes up with the factors.  That layout
 lives in one place: ``FiniteAbelianGroup.residues`` (index to residues) and
-``FiniteAbelianGroup.flat`` (residues to index).
+``FiniteAbelianGroup.flat`` (residues to index).  The index tables of the
+group law (g_i + g_j over pairs, and -g_i) are built from per-factor tables
+by Kronecker sum (``_kron_index``), which gives the integers ``flat`` gives
+at one numpy pass per table, whatever the number of factors.
 
 The DFT and its inverse run on a fixed plan per group (``_plan``).  Each run
 of consecutive factors below 16 is merged into dense DFT blocks of at most 64
@@ -48,10 +51,15 @@ ABS_TOL = 1e-14
 # np.exp overflows above about 709.7827
 _EXP_ARG_MAX = 709.78
 
+# largest pair index table kept on a group: 8 MB of int64, |G| <= 1024
+PAIR_TABLE_MAX = 1 << 20
+
 
 def _close(a: np.ndarray, b: np.ndarray) -> bool:
-    scale = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
-    return bool(np.max(np.abs(a - b), initial=0.0) <= REL_TOL * scale + ABS_TOL)
+    # the array methods skip np.max's dispatch, which costs more than the
+    # reduction on a small group
+    scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
+    return bool(np.abs(a - b).max(initial=0.0) <= REL_TOL * scale + ABS_TOL)
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,7 @@ class FiniteAbelianGroup:
         if self.order > ORDER_CAP:
             raise DomainError(f"group order {self.order} exceeds cap {ORDER_CAP}")
 
-    @property
+    @functools.cached_property
     def order(self) -> int:
         return math.prod(self.factor_sizes)
 
@@ -113,14 +121,39 @@ class FiniteAbelianGroup:
     def identity(self) -> "GroupElement":
         return GroupElement(self, (0,) * self.rank)
 
-    # index arithmetic on whole arrays, used by convolution and orbit logic
+    # index arithmetic on whole arrays, used by the pair sweeps, the evenness
+    # check and orbit logic; every table comes from _kron_index
+    @functools.cached_property
+    def _neg(self) -> np.ndarray:
+        neg = _kron_index(self.factor_sizes, np.arange(self.order), _cyclic_neg)
+        neg.setflags(write=False)
+        return neg
+
     def neg_index_table(self) -> np.ndarray:
-        """neg[i] = flat index of -g_i."""
-        return self.flat(-self.residues)
+        """Read-only neg[i] = flat index of -g_i, built once per group."""
+        return self._neg
+
+    def add_index_rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start to stop - 1 of the add table: [i, j] = flat index of
+        g_(start + i) + g_j, built anew on each call."""
+        return _kron_index(self.factor_sizes, np.arange(start, stop), _cyclic_add)
+
+    def add_index_table(self) -> np.ndarray:
+        """Read-only table[x, y] = flat index of g_x + g_y.  Built on first
+        use, and kept on the group when it has at most PAIR_TABLE_MAX
+        entries; a larger one is built on each call."""
+        table = self.__dict__.get("_add")
+        if table is None:
+            table = self.add_index_rows(0, self.order)
+            table.setflags(write=False)
+            if table.size <= PAIR_TABLE_MAX:
+                self.__dict__["_add"] = table  # as cached_property stores
+        return table
 
     def sub_index_table(self) -> np.ndarray:
-        """table[x, y] = flat index of g_x - g_y."""
-        return self.flat(r[:, None] - r for r in self.residues)
+        """table[x, y] = flat index of g_x - g_y: the add table's columns
+        taken at -g_y, a new array on each call."""
+        return np.take(self.add_index_table(), self._neg, axis=1)
 
     @property
     def transform_error(self) -> float:
@@ -131,6 +164,43 @@ class FiniteAbelianGroup:
 
     def __str__(self):
         return "x".join(f"Z{n}" for n in self.factor_sizes)
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclic_neg(n: int) -> np.ndarray:
+    """Read-only neg table of Z_n: entry r is -r mod n."""
+    neg = -np.arange(n) % n
+    neg.setflags(write=False)
+    return neg
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclic_add(n: int) -> np.ndarray:
+    """Read-only add table of Z_n, [r, j] = (r + j) mod n.  Row r is
+    0, ..., n - 1 rotated left by r, so the table is the n windows of length
+    n into 0, ..., n - 1, 0, ..., n - 2: a view of 2n - 1 integers."""
+    r = np.arange(n)
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate([r, r[:-1]]), n)
+
+
+def _kron_index(sizes: tuple[int, ...], rows: np.ndarray, table) -> np.ndarray:
+    """Index table of Z_{n1} x ... x Z_{nk} at the elements ``rows`` (flat
+    indices), from the per-factor tables ``table(n)``, whose entry or row r
+    holds Z_n's indices for residue r.  Split G = P x Q: the element a|Q| + b
+    has P's entries for a times |Q| plus Q's entries for b, and for a row,
+    column c|Q| + d holds P's entry c times |Q| plus Q's entry d: the
+    Kronecker sum.  Each side is built the same way, halving the factors, so
+    the result is the Horner sum that ``flat`` computes, as the same
+    integers, and the full-size array is written once."""
+    if len(sizes) == 1:
+        return table(sizes[0])[rows]
+    k = len(sizes) // 2
+    q = math.prod(sizes[k:])
+    a, b = np.divmod(rows, q)
+    p, s = _kron_index(sizes[:k], a, table), _kron_index(sizes[k:], b, table)
+    if p.ndim == 1:
+        return p * q + s
+    return (p[:, :, None] * q + s[:, None, :]).reshape(len(rows), p.shape[1] * q)
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,25 @@ class TestLemma37Convergence:
         rr = convergence_check_lemma37(1.0, G.element((1,)), ns=(16, 64, 256))
         assert -1.5 <= rr.fitted_order <= -0.6
 
+    @pytest.mark.parametrize("sizes", [(8,), (4,), (4, 4), (3, 9)], ids=str)
+    def test_exact_first_order_drop_passes_on_every_group(self, sizes):
+        # at alpha = 1e-4 the error falls as 1/n to about 7 digits, so over
+        # n = 2 to 8 it drops almost exactly 4x: a 4x threshold left the
+        # verdict to the last bit, which went one way on Z8 and the other on
+        # the rest.  The endpoint-order rule asks for a sqrt(4) = 2x drop.
+        G = FiniteAbelianGroup(sizes)
+        rr = convergence_check_lemma37(1e-4, G.from_index(1), ns=(2, 4, 8))
+        assert rr.errors[-1] == pytest.approx(rr.errors[0] / 4, rel=1e-6)
+        assert rr.passed
+
+    def test_default_range_keeps_the_4x_drop(self):
+        # ns 16 to 256: sqrt(16 / 256) is 1/4 exactly, so the rule is the
+        # old one there, to the bit
+        G = FiniteAbelianGroup((8,))
+        rr = convergence_check_lemma37(1.0, G.element((1,)), ns=(16, 64, 256))
+        assert math.sqrt(16 / 256) == 0.25
+        assert rr.passed == (rr.errors[-1] < rr.errors[0] / 4)
+
     def test_value_at_origin_converges(self):
         G = FiniteAbelianGroup((8,))
         g0 = G.element((1,))

@@ -124,14 +124,27 @@ class TestPairSweep:
     def test_row_blocks_match_one_block(self, monkeypatch):
         # blocks of 1 row, of 3 rows with a partial last block (31 = 10*3 + 1,
         # 32 = 10*3 + 2), and of 30 or 29 rows; symmetric ties across blocks
-        # must leave the first worst pair as the witness
+        # must leave the first worst pair as the witness.  The whole add table
+        # is kept on the group after the first sweeps, so the block size is
+        # read at call time: the row blocks are built, of the patched size.
         cases = [c for c in sweep_cases() if c[0].group.order in (31, 32)]
         whole = [(sweep_rsd(c, tr), sweep_mean_ineq(c, tm)) for c, tr, tm in cases]
+        built = []
+        add_rows = FiniteAbelianGroup.add_index_rows
+
+        def spy(G, start, stop):
+            built.append(stop - start)
+            return add_rows(G, start, stop)
+
+        monkeypatch.setattr(FiniteAbelianGroup, "add_index_rows", spy)
         for block_pairs in (1, 100, 31 * 30):
             monkeypatch.setattr(checks, "_BLOCK_PAIRS", block_pairs)
             for (chi, tol_rsd, tol_mean), (rsd, mean) in zip(cases, whole):
+                built.clear()
                 assert_same_report(sweep_rsd(chi, tol_rsd), rsd)
                 assert_same_report(sweep_mean_ineq(chi, tol_mean), mean)
+                rows = max(1, block_pairs // chi.group.order)
+                assert sum(built) == 2 * chi.group.order and max(built) == rows
 
     def test_squares_as_check_rsd_takes_them(self):
         # libm's pow(x, 2) can exceed x*x by an ulp.  With chi = (1, x) on Z2

@@ -301,6 +301,22 @@ class TestCommandTable:
         # every command also takes --format and --output
         assert sum(len(cmd.flags) + 2 for cmd in COMMANDS.values()) == 47
 
+    @pytest.mark.parametrize(
+        "command, flag, cap",
+        [
+            ("pushforward", "--instances", cli.MAX_INSTANCES),
+            ("search-counterexample", "--trials", cli.MAX_TRIALS),
+            ("sphere-check", "--lmax", cli.MAX_LMAX),
+        ],
+    )
+    def test_size_caps_parse_at_the_bound(self, capsys, command, flag, cap):
+        # parsed only, so the cap itself is not run; above it is an argv case
+        args = cli.build_parser().parse_args([command, flag, str(cap)])
+        assert vars(args)[flag.lstrip("-")] == cap
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([command, flag, str(cap + 1)])
+        assert flag in capsys.readouterr().err
+
     def test_readme_examples_pass(self, tmp_path, monkeypatch):
         block = re.search(r"## CLI\n\n```sh\n(.*?)```", README.read_text(), re.S).group(1)
         lines = block.strip().splitlines()
@@ -340,6 +356,11 @@ ARGV_CASES = {
     "dim_above_cap": (["pushforward", "--dim", "6"], {}, {}, 2),
     "dim_at_cap": (["pushforward", "--dim", "5", "--instances", "1"], {}, {}, 0),
     "search_negative_trials": (["search-counterexample", "--trials", "-1"], {}, {}, 2),
+    "instances_above_cap": (["pushforward", "--instances", "1001"], {}, {}, 2),
+    "search_trials_above_cap": (["search-counterexample", "--trials", "100001"], {}, {}, 2),
+    "lmax_above_cap": (["sphere-check", "--lmax", "10001"], {}, {}, 2),
+    "lmax_at_cap": (["sphere-check", "--trials", "1", "--lmax", "10000"], {}, {}, 0),
+    "lmax_zero": (["sphere-check", "--lmax", "0"], {}, {}, 2),
     "steps_one": (["h3-monotone", "--steps", "1"], {}, {}, 2),
     "nan_float": (["h3-violation", "--t", "nan"], {}, {}, 2),
     "heat_tol_malformed": (["search-counterexample", "--trials", "1"], {"HEAT_TOL": "abc"}, {}, 2),
@@ -422,7 +443,7 @@ FUZZ_VALUES = {
     "--steps": (["2", "20", "200"], ["1", "-3", "2.5"]),
     "--tol": (["1e-10", "0", "-1", "1e300"], ["x"]),
     "--dim": (["1", "2"], ["0", "6", "x"]),
-    "--instances": (["1", "2"], ["0", "-1"]),
+    "--instances": (["1", "2"], ["0", "-1", "1001"]),
     "--eps": (["1e-12", "1e-30", "0.5"], ["0", "-1", "4", "nan"]),
     "--seed": (["0", "7"], ["-1", "1.5"]),
     "--lemma": (["35", "37"], ["36", "x"]),
@@ -430,12 +451,12 @@ FUZZ_VALUES = {
     "--g0": (["0", "1", "3", "11"], ["99", "-1", "x"]),
     "--ns": (["16,32", "16,64,256", "2,4", "1,2", "16,1000000"], ["16", "16,16", "a,b", ","]),
     "--n": (["3", "8"], ["2", "1025", "x"]),
-    "--trials": (["0", "1", "5"], ["-1", "x"]),
+    "--trials": (["0", "1", "5"], ["-1", "100001", "x"]),
     "--d1": (["3", "0", "30", "400", "1e300"], ["-1", "nan"]),
     "--t": (["1", "1e-300", "0", "-1", "1e300"], ["x"]),
     "--d": (["2", "0", "1000", "1e300"], ["-5"]),
     "--space": (["S2", "RP2"], ["S3"]),
-    "--lmax": (["200", "5", "1", "0", "-3", "100000"], ["x"]),
+    "--lmax": (["200", "5", "1", "10000"], ["0", "-3", "10001", "x"]),
 }
 # text argparse never reads as --help: no "h" in the alphabet
 MALFORMED = "-=,.0123456789exZ "

@@ -112,6 +112,12 @@ HEAT_TGRID_GROUPS = [
     (32, 32), (2,) * 10, (4096,), (64, 64), (8,) * 4, (4,) * 6,
 ]
 
+# the heat_tgrid groups and four more: many small factors, unequal odd
+# strides, and the trivial group
+PAIR_TABLE_GROUPS = HEAT_TGRID_GROUPS + [(2,) * 12, (2, 3, 5, 7), (2, 3, 5), (1,)]
+# those whose add table is kept on the group
+KEPT_TABLE_GROUPS = [s for s in PAIR_TABLE_GROUPS if math.prod(s) ** 2 <= groups.PAIR_TABLE_MAX]
+
 
 def heat_tgrid_upsilons(G):
     """Two weight draws as heat_tgrid makes them (2-6 generators, mirrored),
@@ -133,14 +139,20 @@ def neg_index_table_by_meshgrid(G):
     return np.ravel_multi_index(grids, G.factor_sizes).ravel()
 
 
-def sub_index_table_by_meshgrid(G):
-    """sub_index_table built from a meshgrid of residues, differences reduced
-    per factor, and np.ravel_multi_index."""
+def pair_index_rows_by_meshgrid(G, sign, rows=slice(None)):
+    """[x, y] = flat index of g_x + sign * g_y over the rows x, built from a
+    meshgrid of residues, sums reduced per factor, and np.ravel_multi_index."""
     idx = [np.arange(n) for n in G.factor_sizes]
     x_res = np.array(np.meshgrid(*idx, indexing="ij")).reshape(G.rank, -1)  # (k, |G|)
     sizes = np.array(G.factor_sizes).reshape(G.rank, 1, 1)
-    diff = (x_res[:, :, None] - x_res[:, None, :]) % sizes
-    return np.ravel_multi_index(tuple(diff), G.factor_sizes)
+    pair = (x_res[:, rows, None] + sign * x_res[:, None, :]) % sizes
+    return np.ravel_multi_index(tuple(pair), G.factor_sizes)
+
+
+def sub_index_table_by_meshgrid(G):
+    """sub_index_table built from a meshgrid of residues, differences reduced
+    per factor, and np.ravel_multi_index."""
+    return pair_index_rows_by_meshgrid(G, -1)
 
 
 def random_fn(G, rng=RNG):
@@ -219,17 +231,77 @@ class TestLayout:
         )
         assert np.array_equal(G.flat(mixed), expected)
 
-    @pytest.mark.parametrize("sizes", HEAT_TGRID_GROUPS, ids=str)
+    @pytest.mark.parametrize("sizes", PAIR_TABLE_GROUPS, ids=str)
     def test_neg_index_table_matches_meshgrid(self, sizes):
         G = FiniteAbelianGroup(sizes)
         assert np.array_equal(G.neg_index_table(), neg_index_table_by_meshgrid(G))
 
-    @pytest.mark.parametrize(
-        "sizes", [s for s in HEAT_TGRID_GROUPS if math.prod(s) <= 256] + [(2, 3, 5), (1,)], ids=str
-    )
+    @pytest.mark.parametrize("sizes", KEPT_TABLE_GROUPS, ids=str)
     def test_sub_index_table_matches_meshgrid(self, sizes):
         G = FiniteAbelianGroup(sizes)
         assert np.array_equal(G.sub_index_table(), sub_index_table_by_meshgrid(G))
+
+
+class TestPairTables:
+    """The add, sub and neg index tables, built by Kronecker sum."""
+
+    @pytest.mark.parametrize("sizes", PAIR_TABLE_GROUPS, ids=str)
+    def test_add_index_table_matches_meshgrid(self, sizes):
+        # neg and sub: TestLayout
+        G = FiniteAbelianGroup(sizes)
+        if sizes in KEPT_TABLE_GROUPS:
+            assert np.array_equal(G.add_index_table(), pair_index_rows_by_meshgrid(G, 1))
+            assert G.add_index_table() is G.add_index_table()  # kept
+        else:  # rows of the add table, and the sub rows the sweeps derive
+            neg = G.neg_index_table()
+            for i0, i1 in [(0, 256), (1000, 1256), (G.order - 100, G.order)]:
+                add = G.add_index_rows(i0, i1)
+                assert np.array_equal(add, pair_index_rows_by_meshgrid(G, 1, slice(i0, i1)))
+                assert np.array_equal(
+                    np.take(add, neg, axis=1), pair_index_rows_by_meshgrid(G, -1, slice(i0, i1))
+                )
+
+    @pytest.mark.parametrize("sizes", PAIR_TABLE_GROUPS, ids=str)
+    def test_row_blocks_match_flat(self, sizes):
+        # aligned and unaligned blocks, one row, and the whole table where it
+        # is kept, against the Horner sum that flat computes
+        G = FiniteAbelianGroup(sizes)
+        n, r = G.order, G.residues
+        rows = max(1, groups.PAIR_TABLE_MAX // n)
+        # the sweeps' first, second and last blocks
+        starts = sorted({0, rows, (n - 1) // rows * rows} & set(range(n)))
+        blocks = [(i0, min(i0 + rows, n)) for i0 in starts]
+        blocks += [(0, 1), (n - 1, n), (n // 3, min(n, n // 3 + 37)), (n // 2, n // 2)]
+        for i0, i1 in blocks:
+            expected = G.flat(x[i0:i1, None] + x for x in r)
+            assert np.array_equal(G.add_index_rows(i0, i1), expected), (i0, i1)
+
+    def test_tables_are_read_only_and_lazy(self):
+        G = FiniteAbelianGroup((4, 8))
+        assert not {"_add", "_neg"} & set(vars(G))  # nothing built at construction
+        for table in (G.add_index_table(), G.neg_index_table()):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1
+        assert {"_add", "_neg"} <= set(vars(G))
+        # the sub table is a new array, so writing to it leaves the tables as
+        # they were
+        sub = G.sub_index_table()
+        sub[:] = 0
+        assert np.array_equal(G.sub_index_table(), sub_index_table_by_meshgrid(G))
+
+    def test_large_add_table_is_not_kept(self):
+        # 2048^2 entries are above PAIR_TABLE_MAX: built on each call
+        G = FiniteAbelianGroup((2, 1024))
+        table = G.add_index_table()
+        assert not table.flags.writeable and "_add" not in vars(G)
+        assert np.array_equal(table[::97], G.add_index_rows(0, G.order)[::97])
+
+    def test_equal_groups_have_equal_tables(self):
+        # the tables live on each instance; equality and hashing ignore them
+        G, H = FiniteAbelianGroup((2, 6)), FiniteAbelianGroup((2, 6))
+        G.add_index_table()
+        assert G == H and hash(G) == hash(H) and "_add" not in vars(H)
 
 
 class TestParseGroup:
