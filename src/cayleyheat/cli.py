@@ -35,14 +35,14 @@ from .continuum import (
     symmetric_ineq_check_sphere,
 )
 from .errors import DivergenceError, DomainError, EnumerationBudgetError, NumericalConsistencyError
-from .groups import convolve, parse_group
+from .groups import parse_group
 from .heat import (
     CayleyWeights,
     default_t_grid,
     monotone_check_cayley,
     search_monotonicity_violations,
 )
-from .lattices import direct_sum, fiber_product, pushforward, random_hom
+from .lattices import pushforward_closure, random_hom
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -83,6 +83,11 @@ MAX_TRIALS = 100_000
 # underflow.  So 10 000 bounds a series at 80 ms even where it would not
 # stop.
 MAX_LMAX = 10_000
+# Largest sphere-check --trials.  A trial (two checks on one random triple)
+# costs 0.35-0.49 ms at the default --lmax: 1 000 trials reported timing_ms
+# 342-489 and 10 000 trials 3 817-4 580, on S2 and RP2 (same VM), with peak
+# RSS flat at 35 MB.  So 100 000 trials take under a minute.
+MAX_SPHERE_TRIALS = 100_000
 
 
 def _fmt(x) -> str:
@@ -146,26 +151,20 @@ def _pushforward(group, dim, instances, epsilon, seed) -> list[CheckReport]:
     rng = np.random.default_rng(seed)
     reports = []
     for trial in range(instances):
-        h1 = random_hom(G, rng, dim)
-        h2 = random_hom(G, rng, dim)
-        chi1 = pushforward(h1, epsilon).chi
-        chi2 = pushforward(h2, epsilon).chi
-        chi_ds = pushforward(direct_sum(h1, h2), epsilon).chi
-        err_ds = float(np.max(np.abs(convolve(chi1, chi2).values - chi_ds.values)))
-        chi_fp = pushforward(fiber_product(h1, h2), epsilon).chi
-        err_fp = float(np.max(np.abs(chi1.values * chi2.values - chi_fp.values)))
+        c = pushforward_closure(random_hom(G, rng, dim), random_hom(G, rng, dim), epsilon)
         reports.append(
             CheckReport(
-                passed=err_ds < 1e-8 and err_fp < 1e-8,
-                worst_margin=-max(err_ds, err_fp),
-                witness=f"trial={trial}, direct_sum_err={err_ds:.3e}, fiber_err={err_fp:.3e}",
+                passed=c.passed,
+                worst_margin=-max(c.direct_sum_err, c.fiber_err),
+                witness=f"trial={trial}, direct_sum_err={c.direct_sum_err:.3e}, "
+                f"fiber_err={c.fiber_err:.3e}",
                 count=2,
                 name="pushforward_closure",
             )
         )
-        center = float(chi1.at_index(0))
-        reports.append(sweep_rsd(chi1, 1e-12 * center**4))
-        reports.append(sweep_mean_ineq(chi1, 1e-12 * center**2))
+        center = float(c.chi1.at_index(0))
+        reports.append(sweep_rsd(c.chi1, 1e-12 * center**4))
+        reports.append(sweep_mean_ineq(c.chi1, 1e-12 * center**2))
     return reports
 
 
@@ -323,7 +322,7 @@ COMMANDS = {
         "sphere/projective-plane inequality sweep",
         {
             "--space": dict(choices=["S2", "RP2"], default="S2"),
-            "--trials": dict(type=_int_at_least(1), default=100),
+            "--trials": dict(type=_int_between(1, MAX_SPHERE_TRIALS), default=100),
             "--lmax": dict(type=_int_between(1, MAX_LMAX), default=200),
             **SEED,
         },

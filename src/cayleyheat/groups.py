@@ -117,6 +117,11 @@ class FiniteAbelianGroup:
     def from_index(self, index: int) -> "GroupElement":
         return GroupElement(self, self.residues_of(index))
 
+    def name_of(self, index: int) -> str:
+        """str(self.from_index(index)) with no element built: how reports
+        name a witness."""
+        return _residue_str(self.residues_of(index))
+
     @property
     def identity(self) -> "GroupElement":
         return GroupElement(self, (0,) * self.rank)
@@ -231,7 +236,11 @@ class GroupElement:
         return self + (-other)
 
     def __str__(self):
-        return "(" + ",".join(str(r) for r in self.residues) + ")"
+        return _residue_str(self.residues)
+
+
+def _residue_str(residues) -> str:
+    return "(" + ",".join(str(r) for r in residues) + ")"
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import CheckReport
-from .errors import DomainError, NumericalConsistencyError
+from .checks import CheckReport, worst_report
+from .errors import DomainError
 from .groups import FiniteAbelianGroup, GroupFunction, dft, idft_stack, parse_group
 
 
@@ -149,31 +149,24 @@ _BLOCK_VALUES = 1 << 20
 
 def _monotone_report(ratios, t: np.ndarray, size: int, tol: float, name: str, where):
     """Ratio steps ratio(t[i+1]) - ratio(t[i]), where ``ratios(t_block)``
-    returns the (len(t_block), ...) stack of ratios of ``size`` values each.
+    returns the (len(t_block), ...) stack of ratios of ``size`` values each,
+    reduced by ``worst_report``; ``where(j)`` names a t's ratio j, in flat
+    order.
 
-    The grid goes in blocks of t overlapping by one.  The witness is the first
-    worst entry in row-major order, named by ``where(*index)``, as a loop over
-    the t-pairs would report it.
+    The grid goes in blocks of t overlapping by one, so the blocks of steps
+    do not overlap.
     """
     per = max(2, _BLOCK_VALUES // size)
-    worst = np.inf
-    for i0 in range(0, len(t) - 1, per - 1):
-        ratio = ratios(t[i0 : i0 + per])
-        margins = ratio[1:] - ratio[:-1]
-        if not np.isfinite(margins).all():
-            raise NumericalConsistencyError(f"{name}: a ratio step is not finite")
-        k = int(np.argmin(margins))
-        if margins.flat[k] < worst:
-            worst = float(margins.flat[k])
-            i, *entry = np.unravel_index(k, margins.shape)
-            i += i0
-    return CheckReport(
-        passed=worst >= -tol,
-        worst_margin=worst,
-        witness=f"{where(*entry)}, t={t[i]:.6g}, t'={t[i + 1]:.6g}",
-        count=(len(t) - 1) * size,
-        name=name,
-    )
+
+    def blocks():
+        for i0 in range(0, len(t) - 1, per - 1):
+            ratio = ratios(t[i0 : i0 + per])
+            yield i0, ratio[1:] - ratio[:-1]
+
+    def at(i, j):
+        return f"{where(j)}, t={t[i]:.6g}, t'={t[i + 1]:.6g}"
+
+    return worst_report(blocks(), at, tol, (len(t) - 1) * size, name)
 
 
 def monotone_check_cayley(
@@ -188,7 +181,7 @@ def monotone_check_cayley(
     G = cw.group
     return _monotone_report(
         ratios, _t_grid(t_grid), G.order, tol, "monotone_cayley",
-        lambda v: f"v={G.from_index(v)}",
+        lambda v: f"v={G.name_of(v)}",
     )
 
 
@@ -209,7 +202,7 @@ def monotone_violation_search(
         return H / np.diagonal(H, axis1=1, axis2=2)[:, :, None]
 
     return _monotone_report(
-        ratios, t, g.n * g.n, tol, "monotone_general", lambda u, v: f"u={u}, v={v}"
+        ratios, t, g.n * g.n, tol, "monotone_general", lambda j: f"u={j // g.n}, v={j % g.n}"
     )
 
 

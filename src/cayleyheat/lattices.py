@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,11 +24,14 @@ from .errors import (
     GroupMismatchError,
     NumericalConsistencyError,
 )
-from .groups import FiniteAbelianGroup, GroupElement, GroupFunction, delta
+from .groups import FiniteAbelianGroup, GroupFunction, convolve, delta
 
 MIN_SINGULAR_VALUE = 1e-9
 DEFAULT_EPSILON = 1e-12
 DEFAULT_POINT_CAP = 10_000_000
+# largest closure error (sup norm) accepted by ``pushforward_closure``; each
+# pushforward's certified tail is at most epsilon, 1e-12 by default
+CLOSURE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -75,23 +79,36 @@ class Lattice:
 
 @dataclass(frozen=True)
 class LatticeHom:
-    """Homomorphism L -> G determined by the images of the basis vectors."""
+    """Homomorphism L -> G determined by the images of the basis vectors.
+
+    ``images`` is the read-only (rank, d) int64 residue matrix: column i
+    holds the residues of basis vector i's image, each reduced mod its
+    factor.  It may be given as a signed integer matrix of that shape, with
+    entries of any size and sign, or as a sequence of d elements of the
+    target, and is converted once, here.
+    """
 
     lattice: Lattice
     target: FiniteAbelianGroup
-    images: tuple[GroupElement, ...]
+    images: np.ndarray
 
     def __post_init__(self):
-        if len(self.images) != self.lattice.dim:
-            raise DomainError("one image per basis vector required")
-        for g in self.images:
-            if g.group != self.target:
+        G, d = self.target, self.lattice.dim
+        images = self.images
+        if not isinstance(images, np.ndarray):
+            if len(images) != d:
+                raise DomainError("one image per basis vector required")
+            if any(g.group != G for g in images):
                 raise GroupMismatchError("image outside the target group")
-
-    def image_matrix(self) -> np.ndarray:
-        """(k, d) residue matrix; column i is the residue vector of images[i]."""
-        residues = [g.residues for g in self.images]
-        return np.array(residues, dtype=np.int64).reshape(self.lattice.dim, self.target.rank).T
+            images = np.array([g.residues for g in images], dtype=np.int64).reshape(d, G.rank).T
+        if images.shape != (G.rank, d) or images.dtype.kind != "i":
+            raise DomainError(
+                f"images must be a ({G.rank}, {d}) integer matrix, got "
+                f"{images.dtype} of shape {images.shape}"
+            )
+        images = images % np.array(G.factor_sizes, dtype=np.int64)[:, None]
+        images.setflags(write=False)
+        object.__setattr__(self, "images", images)
 
 
 @dataclass(frozen=True)
@@ -257,7 +274,7 @@ def pushforward(
     coeffs = coeffs[mask]
     weights = np.exp(-np.pi * sq[mask])
 
-    flat = G.flat(hom.image_matrix() @ coeffs.T)
+    flat = G.flat(hom.images @ coeffs.T)
     vals = np.bincount(flat, weights=weights, minlength=G.order)
     return PushforwardResult(GroupFunction(G, vals), tail, epsilon)
 
@@ -266,7 +283,8 @@ def direct_sum(h1: LatticeHom, h2: LatticeHom) -> LatticeHom:
     """Orthogonal direct sum; its pushforward is the convolution of the two."""
     if h1.target != h2.target:
         raise GroupMismatchError("direct sum requires a common target group")
-    return LatticeHom(Lattice(_block_basis(h1, h2)), h1.target, h1.images + h2.images)
+    images = np.concatenate([h1.images, h2.images], axis=1)
+    return LatticeHom(Lattice(_block_basis(h1, h2)), h1.target, images)
 
 
 def _block_basis(h1: LatticeHom, h2: LatticeHom) -> np.ndarray:
@@ -333,9 +351,8 @@ def fiber_product(h1: LatticeHom, h2: LatticeHom) -> LatticeHom:
         raise GroupMismatchError("fiber product requires a common target group")
     G = h1.target
     d1, d2 = h1.lattice.dim, h2.lattice.dim
-    A1 = h1.image_matrix()
     # rows: one congruence per cyclic factor; cols: c1, c2, auxiliary multiples
-    M = np.concatenate([A1, -h2.image_matrix(), np.diag(G.factor_sizes)], axis=1)
+    M = np.concatenate([h1.images, -h2.images, np.diag(G.factor_sizes)], axis=1)
     kernel = _integer_kernel(M.tolist())
     # drop the auxiliary coordinates; the projection is injective on solutions
     proj = [col[: d1 + d2] for col in kernel if any(col[: d1 + d2])]
@@ -347,8 +364,34 @@ def fiber_product(h1: LatticeHom, h2: LatticeHom) -> LatticeHom:
     basis = _block_basis(h1, h2) @ K.astype(float)
     # the kernel's entries are not bounded by the group: reduced mod
     # lcm(sizes), they keep every residue and the int64 product stays exact
-    flat = G.flat(A1 @ (K[:d1] % math.lcm(*G.factor_sizes)))
-    return LatticeHom(Lattice(basis), G, tuple(map(G.from_index, flat.tolist())))
+    return LatticeHom(Lattice(basis), G, h1.images @ (K[:d1] % math.lcm(*G.factor_sizes)))
+
+
+class Closure(NamedTuple):
+    """The two closure errors of a pair of homomorphisms, as sup norms, and
+    the first one's pushforward."""
+
+    chi1: GroupFunction
+    direct_sum_err: float
+    fiber_err: float
+
+    @property
+    def passed(self) -> bool:
+        return self.direct_sum_err < CLOSURE_TOL and self.fiber_err < CLOSURE_TOL
+
+
+def pushforward_closure(
+    h1: LatticeHom, h2: LatticeHom, epsilon: float = DEFAULT_EPSILON
+) -> Closure:
+    """How far the pushforwards of the direct sum and of the fiber product
+    are from the convolution and from the pointwise product of chi1 and chi2."""
+    chi1 = pushforward(h1, epsilon).chi
+    chi2 = pushforward(h2, epsilon).chi
+    chi_ds = pushforward(direct_sum(h1, h2), epsilon).chi
+    err_ds = float(np.max(np.abs(convolve(chi1, chi2).values - chi_ds.values)))
+    chi_fp = pushforward(fiber_product(h1, h2), epsilon).chi
+    err_fp = float(np.max(np.abs(chi1.values * chi2.values - chi_fp.values)))
+    return Closure(chi1, err_ds, err_fp)
 
 
 def random_hom(group: FiniteAbelianGroup, rng: np.random.Generator, max_dim: int) -> LatticeHom:
@@ -362,5 +405,5 @@ def random_hom(group: FiniteAbelianGroup, rng: np.random.Generator, max_dim: int
         B = rng.uniform(-1.5, 1.5, size=(d, d))
         if np.linalg.svd(B, compute_uv=False)[-1] > 0.3:
             break
-    images = tuple(group.from_index(int(rng.integers(group.order))) for _ in range(d))
-    return LatticeHom(Lattice(B), group, images)
+    picks = [int(rng.integers(group.order)) for _ in range(d)]
+    return LatticeHom(Lattice(B), group, group.residues[:, picks])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cayleyheat import checks
+from cayleyheat import checks, heat
 from cayleyheat.checks import (
     CheckReport,
     check_convolve_even,
@@ -232,6 +232,13 @@ class TestConvolveEven:
         with pytest.raises(DomainError):
             check_convolve_even(chi, odd, 1e-12)
 
+    def test_zero_center_is_refused(self):
+        # omega(0) = chi(1) + chi(3) = 2, so only chi(0) = 0 is wrong here
+        G = FiniteAbelianGroup((4,))
+        chi = GroupFunction(G, np.array([0.0, 1.0, 0.5, 1.0]))
+        with pytest.raises(DomainError, match=r"chi\(0\) > 0"):
+            check_convolve_even(chi, phi(G, G.element((1,))), 0.0)
+
     def test_heat_semigroup_route(self):
         # chi = cexp(t*w) and upsilon = cexp((t'-t)*w): ratio monotonicity step
         from cayleyheat.groups import cexp_spectral
@@ -246,3 +253,133 @@ class TestConvolveEven:
         upsilon = cexp_spectral(0.3 * w)
         rep = check_convolve_even(chi, upsilon, 1e-10)
         assert rep.passed, rep
+
+
+# --- the worst-margin rule, through each of its three callers ---
+
+
+def _sweep_in_rows(values):
+    """sweep_mean_ineq on Z_n with one row of pairs per block."""
+
+    def run(monkeypatch):
+        monkeypatch.setattr(checks, "_BLOCK_PAIRS", len(values))
+        chi = GroupFunction(FiniteAbelianGroup((len(values),)), np.array(values, dtype=float))
+        return sweep_mean_ineq(chi, 0.0)
+
+    return run
+
+
+def _convolve_even(chi, upsilon, omega_is_chi=False):
+    """check_convolve_even on one block; with omega_is_chi, convolve returns
+    chi itself, a tiny chi(0) that the transform's rounding would lose."""
+
+    def run(monkeypatch):
+        if omega_is_chi:
+            monkeypatch.setattr(checks, "convolve", lambda f, g: f)
+        G = FiniteAbelianGroup((len(chi),))
+        return check_convolve_even(
+            GroupFunction(G, np.array(chi, dtype=float)),
+            GroupFunction(G, np.array(upsilon, dtype=float)),
+            0.0,
+        )
+
+    return run
+
+
+def _monotone_in_steps(ratio):
+    """heat._monotone_report on t = 1, 2, ... with one ratio step per block;
+    ``ratio`` holds each t's ratios, one row per t."""
+
+    def run(monkeypatch):
+        ratio_at = np.array(ratio)
+        monkeypatch.setattr(heat, "_BLOCK_VALUES", ratio_at.shape[1])
+        t = np.arange(1.0, len(ratio_at) + 1)
+        return heat._monotone_report(
+            lambda tb: ratio_at[tb.astype(int) - 1],
+            t,
+            ratio_at.shape[1],
+            0.0,
+            "monotone_cayley",
+            lambda v: f"v={v}",
+        )
+
+    return run
+
+
+def _even_z8():
+    v = np.random.default_rng(1).uniform(0.2, 2.0, 8)
+    return (v + v[FiniteAbelianGroup((8,)).neg_index_table()]).tolist()
+
+
+# (caller, case) -> (run(monkeypatch), the witness, or None for a refusal)
+WORST_MARGIN_CASES = {
+    # row 0 is finite; row 1 holds inf - inf at (1, 2)
+    ("pair_sweep", "nan_in_later_block"): (
+        _sweep_in_rows([1e-300, 1e5, 1e5, 1e308, 1, 1, 1, 1e308]), None
+    ),
+    # an exactly even chi: the worst margin sits at (1, 3) and at seven
+    # mirror pairs in rows 3, 5 and 7
+    ("pair_sweep", "tie_across_blocks"): (_sweep_in_rows(_even_z8()), "g1=(1), g2=(3)"),
+    # chi(1)^2 / chi(0) overflows in row 1
+    ("pair_sweep", "neg_inf"): (_sweep_in_rows([1e-300, 1e10, 1e10, 1e10]), None),
+    # one block: inf - inf wherever g != 0
+    ("convolve_even", "nan_in_later_block"): (
+        _convolve_even([1e-300, 1e10, 1e10, 1e10], [1, 0, 0, 0], omega_is_chi=True), None
+    ),
+    # one block: margins (0, -4, -1.5, -4), exact on Z4
+    ("convolve_even", "tie_across_blocks"): (
+        _convolve_even([0.5, 4, 1, 4], [0, 0, 2, 0]), "g=(1)"
+    ),
+    # chi(1)/chi(0) = 1/1e-310 overflows
+    ("convolve_even", "neg_inf"): (_convolve_even([1e-310, 1], [0, 1]), None),
+    ("monotone", "nan_in_later_block"): (
+        _monotone_in_steps([[1, 0.5], [1, 0.25], [1, np.nan]]), None
+    ),
+    # steps (0, -0.5), (0, 0), (0, -0.5)
+    ("monotone", "tie_across_blocks"): (
+        _monotone_in_steps([[1, 1], [1, 0.5], [1, 0.5], [1, 0]]), "v=1, t=1, t'=2"
+    ),
+    ("monotone", "neg_inf"): (_monotone_in_steps([[1, 1], [1, 0.5], [1, -np.inf]]), None),
+}
+
+
+@pytest.mark.parametrize("caller, case", list(WORST_MARGIN_CASES))
+def test_worst_margin_rule(monkeypatch, caller, case):
+    """Each caller hands its margins to checks.worst_report, which refuses a
+    NaN or -inf wherever it lies and names the first worst entry in
+    row-major order across the blocks."""
+    run, witness = WORST_MARGIN_CASES[caller, case]
+    seen = []
+    reduce = checks.worst_report
+
+    def spy(blocks, *args):
+        def recorded():
+            for offset, margins in blocks:
+                seen.append(margins.copy())
+                yield offset, margins
+
+        return reduce(recorded(), *args)
+
+    monkeypatch.setattr(checks, "worst_report", spy)
+    monkeypatch.setattr(heat, "worst_report", spy)
+    one_block = caller == "convolve_even"
+    with np.errstate(all="ignore"):
+        if witness is None:
+            with pytest.raises(NumericalConsistencyError):
+                run(monkeypatch)
+        else:
+            rep = run(monkeypatch)
+    assert len(seen) == 1 if one_block else len(seen) > 1
+    if witness is None:
+        *before, last = seen
+        assert all(np.isfinite(m).all() for m in before)
+        if case == "neg_inf":
+            assert np.isneginf(last).any() and not np.isnan(last).any()
+        else:
+            assert np.isnan(last).any()
+        return
+    worst = min(m.min() for m in seen)
+    holding = [m for m in seen if (m == worst).any()]
+    assert sum(int((m == worst).sum()) for m in holding) > 1
+    assert len(holding) > 1 or one_block
+    assert rep.worst_margin == worst and rep.witness == witness

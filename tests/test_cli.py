@@ -307,6 +307,7 @@ class TestCommandTable:
             ("pushforward", "--instances", cli.MAX_INSTANCES),
             ("search-counterexample", "--trials", cli.MAX_TRIALS),
             ("sphere-check", "--lmax", cli.MAX_LMAX),
+            ("sphere-check", "--trials", cli.MAX_SPHERE_TRIALS),
         ],
     )
     def test_size_caps_parse_at_the_bound(self, capsys, command, flag, cap):
@@ -361,6 +362,7 @@ ARGV_CASES = {
     "lmax_above_cap": (["sphere-check", "--lmax", "10001"], {}, {}, 2),
     "lmax_at_cap": (["sphere-check", "--trials", "1", "--lmax", "10000"], {}, {}, 0),
     "lmax_zero": (["sphere-check", "--lmax", "0"], {}, {}, 2),
+    "sphere_trials_above_cap": (["sphere-check", "--trials", "100001"], {}, {}, 2),
     "steps_one": (["h3-monotone", "--steps", "1"], {}, {}, 2),
     "nan_float": (["h3-violation", "--t", "nan"], {}, {}, 2),
     "heat_tol_malformed": (["search-counterexample", "--trials", "1"], {"HEAT_TOL": "abc"}, {}, 2),
@@ -451,7 +453,7 @@ FUZZ_VALUES = {
     "--g0": (["0", "1", "3", "11"], ["99", "-1", "x"]),
     "--ns": (["16,32", "16,64,256", "2,4", "1,2", "16,1000000"], ["16", "16,16", "a,b", ","]),
     "--n": (["3", "8"], ["2", "1025", "x"]),
-    "--trials": (["0", "1", "5"], ["-1", "100001", "x"]),
+    "--trials": (["0", "1", "5"], ["-1", "100001", "1000000", "x"]),
     "--d1": (["3", "0", "30", "400", "1e300"], ["-1", "nan"]),
     "--t": (["1", "1e-300", "0", "-1", "1e300"], ["x"]),
     "--d": (["2", "0", "1000", "1e300"], ["-5"]),

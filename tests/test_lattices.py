@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cayleyheat.errors import DomainError, EnumerationBudgetError, GroupMismatchError
-from cayleyheat.groups import FiniteAbelianGroup, convolve, parse_group
+from cayleyheat.groups import FiniteAbelianGroup, GroupElement, convolve, parse_group
 from cayleyheat.lattices import (
     Lattice,
     LatticeHom,
@@ -121,6 +121,107 @@ class TestPushforward:
         assert res.tail_bound <= 1e-10
 
 
+class TestImages:
+    """A homomorphism holds its images as the reduced residue matrix."""
+
+    G = FiniteAbelianGroup((4, 6))
+    lattice = Lattice(np.array([[1.0, 0.3], [-0.2, 0.8]]))
+
+    def by_elements(self):
+        G = self.G
+        return LatticeHom(self.lattice, G, (G.element((1, 5)), G.element((3, 0))))
+
+    def test_elements_and_matrix_agree(self):
+        h = self.by_elements()
+        assert h.images.dtype == np.int64
+        assert h.images.tolist() == [[1, 3], [5, 0]]  # column i is image i
+        # the same residues, out of range and negative
+        m = LatticeHom(self.lattice, self.G, np.array([[-7, 11], [5, -12]]))
+        assert np.array_equal(m.images, h.images)
+        assert pushforward(m).chi.values.tobytes() == pushforward(h).chi.values.tobytes()
+
+    def test_images_are_read_only_and_owned(self):
+        given = np.array([[1, 3], [5, 0]])
+        for h in (self.by_elements(), LatticeHom(self.lattice, self.G, given)):
+            with pytest.raises(ValueError):
+                h.images[0, 0] = 2
+        given[0, 0] = 2
+        assert LatticeHom(self.lattice, self.G, given).images[0, 0] == 2
+
+    @pytest.mark.parametrize(
+        "images",
+        [
+            np.zeros((2, 3), dtype=np.int64),  # one image too many
+            np.zeros((1, 2), dtype=np.int64),  # one factor short
+            np.zeros(2, dtype=np.int64),
+            np.zeros((2, 2)),  # not integers
+            np.zeros((2, 2), dtype=np.uint8),  # not signed
+        ],
+    )
+    def test_wrong_matrix_is_refused(self, images):
+        with pytest.raises(DomainError):
+            LatticeHom(self.lattice, self.G, images)
+
+    def test_wrong_element_count_is_refused(self):
+        with pytest.raises(DomainError):
+            LatticeHom(self.lattice, self.G, (self.G.element((1, 1)),))
+
+    def test_foreign_element_is_refused(self):
+        H = FiniteAbelianGroup((24,))
+        with pytest.raises(GroupMismatchError):
+            LatticeHom(self.lattice, self.G, (self.G.element((1, 1)), H.element((5,))))
+
+    def test_lattice_operations_build_no_element(self, monkeypatch):
+        built = []
+        post_init = GroupElement.__post_init__
+
+        def spy(g):
+            built.append(g)
+            post_init(g)
+
+        monkeypatch.setattr(GroupElement, "__post_init__", spy)
+        G = FiniteAbelianGroup((2, 4))
+        rng = np.random.default_rng(5)
+        h1, h2 = random_hom(G, rng, 2), random_hom(G, rng, 3)
+        for h in (direct_sum(h1, h2), fiber_product(h1, h2)):
+            pushforward(h)
+        assert built == []
+        G.from_index(3)  # the spy sees an element when one is built
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("sizes", [(12,), (2, 3, 4), (4, 4), (101,)])
+    def test_random_hom_draws_as_before(self, sizes):
+        # one rng.integers call per image, in order, as when the images were
+        # drawn as elements
+        def by_elements(G, rng, max_dim):
+            d = int(rng.integers(1, max_dim + 1))
+            while True:
+                B = rng.uniform(-1.5, 1.5, size=(d, d))
+                if np.linalg.svd(B, compute_uv=False)[-1] > 0.3:
+                    break
+            images = tuple(G.from_index(int(rng.integers(G.order))) for _ in range(d))
+            return LatticeHom(Lattice(B), G, images)
+
+        G = FiniteAbelianGroup(sizes)
+        rng, ref = np.random.default_rng(2024), np.random.default_rng(2024)
+        for _ in range(6):
+            h, r = random_hom(G, rng, 3), by_elements(G, ref, 3)
+            assert h.lattice.basis.tobytes() == r.lattice.basis.tobytes()
+            assert np.array_equal(h.images, r.images)
+        assert rng.integers(1 << 30) == ref.integers(1 << 30)
+
+    def test_random_hom_images_at_a_fixed_seed(self):
+        G = FiniteAbelianGroup((2, 3, 4))
+        rng = np.random.default_rng(2024)
+        cols = [random_hom(G, rng, 3).images.T.tolist() for _ in range(4)]
+        assert cols == [
+            [[1, 1, 0]],
+            [[0, 1, 3]],
+            [[1, 2, 3], [1, 1, 0], [0, 0, 0]],
+            [[0, 2, 3]],
+        ]
+
+
 class TestDirectSum:
     def test_pushforward_is_convolution(self):
         rng = np.random.default_rng(101)
@@ -132,13 +233,19 @@ class TestDirectSum:
             rhs = convolve(pushforward(h1).chi, pushforward(h2).chi)
             assert np.max(np.abs(lhs.values - rhs.values)) < 1e-8
 
+    def test_images_stack_h1_then_h2(self):
+        G = FiniteAbelianGroup((3, 5))
+        h1 = LatticeHom(Lattice.integers(1.0), G, (G.element((1, 2)),))
+        h2 = LatticeHom(Lattice(np.eye(2)), G, (G.element((2, 0)), G.element((0, 4))))
+        assert direct_sum(h1, h2).images.tolist() == [[1, 2, 0], [2, 0, 4]]
+
     def test_trivial_summand_is_identity(self):
         G = FiniteAbelianGroup((5,))
         h = LatticeHom(Lattice.integers(1.1), G, (G.element((2,)),))
         triv = LatticeHom(Lattice(np.zeros((0, 0))), G, ())
         out = direct_sum(h, triv)
         assert np.allclose(out.lattice.basis, h.lattice.basis)
-        assert out.images == h.images
+        assert np.array_equal(out.images, h.images)
 
     def test_block_diagonal_gram(self):
         G = FiniteAbelianGroup((4,))
@@ -172,11 +279,11 @@ class TestIntegerKernel:
 
 def image_of(hom, coeffs):
     """Residues of the image of the lattice point with integer coordinates
-    ``coeffs``, in Python ints: sum_i c_i * images[i], reduced per factor."""
+    ``coeffs``, in Python ints: sum_i c_i * images[:, i], reduced per factor."""
     sizes = hom.target.factor_sizes
+    images = hom.images.tolist()
     return tuple(
-        sum(int(c) * g.residues[j] for c, g in zip(coeffs, hom.images)) % n
-        for j, n in enumerate(sizes)
+        sum(int(c) * r for c, r in zip(coeffs, images[j])) % n for j, n in enumerate(sizes)
     )
 
 
@@ -216,7 +323,7 @@ class TestFiberProduct:
             g2 = image_of(h2, K_int[d1:, j])
             assert g1 == g2
         # the fiber product's images are h1's images of its basis
-        assert [g.residues for g in fp.images] == [
+        assert [tuple(col) for col in fp.images.T.tolist()] == [
             image_of(h1, K_int[:d1, j]) for j in range(K_int.shape[1])
         ]
 
@@ -241,7 +348,7 @@ def box_pushforward(hom, epsilon=1e-12):
     mask = sq <= R * R
     coeffs = coeffs[mask]
     weights = np.exp(-np.pi * sq[mask])
-    residues = (coeffs @ hom.image_matrix().T) % np.array(G.factor_sizes, dtype=np.int64)
+    residues = (coeffs @ hom.images.T) % np.array(G.factor_sizes, dtype=np.int64)
     flat = np.ravel_multi_index(tuple(residues.T), G.factor_sizes)
     return np.bincount(flat, weights=weights, minlength=G.order), tail, coeffs
 
