@@ -138,10 +138,12 @@ def _pair_sweep(chi: GroupFunction, tol: float, kind: str) -> CheckReport:
             i1 = min(i0 + rows, n)
             add = G.add_index_table() if rows >= n else G.add_index_rows(i0, i1)
             sub = np.take(add, neg, axis=1)
-            if kind == "rsd":
-                yield i0, v[add] * v[sub] * v0**2 - sq[i0:i1, None] * sq
-            else:
-                yield i0, 0.5 * (v[add] + v[sub]) - v[i0:i1, None] * v / v0
+            with np.errstate(all="ignore"):  # worst_report refuses what overflows
+                if kind == "rsd":
+                    margins = v[add] * v[sub] * v0**2 - sq[i0:i1, None] * sq
+                else:
+                    margins = 0.5 * (v[add] + v[sub]) - v[i0:i1, None] * v / v0
+            yield i0, margins
 
     def where(i, j):
         return f"g1={G.name_of(i)}, g2={G.name_of(j)}"
@@ -173,7 +175,8 @@ def check_convolve_even(
     if omega.at_index(0) == 0:
         raise DomainError("omega(0) = 0; ratio undefined")
     G = chi.group
-    margins = omega.values / omega.at_index(0) - chi.values / v0
+    with np.errstate(all="ignore"):  # worst_report refuses what overflows
+        margins = omega.values / omega.at_index(0) - chi.values / v0
     return worst_report(
         [(0, margins)], lambda g, _: f"g={G.name_of(g)}", tol, G.order, "convolve_even"
     )

@@ -24,7 +24,7 @@ DEFAULT_L_MAX = 200
 # --- hyperbolic 3-space, hyperboloid model ---
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HyperboloidPoint:
     x: np.ndarray  # (x0, x1, x2, x3)
 
@@ -174,7 +174,7 @@ def h3_monotone_check(d: float, t_grid, tol: float = 1e-12) -> CheckReport:
 # --- sphere and projective plane via Legendre series ---
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpherePoint:
     u: np.ndarray
 

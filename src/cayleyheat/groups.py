@@ -18,6 +18,15 @@ np.fft.  The block matrices are built once from exact integer phases.  A
 group with many small factors then costs about what a cyclic group of its
 order costs, not one numpy pass per factor.  ``transform_error`` states the
 plan's forward-error constant, which ``approx`` uses for its rate floor.
+
+``idft_stack`` inverts a real stack (the heat rows' spectra) at half width
+(``_half``).  For real s, idft(s) = conj(dft(s))/|G|, and dft(s)(-k) =
+conj dft(s)(k).  So the first step is computed only on a half set H of its
+block, with H and -H covering it: np.fft.rfft on an FFT step, the block's
+columns at H on a dense one.  Later steps run on width |H|, and each element
+takes its real part from itself or from its negative.  The rows come out
+exactly even, the largest |Im| over H is the largest over G, and a block of
+Z_2's, whose DFT is exactly real, keeps every product real.
 """
 
 from __future__ import annotations
@@ -243,7 +252,7 @@ def _residue_str(residues) -> str:
     return "(" + ",".join(str(r) for r in residues) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupFunction:
     """Dense real-valued function on a finite Abelian group."""
 
@@ -421,6 +430,81 @@ def _transform(group: FiniteAbelianGroup, x: np.ndarray, inverse: bool) -> np.nd
     return x.reshape(B, group.order)
 
 
+class _Half(NamedTuple):
+    """The real-input route of a group's plan.  The first step's half set is
+    H = {i : i <= -i} of its block (0, ..., m // 2 for an FFT step), so H and
+    -H cover the block; ``width`` is |H|.  ``first`` holds a dense first
+    step's forward DFT columns at H (None for an FFT step), and ``blocks``
+    each later dense step's forward block (None for an FFT step), each
+    divided by its block order; with the FFT steps' norm="forward", the
+    steps together carry 1/|G|.  Both are real on a block of Z_2's, whose
+    DFT is exactly real.  ``src`` maps each
+    element k to its value in the half array (rows: the other factors;
+    columns: H): k itself or -k, the one with the smaller flat index when
+    both are there; None when every k = -k."""
+
+    first: np.ndarray | None
+    blocks: tuple[np.ndarray | None, ...]
+    width: int
+    src: np.ndarray | None
+
+
+def _real_if_exact(mat: np.ndarray) -> np.ndarray:
+    """A read-only C-ordered copy of mat, real when its imaginary part is 0."""
+    mat = np.ascontiguousarray(mat if mat.imag.any() else mat.real)
+    mat.setflags(write=False)
+    return mat
+
+
+@functools.lru_cache(maxsize=None)
+def _half(sizes: tuple[int, ...]) -> _Half:
+    """The real-input route of ``_plan(sizes)``, built once per group."""
+    (_, m, _, factors), *rest = _plan(sizes).steps
+    neg = _kron_index(factors or (m,), np.arange(m), _cyclic_neg)
+    H = np.flatnonzero(np.arange(m) <= neg)
+    first = None if factors is None else _real_if_exact(_dense_block(factors, False)[:, H] / m)
+    blocks = tuple(
+        None if f is None else _real_if_exact(_dense_block(f, False) / math.prod(f))
+        for _, _, _, f in rest
+    )
+    k = np.arange(math.prod(sizes))
+    neg_k = _kron_index(sizes, k, _cyclic_neg)
+    src = None
+    if np.any(neg_k != k):
+        pos = np.full(m, -1)
+        pos[H] = np.arange(len(H))
+        held = pos[k % m] >= 0
+        rep = np.where(held & ~(held[neg_k] & (neg_k < k)), k, neg_k)
+        src = rep // m * len(H) + pos[rep % m]
+        src.setflags(write=False)
+    return _Half(first, blocks, len(H), src)
+
+
+def _half_dft(group: FiniteAbelianGroup, x: np.ndarray) -> np.ndarray:
+    """Forward DFT, divided by |G|, of each real row of a (B, |G|) stack x at
+    the elements whose first-step residue is in the half set H (see
+    ``_Half``), as a (B, |G| |H| / m) array in the plan's layout; real when
+    every block is.  Steps after the first run on width |H| in place of m.
+    As in ``_transform``, a row's bits do not depend on the stack."""
+    B = x.shape[0]
+    half = _half(group.factor_sizes)
+    (pre, m0, _, _), *rest = _plan(group.factor_sizes).steps
+    if half.first is None:
+        x = np.fft.rfft(x.reshape(B * pre, m0), axis=1, norm="forward")
+    elif np.iscomplexobj(half.first):  # one real product on (Re, Im) pairs, as in _transform
+        x = np.matmul(x.reshape(B, pre, m0), half.first.view(float)).view(complex)
+    else:
+        x = np.matmul(x.reshape(B, pre, m0), half.first)
+    for (pre, m, post, _), block in zip(rest, half.blocks):
+        post = post // m0 * half.width
+        if block is None:
+            x = x.reshape(B * pre, m, post) if post > 1 else x.reshape(B * pre, m)
+            x = np.fft.fft(x, axis=1, norm="forward")
+        else:
+            x = np.matmul(block, x.reshape(B * pre, m, post))
+    return x.reshape(B, group.order // m0 * half.width)
+
+
 def idft_stack(group: FiniteAbelianGroup, spectra: np.ndarray) -> np.ndarray:
     """Inverse transform, with the 1/|G| factor, of each row of a (B, |G|)
     stack of spectra; returns the (B, |G|) real parts.
@@ -431,7 +515,8 @@ def idft_stack(group: FiniteAbelianGroup, spectra: np.ndarray) -> np.ndarray:
     discarded.  A row whose squares overflow is scaled by its largest |s|
     before squaring, so a finite row with a finite norm gets it.
     A finite norm bounds every value of the row's transform, so the values
-    returned are finite.
+    returned are finite.  A real stack runs at half width (see the module
+    docstring), and its rows come out exactly even.
     """
     if spectra.ndim != 2 or spectra.shape[1] != group.order:
         raise DomainError(f"spectra of shape {spectra.shape} are not rows of length {group.order}")
@@ -444,14 +529,22 @@ def idft_stack(group: FiniteAbelianGroup, spectra: np.ndarray) -> np.ndarray:
                 norm[i] = nrm = scale * math.sqrt(np.vecdot(row, row).real)
                 if not nrm < math.inf:  # a NaN norm fails too
                     raise NumericalConsistencyError(f"spectrum norm of row {i} is not finite")
-    out = _transform(group, spectra, inverse=True)
-    imag = np.abs(out.imag).max(axis=1)
+    if np.iscomplexobj(spectra):
+        out = _transform(group, spectra, inverse=True)
+        imag = np.abs(out.imag).max(axis=1)
+        real = out.real.copy()
+    else:  # idft(s) = conj(dft(s)) / |G|, and y(-k) = conj y(k)
+        y = _half_dft(group, spectra)
+        imag = np.abs(y.imag).max(axis=1) if np.iscomplexobj(y) else np.zeros(len(y))
+        src = _half(group.factor_sizes).src
+        # take gives C order, as fancy indexing does not
+        real = y.real if src is None else y.real.take(src, axis=1)
     for i, (res, nrm) in enumerate(zip(imag.tolist(), norm)):
         if not res <= IMAG_REL_TOL * max(nrm, ABS_TOL):  # a NaN residue fails too
             raise NumericalConsistencyError(
                 f"imaginary residue {res:.3e} exceeds {IMAG_REL_TOL:.1e} * ||s|| (row {i})"
             )
-    return out.real.copy()
+    return real
 
 
 def idft(group: FiniteAbelianGroup, spectrum: np.ndarray) -> GroupFunction:

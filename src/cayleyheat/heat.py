@@ -26,7 +26,7 @@ def default_t_grid(t_min: float = 0.05, t_max: float = 50.0, count: int = 20) ->
     return np.geomspace(t_min, t_max, count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CayleyWeights:
     """Even nonnegative weight function on G \\ {0}."""
 
@@ -72,7 +72,7 @@ class CayleyWeights:
         return CayleyWeights(group, GroupFunction(group, vals))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralGraph:
     """Arbitrary finite weighted undirected graph as a symmetric matrix."""
 
@@ -114,10 +114,15 @@ def _heat_rows(cw: CayleyWeights, t) -> np.ndarray:
     (w(g) + w(-g))/2.  CayleyWeights holds w even to REL_TOL, so that is w
     itself to that tolerance, and the exponential is a real one.  The
     degree shift is applied inside it; the exponents t*(Re w_hat(k) - deg)
-    are never positive, so no overflow at large t.
+    are never positive, so no overflow at large t.  The stack is real, so
+    idft_stack inverts it at half width, and the rows come out exactly even.
+    Where the weights or t*deg overflow, a spectrum is not finite, and
+    idft_stack refuses it with NumericalConsistencyError.
     """
     t = t[:, None]
-    return idft_stack(cw.group, np.exp(t * dft(cw.w).real - t * cw.degree))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by idft_stack
+        spectra = np.exp(t * dft(cw.w).real - t * cw.degree)
+    return idft_stack(cw.group, spectra)
 
 
 def _heat_matrices(evals: np.ndarray, Q: np.ndarray, t) -> np.ndarray:

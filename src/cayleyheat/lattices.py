@@ -34,7 +34,7 @@ DEFAULT_POINT_CAP = 10_000_000
 CLOSURE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lattice:
     """Full-rank lattice in R^d given by basis columns."""
 
@@ -77,7 +77,7 @@ class Lattice:
         return Lattice(np.array([[scale]]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeHom:
     """Homomorphism L -> G determined by the images of the basis vectors.
 
@@ -111,7 +111,7 @@ class LatticeHom:
         object.__setattr__(self, "images", images)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PushforwardResult:
     chi: GroupFunction
     tail_bound: float

@@ -41,6 +41,29 @@ def test_digest_mismatch_ignores_timing(tmp_path):
     parent, change = tmp_path / "p", tmp_path / "c"
     _write_run(parent, 0, 1.0, ["a", True, -1.0])
     _write_run(change, 0, 2.0, ["a", True, -1.0])
-    assert bench_record.build(parent, change)["workloads"]["w"]["digests_match"]
+    w = bench_record.build(parent, change)["workloads"]["w"]
+    assert w["digests_match"] and "answers_moved" not in w
     _write_run(change, 0, 2.0, ["a", True, -2.0])
     assert not bench_record.build(parent, change)["workloads"]["w"]["digests_match"]
+
+
+def test_moved_answers_are_measured(tmp_path):
+    parent, change = tmp_path / "p", tmp_path / "c"
+    _write_run(parent, 0, 1.0, ["a", True, -1.0, "g=(1)"])
+    _write_run(change, 0, 1.0, ["a", True, -1.5, "g=(1)"])
+    _write_run(parent, 1, 1.0, ["a", True, -1.0, "g=(1)"])
+    _write_run(change, 1, 1.0, ["a", True, -1.0, "g=(1)"])
+    w = bench_record.build(parent, change)["workloads"]["w"]
+    assert not w["digests_match"]
+    assert w["answers_moved"] == {
+        "answers_differ": 1,
+        "max_abs_margin_change": {"a": 0.5},
+        "verdict_changed": False,
+        "witness_changed": False,
+    }
+    _write_run(parent, 2, 1.0, ["b", True, 0.25, "v=(1)"])
+    _write_run(change, 2, 1.0, ["b", False, -0.25, "v=(3)"])
+    moved = bench_record.build(parent, change)["workloads"]["w"]["answers_moved"]
+    assert moved["answers_differ"] == 2
+    assert moved["max_abs_margin_change"] == {"a": 0.5, "b": 0.5}
+    assert moved["verdict_changed"] and moved["witness_changed"]

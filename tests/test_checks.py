@@ -169,7 +169,7 @@ class TestPairSweep:
     )
     def test_nonfinite_margins_are_refused(self, sweep, values):
         chi = GroupFunction(FiniteAbelianGroup((4,)), np.array(values))
-        with np.errstate(all="ignore"), pytest.raises(NumericalConsistencyError):
+        with pytest.raises(NumericalConsistencyError):
             sweep(chi, 0.0)
 
     @pytest.mark.parametrize(
@@ -196,7 +196,7 @@ class TestPairSweep:
         v[7] = 1e160
         monkeypatch.setattr(checks, "_BLOCK_PAIRS", 8)
         chi = GroupFunction(FiniteAbelianGroup((8,)), v)
-        with np.errstate(all="ignore"), pytest.raises(NumericalConsistencyError):
+        with pytest.raises(NumericalConsistencyError):
             sweep_mean_ineq(chi, 0.0)
 
     @pytest.mark.parametrize("sweep", [sweep_rsd, sweep_mean_ineq])
@@ -363,12 +363,11 @@ def test_worst_margin_rule(monkeypatch, caller, case):
     monkeypatch.setattr(checks, "worst_report", spy)
     monkeypatch.setattr(heat, "worst_report", spy)
     one_block = caller == "convolve_even"
-    with np.errstate(all="ignore"):
-        if witness is None:
-            with pytest.raises(NumericalConsistencyError):
-                run(monkeypatch)
-        else:
-            rep = run(monkeypatch)
+    if witness is None:
+        with pytest.raises(NumericalConsistencyError):
+            run(monkeypatch)
+    else:
+        rep = run(monkeypatch)
     assert len(seen) == 1 if one_block else len(seen) > 1
     if witness is None:
         *before, last = seen

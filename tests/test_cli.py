@@ -406,6 +406,9 @@ ARGV_CASES = {
     "rate_check_exp_overflow_37": (
         ["rate-check", "--lemma", "37", "--alpha", "500", "--ns", "1000,2000"], {}, {}, 3
     ),
+    # the degree and the transform overflow: the heat rows' spectra are
+    # refused on one line, with no NumPy warning before it
+    "weights_overflow": (["check-monotone", "--weights", "huge.json"], {}, {}, 3),
     "infinite_margin": (
         ["h3-violation"], {}, {"h3_reduced_log": lambda d1, t: (float("inf"), 0.0)}, 3
     ),
@@ -424,6 +427,8 @@ def test_argv_exit_codes(case, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "w.json").write_text(json.dumps({"group": "Z4", "weights": {"1": 1.0}}))
     (tmp_path / "abc.json").write_text(json.dumps({"group": "Z4", "weights": {"1": "abc"}}))
+    huge = {"group": "Z4", "weights": {"1": 1e308, "2": 1e308}}
+    (tmp_path / "huge.json").write_text(json.dumps(huge))
     code = main(argv)
     out, err = capsys.readouterr()
     assert code == expected, err

@@ -502,6 +502,48 @@ class TestDFT:
         assert abs(lhs - rhs) < 1e-10 * max(1.0, lhs)
 
 
+# every plan kind of the real-input route: FFT-only, dense-only, mixed, odd
+# orders, factors of 1, Z1 and Z2^k (whose dense blocks are exactly real)
+REAL_ROUTE_GROUPS = [
+    (16,), (17,), (64,), (16, 16), (17, 19), (7,), (12,), (2, 3), (3, 9), (4,) * 4,
+    (15, 15), (2, 16, 4), (16, 4), (16, 2), (5, 16), (16, 1), (1, 16), (1,), (2,),
+    (2, 2, 2), (2,) * 10,
+]
+
+
+def even_real_spectra(G, rows=20):
+    s = RNG.normal(size=(rows, G.order))
+    return s + s[:, G.neg_index_table()]
+
+
+class TestRealRoute:
+    """idft_stack on a real stack: a half-width transform, completed from
+    y(-g) = conj y(g)."""
+
+    @pytest.mark.parametrize("sizes", REAL_ROUTE_GROUPS, ids=str)
+    def test_rows_match_character_sum_and_are_even(self, sizes):
+        G = FiniteAbelianGroup(sizes)
+        spectra = even_real_spectra(G)
+        full = idft_stack(G, spectra)
+        assert_within_transform_bound(G, full, character_sums(sizes, spectra, inverse=True))
+        # a row's bits do not depend on the stack it is in
+        for b in (0, 1, 2, 20):
+            assert np.array_equal(idft_stack(G, spectra[:b]), full[:b])
+        for s, row in zip(spectra[:3], full):
+            assert np.array_equal(idft(G, s).values, row)
+        assert np.array_equal(full, full[:, G.neg_index_table()])
+        if max(sizes) <= 2:  # every product stays real
+            assert not np.iscomplexobj(groups._half_dft(G, spectra))
+
+    @pytest.mark.parametrize("sizes", [s for s in REAL_ROUTE_GROUPS if max(s) > 2], ids=str)
+    def test_odd_spectrum_is_refused(self, sizes):
+        G = FiniteAbelianGroup(sizes)
+        s = RNG.normal(size=G.order)
+        odd = s - s[G.neg_index_table()]
+        with pytest.raises(NumericalConsistencyError, match=r"imaginary residue .* \(row 1\)"):
+            idft_stack(G, np.stack([even_real_spectra(G, 1)[0], odd]))
+
+
 class TestConvolve:
     def test_z2_expansion(self):
         G = FiniteAbelianGroup((2,))

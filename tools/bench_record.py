@@ -8,8 +8,11 @@ copying each commit's ``perfbench/results/`` files into its own directory:
 For each workload the record holds the seeds, the parent's and the change's
 median and quartiles of every end-to-end metric in ``BENCHMARK.json``, how
 many pairs (same seed) the change won, and whether the per-instance answer
-digests matched.  Traced runs (``--trace 1``) add their per-layer metrics,
-parent against change, by seed, and the runs' machine descriptions are kept.
+digests matched.  Where they did not, it also records how far the answers
+moved: how many differ, the largest |change in worst margin| for each
+answer name, and whether any verdict or witness changed.  Traced runs
+(``--trace 1``) add their per-layer metrics, parent against change, by seed,
+and the runs' machine descriptions are kept.
 """
 
 from __future__ import annotations
@@ -37,6 +40,29 @@ def _answers(directory: Path, workload: str, seed: int) -> list:
     path = directory / f"{workload}-seed{seed}-trace0.digest.jsonl"
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     return [{k: v for k, v in row.items() if k != "best_ms"} for row in rows]
+
+
+def _moved(parent_dir: Path, change_dir: Path, workload: str, seeds: list) -> dict:
+    """How the change's answers (name, verdict, worst margin, witness) differ
+    from the parent's, instance by instance; an answer only one side gave
+    counts as differing."""
+    differ, margin, verdict, witness = 0, {}, False, False
+    for s in seeds:
+        for p, c in zip(_answers(parent_dir, workload, s), _answers(change_dir, workload, s)):
+            differ += abs(len(p["answers"]) - len(c["answers"]))
+            for a, b in zip(p["answers"], c["answers"]):
+                if a == b:
+                    continue
+                differ += 1
+                margin[a[0]] = max(margin.get(a[0], 0.0), abs(b[2] - a[2]))
+                verdict |= a[1] != b[1]
+                witness |= a[3:] != b[3:]
+    return {
+        "answers_differ": differ,
+        "max_abs_margin_change": margin,
+        "verdict_changed": verdict,
+        "witness_changed": witness,
+    }
 
 
 def _spread(values: list[float]) -> dict:
@@ -70,17 +96,18 @@ def build(parent_dir: Path, change_dir: Path) -> dict:
                 "change": _spread(c),
                 "change_won": sum(sign * (y - x) > 0 for x, y in zip(p, c)),
             }
+        match = all(_answers(parent_dir, name, s) == _answers(change_dir, name, s) for s in seeds)
         workloads[name] = {
             "seeds": seeds,
             "pairs": len(seeds),
             "correct": all(r["result"]["correct"] for pair in runs for r in pair),
             "failed": {"parent": sum(a["result"]["failed"] for a, _ in runs),
                        "change": sum(b["result"]["failed"] for _, b in runs)},
-            "digests_match": all(
-                _answers(parent_dir, name, s) == _answers(change_dir, name, s) for s in seeds
-            ),
+            "digests_match": match,
             "metrics": metrics,
         }
+        if not match:
+            workloads[name]["answers_moved"] = _moved(parent_dir, change_dir, name, seeds)
     traced_p, traced_c = _records(parent_dir, 1), _records(change_dir, 1)
     traced = {}
     for w, s in sorted(set(traced_p) & set(traced_c)):
