@@ -77,16 +77,16 @@ MAX_INSTANCES = 1000
 # --n 1024; memory does not grow with the count.  So 100 000 trials take
 # about 23 s at the default --n.
 MAX_TRIALS = 100_000
-# Largest sphere-check --lmax.  A Legendre degree costs 8 us per series on
-# a triple's five cosines when the series runs to l_max; at sphere-check's
+# Largest sphere-check --lmax.  A Legendre degree costs 3.6 us per series
+# on a triple's five cosines when the series runs to l_max; at sphere-check's
 # t (0.05 and up) it stops by degree 122 whatever l_max is, since the terms
-# underflow.  So 10 000 bounds a series at 80 ms even where it would not
+# underflow.  So 10 000 bounds a series at 37 ms even where it would not
 # stop.
 MAX_LMAX = 10_000
 # Largest sphere-check --trials.  A trial (two checks on one random triple)
-# costs 0.35-0.49 ms at the default --lmax: 1 000 trials reported timing_ms
-# 342-489 and 10 000 trials 3 817-4 580, on S2 and RP2 (same VM), with peak
-# RSS flat at 35 MB.  So 100 000 trials take under a minute.
+# costs 0.22-0.28 ms at the default --lmax: 1 000 trials reported timing_ms
+# 246-275 and 10 000 trials 2 243-2 512, on S2 and RP2 (same VM), with peak
+# RSS flat at 36 MB.  So 100 000 trials take under half a minute.
 MAX_SPHERE_TRIALS = 100_000
 
 

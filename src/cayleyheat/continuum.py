@@ -182,8 +182,9 @@ class SpherePoint:
         u = np.asarray(self.u, dtype=float)
         if u.shape != (3,):
             raise DomainError("sphere points are unit 3-vectors")
-        if abs(np.linalg.norm(u) - 1.0) > 1e-12:
-            raise DomainError("sphere point must have unit norm")
+        # written so that a NaN or infinite coordinate fails too
+        if not abs(np.linalg.norm(u) - 1.0) <= 1e-12:
+            raise DomainError("sphere point must have finite unit norm")
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
 
@@ -191,50 +192,61 @@ class SpherePoint:
 def _legendre_series(cos_theta, t: float, l_max: int, even_only: bool):
     """sum over l of (2l+1)/(4 pi) exp(-l(l+1)t) P_l(cos theta).
 
-    Three-term recurrence; vectorized over cos_theta.  The loop ends at
-    l_max, or earlier at the first l from which no term can change a bit of
-    the sum, so the value is bitwise the full loop's.  Returns (value,
-    truncation bound per evaluation).
+    Three-term recurrence, one loop per cosine on Python floats, which are
+    IEEE doubles like NumPy's float64, with the coefficients computed once
+    and shared.  Each cosine's loop ends at l_max, or earlier at the first l
+    from which no term can change a bit of its sum, so each value is
+    bitwise the full loop's and does not depend on the other cosines.
+    Returns (value, truncation bound per evaluation); the value has the
+    input's shape, a 0-d array for a scalar.
     """
     if l_max < 1:
         raise DomainError("l_max must be >= 1")
-    if t <= 0:
-        raise DomainError("t must be positive")
+    if not 0 < t < math.inf:
+        raise DomainError("t must be positive and finite")
     x = np.asarray(cos_theta, dtype=float)
-    if np.any((x < -1 - 1e-12) | (x > 1 + 1e-12)):
+    # written so that NaN fails too: a NaN cosine would never stop
+    if not np.all((x >= -1 - 1e-12) & (x <= 1 + 1e-12)):
         raise DomainError("cos_theta must lie in [-1, 1]")
     x = np.clip(x, -1.0, 1.0)
-    p_prev = np.ones_like(x)  # P_0
-    p_curr = x.copy()  # P_1
-    total = np.zeros_like(x)
+    # Each cosine stops once no term from l on can change a bit of its total.
+    # (a) c_{l+1}/c_l = (2l+3)/(2l+1) exp(-2(l+1)t) falls with l, since
+    #     (2l+1)(2l+5) < (2l+3)^2; once it is below 1 (`decreasing`), c_l
+    #     bounds every later coefficient.
+    # (b) |P_l| <= 1; the factor 2 covers a computed |P_l| slightly above 1
+    #     and the roundoff in c.  Under round-to-nearest an addend below a
+    #     quarter of ulp(|total|) leaves total as it is, even where total is
+    #     a power of two and the gap below it is half the gap above.
+    # Then total never changes again, so the value, the tail and every
+    # report built on them are bitwise the full loop's; even_only adds a
+    # subset of the terms, so the stop holds for it too.
+    # coef[l] is (c_l, 2 c_l once `decreasing` holds and inf before), made
+    # when the first cosine reaches l and shared by the others.
+    coef = []
     decreasing = False
-    for l in range(0, l_max + 1):
-        c = (2 * l + 1) / (4.0 * math.pi) * math.exp(-l * (l + 1) * t)
-        # Stop once no term from l on can change a bit of total.
-        # (a) c_{l+1}/c_l = (2l+3)/(2l+1) exp(-2(l+1)t) falls with l, since
-        #     (2l+1)(2l+5) < (2l+3)^2; once it is below 1 (`decreasing`), c_l
-        #     bounds every later coefficient.
-        # (b) |P_l| <= 1; the factor 2 covers a computed |P_l| slightly above
-        #     1 and the roundoff in c.  Under round-to-nearest an addend below
-        #     a quarter of spacing(|total|) leaves total as it is, even where
-        #     total is a power of two and the gap below it is half the gap
-        #     above.  spacing grows with |total|, so the smallest one decides
-        #     (an empty input has none and runs to l_max).
-        # Then total never changes again, so the sum, the tail and every
-        # report built on them are bitwise the full loop's; even_only adds a
-        # subset of the terms, so the stop holds for it too.
-        decreasing = decreasing or (2 * l + 3) * math.exp(-2 * (l + 1) * t) < 2 * l + 1
-        if decreasing and 2.0 * c < np.spacing(abs(total).min(initial=math.inf)) / 4.0:
-            break
-        if l == 0:
-            p_l = p_prev
-        elif l == 1:
-            p_l = p_curr
-        else:
-            p_l = ((2 * l - 1) * x * p_curr - (l - 1) * p_prev) / l
-            p_prev, p_curr = p_curr, p_l
-        if not even_only or l % 2 == 0:
-            total += c * p_l
+    ulp = math.ulp
+    values = []
+    for xi in x.ravel().tolist():
+        p_prev, p_curr = 1.0, xi  # P_0, P_1
+        total = 0.0
+        for l in range(0, l_max + 1):
+            if l == len(coef):
+                c = (2 * l + 1) / (4.0 * math.pi) * math.exp(-l * (l + 1) * t)
+                decreasing = decreasing or (2 * l + 3) * math.exp(-2 * (l + 1) * t) < 2 * l + 1
+                coef.append((c, 2.0 * c if decreasing else math.inf))
+            c, bound = coef[l]
+            if bound < ulp(abs(total)) / 4.0:
+                break
+            if l == 0:
+                p_l = p_prev
+            elif l == 1:
+                p_l = p_curr
+            else:
+                p_l = ((2 * l - 1) * xi * p_curr - (l - 1) * p_prev) / l
+                p_prev, p_curr = p_curr, p_l
+            if not even_only or l % 2 == 0:
+                total += c * p_l
+        values.append(total)
     # |P_l| <= 1, so the dropped tail is bounded termwise
     tail = 0.0
     for l in range(l_max + 1, l_max + 400):
@@ -242,13 +254,13 @@ def _legendre_series(cos_theta, t: float, l_max: int, even_only: bool):
         tail += term
         if term < 1e-300:
             break
-    return total, tail
+    return np.array(values, dtype=float).reshape(x.shape), tail
 
 
 def _refuse_large_tail(val, tail):
     """(val, tail), refused when the truncation bound is not small against
     the value."""
-    ref = float(np.min(np.abs(val))) if np.ndim(val) else abs(float(val))
+    ref = float(np.min(np.abs(val), initial=math.inf)) if np.ndim(val) else abs(float(val))
     if tail > 1e-3 * max(ref, 1e-300):
         raise NumericalConsistencyError(
             f"truncation bound {tail:.3e} too large; raise l_max or t"
@@ -338,8 +350,8 @@ def _triple_check(kind: str, kernels, tol: float, witness: str) -> CheckReport:
         widen = err * (abs(hab) / haa + abs(hbc) / haa + 1.0 + lhs / haa)
     margin = rhs - lhs
     return CheckReport(
-        passed=margin >= -(tol + widen),
-        worst_margin=margin,
+        passed=bool(margin >= -(tol + widen)),
+        worst_margin=float(margin),
         witness=witness,
         count=1,
         name=kind,

@@ -276,6 +276,16 @@ class TestSphereHeat:
         vals, _ = sphere_heat(np.linspace(-1, 1, 31), 0.05)
         assert np.all(vals > 0)
 
+    @pytest.mark.parametrize(
+        "x, t",
+        [([math.nan, 0.5], 0.5), ([0.5, math.inf], 0.5), ([0.5], math.nan), ([0.5], math.inf)],
+    )
+    @pytest.mark.parametrize("kernel", [sphere_heat, rp2_heat])
+    def test_refuses_nonfinite_input(self, kernel, x, t):
+        # a NaN cosine would otherwise run to l_max and give a NaN value
+        with pytest.raises(DomainError):
+            kernel(np.array(x), t)
+
 
 class TestRP2Heat:
     def test_antipodal_symmetry(self):
@@ -294,6 +304,16 @@ class TestRP2Heat:
             s1, t1 = sphere_heat(x, 0.3)
             s2, t2 = sphere_heat(-x, 0.3)
             assert abs(float(lifted) - (float(s1) + float(s2))) < 1e-12 + tail + t1 + t2
+
+
+class TestSpherePoint:
+    @pytest.mark.parametrize(
+        "u", [(1, 1, 0), (math.nan, 0, 0), (1, 0, math.nan), (math.inf, 0, 0), (0, 0, -math.inf)]
+    )
+    def test_off_sphere_rejected(self, u):
+        # a NaN coordinate makes the norm NaN, which compares false both ways
+        with pytest.raises(DomainError):
+            SpherePoint(np.array(u, dtype=float))
 
 
 class TestSphereSymmetry:
@@ -347,6 +367,18 @@ class TestSymmetricInequality:
         assert symmetric_ineq_check_h3(a, b, c, 1.0, tol=1e-6).passed
         assert heat_lemma_check_h3(a, b, c, 1.0, tol=1e-4).passed
 
+    def test_reports_hold_python_scalars(self):
+        rng = np.random.default_rng(5)
+        s = tuple(random_sphere_point(rng) for _ in range(3))
+        h = h3_abc(3.0)
+        reports = [
+            check(space, *s, 0.2)
+            for space in ("S2", "RP2")
+            for check in (symmetric_ineq_check_sphere, heat_lemma_check_sphere)
+        ] + [check(*h, 1.0) for check in (symmetric_ineq_check_h3, heat_lemma_check_h3)]
+        for rep in reports:
+            assert type(rep.passed) is bool and type(rep.worst_margin) is float, rep
+
 
 class TestSphereMonotone:
     def test_theta_zero_constant(self):
@@ -374,14 +406,18 @@ class TestSeriesEarlyStop:
     def test_matches_full_loop(self, space, t):
         x = series_cosines()
         if space == "S2":
-            val, tail = sphere_heat(x, t)
+            kernel = sphere_heat
             ref, ref_tail = loop_series(x, t, 200, even_only=False)
         else:
-            val, tail = rp2_heat(x, t)
+            kernel = rp2_heat
             ref, ref_tail = loop_series(x, t, 200, even_only=True)
             ref, ref_tail = 2.0 * ref, 2.0 * ref_tail
+        val, tail = kernel(x, t)
         assert_bitwise(val, ref)
         assert tail == ref_tail
+        # each cosine's value is its own: the same alone as among the others
+        for i in range(len(x)):
+            assert_bitwise(kernel(x[i : i + 1], t)[0], ref[i : i + 1])
 
     @pytest.mark.parametrize("even_only", [False, True])
     @pytest.mark.parametrize("t, l_max", [(0.05, 2), (0.05, 20), (0.05, 35), (0.2, 10), (1.0, 4)])
@@ -400,8 +436,9 @@ class TestSeriesEarlyStop:
             assert tail == ref_tail
 
     def test_cost_does_not_grow_with_l_max(self, monkeypatch):
-        x = series_cosines(trials=5)
-        expected = sphere_heat(x, 0.05)
+        # five triples' cosines, and an empty input, which runs no series
+        inputs = [series_cosines(trials=5), np.array([])]
+        expected = [sphere_heat(x, 0.05) for x in inputs]
 
         class CountingMath:
             # the module's math, with a cap on exp calls: a loop that ran to
@@ -418,9 +455,10 @@ class TestSeriesEarlyStop:
                 return math.exp(y)
 
         monkeypatch.setattr(continuum, "math", CountingMath())
-        val, tail = sphere_heat(x, 0.05, l_max=10**6)
-        assert_bitwise(val, expected[0])
-        assert tail == 0.0 == expected[1]
+        for x, (ref, ref_tail) in zip(inputs, expected):
+            val, tail = sphere_heat(x, 0.05, l_max=10**6)
+            assert_bitwise(val, ref)
+            assert tail == 0.0 == ref_tail
 
 
 # --- the continuum checks as they were written before they shared one
