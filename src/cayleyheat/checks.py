@@ -167,15 +167,17 @@ def check_convolve_even(
     """With omega = chi * upsilon: chi(g)/chi(0) <= omega(g)/omega(0) for all g.
 
     chi(0) <= 0 is refused (DomainError), as in the sweeps, and so is a
-    margin that is not finite (NumericalConsistencyError)."""
+    convolution or a margin that is not finite (NumericalConsistencyError)."""
     v0 = _center(chi)
     if np.any(upsilon.values < 0) or not upsilon.is_even():
         raise DomainError("upsilon must be even and nonnegative")
-    omega = convolve(chi, upsilon)
-    if omega.at_index(0) == 0:
-        raise DomainError("omega(0) = 0; ratio undefined")
     G = chi.group
-    with np.errstate(all="ignore"):  # worst_report refuses what overflows
+    # idft_stack's norm guard refuses a transform that overflows, and
+    # worst_report a margin that does
+    with np.errstate(all="ignore"):
+        omega = convolve(chi, upsilon)
+        if omega.at_index(0) == 0:
+            raise DomainError("omega(0) = 0; ratio undefined")
         margins = omega.values / omega.at_index(0) - chi.values / v0
     return worst_report(
         [(0, margins)], lambda g, _: f"g={G.name_of(g)}", tol, G.order, "convolve_even"

@@ -83,10 +83,11 @@ MAX_TRIALS = 100_000
 # underflow.  So 10 000 bounds a series at 37 ms even where it would not
 # stop.
 MAX_LMAX = 10_000
-# Largest sphere-check --trials.  A trial (two checks on one random triple)
-# costs 0.22-0.28 ms at the default --lmax: 1 000 trials reported timing_ms
-# 246-275 and 10 000 trials 2 243-2 512, on S2 and RP2 (same VM), with peak
-# RSS flat at 36 MB.  So 100 000 trials take under half a minute.
+# Largest sphere-check --trials.  A trial (two checks on one random triple,
+# sharing one kernel evaluation) costs 0.09-0.12 ms at the default --lmax:
+# 1 000 trials reported timing_ms 93-170 and 10 000 trials 867-1 151, on S2
+# and RP2 (same VM), with peak RSS flat at 35 MB.  So 100 000 trials take
+# about 12 s.
 MAX_SPHERE_TRIALS = 100_000
 
 
@@ -224,18 +225,23 @@ def _h3_monotone(d, tmin, tmax, steps) -> list[CheckReport]:
 
 
 def _sphere_check(space, trials, lmax, seed) -> list[CheckReport]:
-    """Both sphere checks on random triples; the report keeps the last check
-    that failed or set a new lowest margin."""
+    """Both sphere checks on random triples, one report per check.  Each
+    keeps the last trial that failed or set a new lowest margin, and its
+    witness starts with that trial's index, so the trial can be replayed
+    from the seed."""
     rng = np.random.default_rng(seed)
-    passed, margin, witness = True, math.inf, ""
+    worst: dict[str, CheckReport] = {}
     for i in range(trials):
         a, b, c = (random_sphere_point(rng) for _ in range(3))
         t = SPHERE_T_VALUES[i % len(SPHERE_T_VALUES)]
         for check in (symmetric_ineq_check_sphere, heat_lemma_check_sphere):
             r = check(space, a, b, c, t, l_max=lmax)
-            if not r.passed or r.worst_margin < margin:
-                passed, margin, witness = r.passed and passed, r.worst_margin, r.witness
-    return [CheckReport(passed, margin, witness, 2 * trials, "sphere_ineq")]
+            w = worst.get(r.name)
+            if w is None or not r.passed or r.worst_margin < w.worst_margin:
+                passed = r.passed and (w is None or w.passed)
+                witness = f"trial={i}, {r.witness}"
+                worst[r.name] = CheckReport(passed, r.worst_margin, witness, trials, r.name)
+    return list(worst.values())
 
 
 SEED = {"--seed": dict(type=_int_at_least(0), default=0)}

@@ -9,7 +9,9 @@ reflection inequality fails.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,6 +21,10 @@ from .errors import DomainError, NumericalConsistencyError
 from .heat import _monotone_report, _t_grid
 
 DEFAULT_L_MAX = 200
+# Triples whose five kernel values are kept.  Callers run the two checks on
+# a triple back to back, so one entry would do; a few more serve a caller
+# that interleaves a handful of triples.
+KERNEL_MEMO_SIZE = 16
 
 
 # --- hyperbolic 3-space, hyperboloid model ---
@@ -29,7 +35,7 @@ class HyperboloidPoint:
     x: np.ndarray  # (x0, x1, x2, x3)
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
+        x = np.array(self.x, dtype=float)  # owned, so no caller can change it
         if x.shape != (4,):
             raise DomainError("hyperboloid points are 4-vectors")
         x0, x1, x2, x3 = x.tolist()
@@ -179,7 +185,7 @@ class SpherePoint:
     u: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
+        u = np.array(self.u, dtype=float)  # owned, so no caller can change it
         if u.shape != (3,):
             raise DomainError("sphere points are unit 3-vectors")
         # written so that a NaN or infinite coordinate fails too
@@ -298,6 +304,7 @@ def random_sphere_point(rng: np.random.Generator) -> SpherePoint:
     return SpherePoint(v / np.linalg.norm(v))
 
 
+@functools.lru_cache(maxsize=KERNEL_MEMO_SIZE)
 def _triple_kernels(
     space: str, a: SpherePoint, b: SpherePoint, c: SpherePoint, t: float, l_max: int
 ):
@@ -307,6 +314,16 @@ def _triple_kernels(
     err bounds each value's error: ten times the truncation tail plus the
     series roundoff, since |P_l| <= 1 bounds the termwise absolute sum by
     the value at distance zero.
+
+    Memoized on (space, a, b, c, t, l_max), so the second check on a triple
+    gets the very floats the first one computed.  The callers pass t as a
+    float and l_max as an int, so a NumPy scalar or a 0-d array t finds the
+    same entry and nothing unhashable reaches the key.  The entry cannot go
+    stale: the points are frozen, compare by identity and hold read-only
+    copies of their coordinates, and the cache keeps them alive, so no
+    other point can take over an id while the entry is kept.  tol is
+    applied later and is not part of the key; a refusal raises and is not
+    kept, so it is raised again on every call.
     """
     kernel = {"S2": sphere_heat, "RP2": rp2_heat}.get(space)
     if kernel is None:
@@ -318,9 +335,14 @@ def _triple_kernels(
     return hab, hbc, hac, hasbc, haa, 10.0 * tail + 100.0 * np.finfo(float).eps * haa
 
 
+@functools.lru_cache(maxsize=KERNEL_MEMO_SIZE)
 def _h3_kernels(a: HyperboloidPoint, b: HyperboloidPoint, c: HyperboloidPoint, t: float):
     """(H(a,b), H(b,c), H(a,c), H(a,s_b(c)), H(a,a), err) on H3; the closed
-    form is taken as exact, so err is 0."""
+    form is taken as exact, so err is 0.
+
+    Memoized on (a, b, c, t) like _triple_kernels, and for the same reasons
+    the entry cannot go stale; the callers pass t as a float.
+    """
     pairs = ((a, b), (b, c), (a, c), (a, h3_point_symmetry(b, c)))
     return (*[h3_heat(h3_distance(x, y), t) for x, y in pairs], h3_heat(0.0, t), 0.0)
 
@@ -369,7 +391,7 @@ def symmetric_ineq_check_sphere(
 ) -> CheckReport:
     """H(a,b)^2 H(b,c)^2 <= H(a,c) H(a,s_b(c)) H(a,a)^2 on S2 or RP2, with
     the tolerance widened by the series error."""
-    kernels = _triple_kernels(space, a, b, c, t, l_max)
+    kernels = _triple_kernels(space, a, b, c, float(t), operator.index(l_max))
     return _triple_check("symmetric_ineq", kernels, tol, f"space={space}, t={t}")
 
 
@@ -384,7 +406,7 @@ def heat_lemma_check_sphere(
 ) -> CheckReport:
     """H(a,b)H(b,c)/H(a,a) <= (H(a,c) + H(a,s_b(c)))/2 on S2 or RP2, with
     the tolerance widened by the series error."""
-    kernels = _triple_kernels(space, a, b, c, t, l_max)
+    kernels = _triple_kernels(space, a, b, c, float(t), operator.index(l_max))
     return _triple_check("heat_lemma", kernels, tol, f"space={space}, t={t}")
 
 
@@ -396,7 +418,8 @@ def symmetric_ineq_check_h3(
     tol: float = 0.0,
 ) -> CheckReport:
     """The reflection inequality on hyperbolic 3-space (closed form)."""
-    return _triple_check("symmetric_ineq", _h3_kernels(a, b, c, t), tol, f"space=H3, t={t}")
+    kernels = _h3_kernels(a, b, c, float(t))
+    return _triple_check("symmetric_ineq", kernels, tol, f"space=H3, t={t}")
 
 
 def heat_lemma_check_h3(
@@ -407,7 +430,8 @@ def heat_lemma_check_h3(
     tol: float = 0.0,
 ) -> CheckReport:
     """The mean form on hyperbolic 3-space (closed form)."""
-    return _triple_check("heat_lemma", _h3_kernels(a, b, c, t), tol, f"space=H3, t={t}")
+    kernels = _h3_kernels(a, b, c, float(t))
+    return _triple_check("heat_lemma", kernels, tol, f"space=H3, t={t}")
 
 
 def sphere_monotone_check(

@@ -239,6 +239,15 @@ class TestConvolveEven:
         with pytest.raises(DomainError, match=r"chi\(0\) > 0"):
             check_convolve_even(chi, phi(G, G.element((1,))), 0.0)
 
+    def test_overflowing_convolution_is_refused(self):
+        # chi's forward transform overflows; under the suite's warning filter
+        # a NumPy warning before the norm guard's refusal would fail this
+        G = FiniteAbelianGroup((4,))
+        chi = GroupFunction(G, np.full(4, 1e308))
+        upsilon = GroupFunction(G, np.array([0.0, 1.0, 0.0, 1.0]))
+        with pytest.raises(NumericalConsistencyError, match="not finite"):
+            check_convolve_even(chi, upsilon, 0.0)
+
     def test_heat_semigroup_route(self):
         # chi = cexp(t*w) and upsilon = cexp((t'-t)*w): ratio monotonicity step
         from cayleyheat.groups import cexp_spectral

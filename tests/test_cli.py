@@ -12,13 +12,19 @@ import textwrap
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cayleyheat
 from cayleyheat import checks, cli, selftest
 from cayleyheat.checks import CheckReport
 from cayleyheat.cli import COMMANDS, main
-from cayleyheat.continuum import h3_reduced_log
+from cayleyheat.continuum import (
+    h3_reduced_log,
+    heat_lemma_check_sphere,
+    random_sphere_point,
+    symmetric_ineq_check_sphere,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -231,8 +237,36 @@ class TestOtherCommands:
         assert code == 1
 
     def test_sphere_check(self, capsys):
-        code, _ = run_cli(capsys, "sphere-check", "--trials", "20")
-        assert code == 0
+        # one report per kind; replaying every trial from the seed, each
+        # holds its own kind's lowest margin, at the first trial reaching it
+        rng = np.random.default_rng(3)
+        triples = [[random_sphere_point(rng) for _ in range(3)] for _ in range(20)]
+        for space in ("S2", "RP2"):
+            code, out = run_cli(capsys, "sphere-check", "--trials", "20", "--space", space, "--seed", "3")
+            assert code == 0
+            reports = json.loads(out)["reports"]
+            assert [r["name"] for r in reports] == ["symmetric_ineq", "heat_lemma"]
+            for r, check in zip(reports, (symmetric_ineq_check_sphere, heat_lemma_check_sphere)):
+                margins = [
+                    check(space, *abc, cli.SPHERE_T_VALUES[i % 4]).worst_margin
+                    for i, abc in enumerate(triples)
+                ]
+                i = int(np.argmin(margins))
+                assert r["passed"] and r["count"] == 20
+                assert r["worst_margin"] == margins[i]
+                assert r["witness"] == f"trial={i}, space={space}, t={cli.SPHERE_T_VALUES[i % 4]}"
+
+    def test_sphere_check_fails_when_one_kind_fails(self, capsys, monkeypatch):
+        def failing(space, a, b, c, t, l_max):
+            return CheckReport(False, 1.0, f"space={space}, t={t}", 1, "heat_lemma")
+
+        monkeypatch.setattr(cli, "heat_lemma_check_sphere", failing)
+        code, out = run_cli(capsys, "sphere-check", "--trials", "3")
+        assert code == 1
+        sym, lemma = json.loads(out)["reports"]
+        assert sym["passed"] and not lemma["passed"]
+        # a failing trial is kept even where its margin is not lower
+        assert lemma["witness"] == "trial=2, space=S2, t=1.0"
 
     def test_sphere_truncation_guard_exit_3(self, capsys):
         code, _ = run_cli(capsys, "sphere-check", "--trials", "4", "--lmax", "1")

@@ -461,6 +461,137 @@ class TestSeriesEarlyStop:
             assert tail == 0.0 == ref_tail
 
 
+def clear_kernel_memos():
+    continuum._triple_kernels.cache_clear()
+    continuum._h3_kernels.cache_clear()
+
+
+def count_calls(monkeypatch, name):
+    """Replace continuum.<name> by a wrapper that counts its calls."""
+    fn, calls = getattr(continuum, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(continuum, name, counted)
+    return calls
+
+
+SPHERE_CHECKS = (symmetric_ineq_check_sphere, heat_lemma_check_sphere)
+H3_CHECKS = (symmetric_ineq_check_h3, heat_lemma_check_h3)
+
+
+class TestKernelMemo:
+    """Both checks on a triple share one evaluation of its five kernel
+    values, and a kept evaluation answers only its own arguments."""
+
+    def test_both_checks_share_one_evaluation(self, monkeypatch):
+        clear_kernel_memos()
+        series = count_calls(monkeypatch, "_legendre_series")
+        distances = count_calls(monkeypatch, "h3_distance")
+        s = tuple(random_sphere_point(np.random.default_rng(7)) for _ in range(3))
+        h = h3_abc(3.0)
+        for check in SPHERE_CHECKS:
+            check("S2", *s, 0.2)
+        for check in H3_CHECKS:
+            check(*h, 1.0)
+        assert len(series) == 1
+        assert len(distances) == 4  # the four pairs of one evaluation
+
+    def test_reports_match_a_cleared_evaluation(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        s = tuple(random_sphere_point(rng) for _ in range(3))
+        s_equal = tuple(SpherePoint(p.u.copy()) for p in s)
+        h = h3_abc(3.0)
+        h_equal = tuple(HyperboloidPoint(p.x.copy()) for p in h)
+        # (check, arguments, keywords) in the order they run; the first
+        # call of each space fills the memo that the later ones must not
+        # answer from, apart from the second kind and the other tol
+        calls = [
+            (check, args, kw)
+            for args, kw in (
+                (("S2", *s, 0.2), {}),
+                (("S2", *s, 0.2), {"tol": -1.0}),
+                (("S2", *s, 1.0), {}),
+                (("S2", *s, 0.2), {"l_max": 8}),
+                (("RP2", *s, 0.2), {}),
+                (("S2", *s_equal, 0.2), {}),
+            )
+            for check in SPHERE_CHECKS
+        ] + [
+            (check, args, kw)
+            for args, kw in (
+                ((*h, 1.0), {}),
+                ((*h, 1.0), {"tol": 1e-3}),
+                ((*h, 0.5), {}),
+                ((*h_equal, 1.0), {}),
+            )
+            for check in H3_CHECKS
+        ]
+        expected = []
+        for check, args, kw in calls:
+            clear_kernel_memos()
+            expected.append(check(*args, **kw))
+        clear_kernel_memos()
+        series = count_calls(monkeypatch, "_legendre_series")
+        for (check, args, kw), ref in zip(calls, expected):
+            rep = check(*args, **kw)
+            assert rep == ref, (check.__name__, args[:1], kw)
+            assert rep.worst_margin.hex() == ref.worst_margin.hex()
+        # one series per distinct (space, points, t, l_max)
+        assert len(series) == 5
+        # the variations are seen: another t, l_max or space moves the
+        # margin, and the other tol the verdict.  margins holds the product
+        # form's, one per argument set: S2 base, tol, t, l_max, RP2, equal
+        # points, then H3 base, tol, t, equal points
+        margins = [rep.worst_margin for rep in expected[::2]]
+        assert len(set(margins[:1] + margins[2:5])) == 4
+        assert margins[5] == margins[0]
+        assert expected[0].passed and not expected[2].passed
+        assert margins[8] != margins[6] == margins[9]
+        assert not expected[13].passed and expected[15].passed
+
+    def test_refusal_raises_on_every_call(self, monkeypatch):
+        clear_kernel_memos()
+        series = count_calls(monkeypatch, "_legendre_series")
+        s = tuple(random_sphere_point(np.random.default_rng(7)) for _ in range(3))
+        for check in SPHERE_CHECKS:
+            with pytest.raises(NumericalConsistencyError, match="truncation bound"):
+                check("S2", *s, 0.2, l_max=1)
+        assert len(series) == 2
+
+    @pytest.mark.parametrize(
+        "make, coords", [(SpherePoint, [0.0, 0.6, 0.8]), (HyperboloidPoint, [1.0, 0.0, 0.0, 0.0])]
+    )
+    def test_points_own_their_coordinates(self, make, coords):
+        # a kept entry names its points by identity, so a point's value must
+        # not change through the array it was made from
+        given = np.array(coords)
+        point = make(given)
+        held = point.u if make is SpherePoint else point.x
+        given += 1.0  # the caller's array stays writable
+        assert held.tolist() == coords
+        with pytest.raises(ValueError):
+            held[0] = 2.0
+
+    @pytest.mark.parametrize("as_numpy", [np.float64, np.array])
+    def test_numpy_t_gives_the_python_float_reports(self, as_numpy):
+        s = tuple(random_sphere_point(np.random.default_rng(7)) for _ in range(3))
+        h = h3_abc(3.0)
+        for space in ("S2", "RP2"):
+            for check in SPHERE_CHECKS:
+                clear_kernel_memos()
+                ref = check(space, *s, 0.2)
+                clear_kernel_memos()
+                assert check(space, *s, as_numpy(0.2), l_max=np.int64(200)) == ref
+        for check in H3_CHECKS:
+            clear_kernel_memos()
+            ref = check(*h, 1.0)
+            clear_kernel_memos()
+            assert check(*h, as_numpy(1.0)) == ref
+
+
 # --- the continuum checks as they were written before they shared one
 # triple check and heat._monotone_report: references for bitwise equality ---
 
