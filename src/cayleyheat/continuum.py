@@ -1,7 +1,8 @@
 """Closed-form continuum heat kernel checks.
 
-Hyperbolic 3-space in the hyperboloid model with its closed-form kernel;
-the 2-sphere and real projective plane via truncated Legendre series.  The
+Hyperbolic 3-space in the hyperboloid model, where every value of the
+closed-form kernel comes from one log ratio, h3_log_ratio; the 2-sphere
+and real projective plane via truncated Legendre series.  The
 geodesic-reflection inequality and its averaged consequence are evaluated
 numerically, including the explicit hyperbolic configuration where the
 reflection inequality fails.
@@ -60,27 +61,25 @@ def h3_distance(x: HyperboloidPoint, y: HyperboloidPoint) -> float:
     return math.acosh(max(p, 1.0))
 
 
-def _d_over_sinh(d: float) -> float:
-    # Taylor guard against cancellation near 0
-    if d < 1e-4:
-        return 1.0 - d * d / 6.0 + 7.0 * d**4 / 360.0
-    try:
-        return d / math.sinh(d)
-    except OverflowError:  # d above ~710: the log form, which underflows to 0
-        return math.exp(_log_d_over_sinh(d))
+def h3_log_ratio(d: float, t):
+    """log H_t(d)/H_t(0) = log(d/sinh d) - d^2/(4t), the one evaluation of
+    the closed-form kernel H_t(d) = (4 pi t)^{-3/2} (d/sinh d) e^{-t-d^2/4t}.
 
-
-def h3_heat(d: float, t: float) -> float:
-    """(4 pi t)^{-3/2} * (d/sinh d) * exp(-t - d^2/(4t))."""
-    if t <= 0:
-        raise DomainError("t must be positive")
+    t may be an array.  Below d = 0.1, log(d/sinh d) is five terms of its
+    Taylor series, -d^2/6 + d^4/180 - d^6/2835 + d^8/37800 - d^10/467775,
+    whose first dropped term is below 2e-19 there; above, log sinh d is
+    d + log1p(-e^{-2d}) - log 2, which never overflows.
+    """
     if d < 0:
         raise DomainError("distance must be nonnegative")
-    return (
-        (4.0 * math.pi * t) ** -1.5
-        * _d_over_sinh(d)
-        * math.exp(-t - d * d / (4.0 * t))
-    )
+    if d < 0.1:
+        s = d * d
+        log_d_over_sinh = s * (
+            -1 / 6 + s * (1 / 180 + s * (-1 / 2835 + s * (1 / 37800 - s / 467775)))
+        )
+    else:
+        log_d_over_sinh = math.log(d) - (d + math.log1p(-math.exp(-2.0 * d)) - math.log(2.0))
+    return log_d_over_sinh - d * d / (4.0 * t)
 
 
 def _cosh_squared(d1: float) -> float:
@@ -112,28 +111,24 @@ def h3_point_symmetry(b: HyperboloidPoint, c: HyperboloidPoint) -> HyperboloidPo
     return HyperboloidPoint(2.0 * p * b.x - c.x)
 
 
-def _log_d_over_sinh(d: float) -> float:
-    if d < 1e-4:
-        return math.log(_d_over_sinh(d))
-    # log(sinh d) = d + log1p(-exp(-2d)) - log 2, stable for large d
-    return math.log(d) - (d + math.log1p(-math.exp(-2.0 * d)) - math.log(2.0))
-
-
-def h3_log_heat(d: float, t: float) -> float:
-    """log of the closed-form kernel; usable far into the underflow regime."""
-    if t <= 0:
-        raise DomainError("t must be positive")
-    return -1.5 * math.log(4.0 * math.pi * t) + _log_d_over_sinh(d) - t - d * d / (4.0 * t)
+def _h3_log_ratios(a: HyperboloidPoint, b: HyperboloidPoint, c: HyperboloidPoint, t: float):
+    """h3_log_ratio at the distances of (a,b), (b,c), (a,c) and (a,s_b(c))."""
+    pairs = ((a, b), (b, c), (a, c), (a, h3_point_symmetry(b, c)))
+    return [h3_log_ratio(h3_distance(x, y), t) for x, y in pairs]
 
 
 def h3_reduced_log(d1: float, t: float) -> tuple[float, float]:
-    """(log LS, log RS) of the reduced reflection inequality."""
+    """(log LS, log RS) of the reduced reflection inequality.
+
+    The base length d2 is 2 asinh(sinh(d1)/sqrt 2), which is exactly
+    cosh d2 = cosh^2 d1 and keeps its digits at small d1, where
+    acosh(cosh^2 d1) cancels.
+    """
     if not 0 < d1 < math.inf or t <= 0:
         raise DomainError("d1 must be positive and finite, and t positive")
-    d2 = math.acosh(_cosh_squared(d1))
-    log_ls = 2.0 * _log_d_over_sinh(d1) - d1 * d1 / (2.0 * t)
-    log_rs = _log_d_over_sinh(d2) - d2 * d2 / (4.0 * t)
-    return log_ls, log_rs
+    _cosh_squared(d1)  # refuses where h3_abc cannot build the triple
+    d2 = 2.0 * math.asinh(math.sinh(d1) / math.sqrt(2.0))
+    return 2.0 * h3_log_ratio(d1, t), h3_log_ratio(d2, t)
 
 
 def h3_reduced_check(d1: float, t: float) -> tuple[float, float, bool]:
@@ -141,38 +136,26 @@ def h3_reduced_check(d1: float, t: float) -> tuple[float, float, bool]:
 
     LS = (d1^2/sinh^2 d1) exp(-d1^2/2t), RS = (d2/sinh d2) exp(-d2^2/4t)
     with d2 the base length; returns (LS, RS, violated).  Cross-validated
-    in log space against the unreduced inequality built from the kernel and
-    the geodesic reflection.
+    in log space against the unreduced inequality on the points of h3_abc,
+    whose gap in the log ratios r of h3_log_ratio, with the factors H_t(0)
+    cancelled, is (2 r(a,b) + 2 r(b,c) - r(a,c) - r(a,s_b(c)))/2.
     """
     log_ls, log_rs = h3_reduced_log(d1, t)
-    ls, rs = math.exp(log_ls), math.exp(log_rs)
-
-    a, b, c = h3_abc(d1)
-    # the unreduced log-ratio is twice the reduced one (common factors cancel)
-    log_lhs_u = 2.0 * h3_log_heat(h3_distance(a, b), t) + 2.0 * h3_log_heat(
-        h3_distance(b, c), t
-    )
-    log_rhs_u = (
-        h3_log_heat(h3_distance(a, c), t)
-        + h3_log_heat(h3_distance(a, h3_point_symmetry(b, c)), t)
-        + 2.0 * h3_log_heat(0.0, t)
-    )
+    r_ab, r_bc, r_ac, r_asbc = _h3_log_ratios(*h3_abc(d1), t)
     reduced_gap = log_ls - log_rs
-    unreduced_gap = 0.5 * (log_lhs_u - log_rhs_u)
+    unreduced_gap = 0.5 * (2.0 * r_ab + 2.0 * r_bc - r_ac - r_asbc)
     if abs(reduced_gap - unreduced_gap) > 1e-10 * max(abs(reduced_gap), 1.0):
         raise NumericalConsistencyError(
             "reduced and unreduced inequality routes disagree"
         )
-    return ls, rs, log_ls > log_rs
+    return math.exp(log_ls), math.exp(log_rs), log_ls > log_rs
 
 
 def h3_monotone_check(d: float, t_grid, tol: float = 1e-12) -> CheckReport:
-    """Ratio H_t(d)/H_t(0) = (d/sinh d) exp(-d^2/4t) nondecreasing in t."""
-    if d < 0:
-        raise DomainError("distance must be nonnegative")
+    """Ratio H_t(d)/H_t(0) = exp(h3_log_ratio(d, t)) nondecreasing in t."""
 
     def ratios(t):
-        return (_d_over_sinh(d) * np.exp(-d * d / (4.0 * t)))[:, None]
+        return np.exp(h3_log_ratio(d, t))[:, None]
 
     return _monotone_report(ratios, _t_grid(t_grid), 1, tol, "h3_monotone", lambda _: f"d={d}")
 
@@ -337,14 +320,17 @@ def _triple_kernels(
 
 @functools.lru_cache(maxsize=KERNEL_MEMO_SIZE)
 def _h3_kernels(a: HyperboloidPoint, b: HyperboloidPoint, c: HyperboloidPoint, t: float):
-    """(H(a,b), H(b,c), H(a,c), H(a,s_b(c)), H(a,a), err) on H3; the closed
-    form is taken as exact, so err is 0.
+    """(H(a,b), H(b,c), H(a,c), H(a,s_b(c)), H(a,a), err) on H3, each as
+    H(a,a) exp(r) with H(a,a) = (4 pi t)^{-3/2} e^{-t} and r its log ratio;
+    the closed form is taken as exact, so err is 0.
 
     Memoized on (a, b, c, t) like _triple_kernels, and for the same reasons
     the entry cannot go stale; the callers pass t as a float.
     """
-    pairs = ((a, b), (b, c), (a, c), (a, h3_point_symmetry(b, c)))
-    return (*[h3_heat(h3_distance(x, y), t) for x, y in pairs], h3_heat(0.0, t), 0.0)
+    if t <= 0:
+        raise DomainError("t must be positive")
+    haa = (4.0 * math.pi * t) ** -1.5 * math.exp(-t)
+    return (*[haa * math.exp(r) for r in _h3_log_ratios(a, b, c, t)], haa, 0.0)
 
 
 def _triple_check(kind: str, kernels, tol: float, witness: str) -> CheckReport:

@@ -203,8 +203,11 @@ def monotone_violation_search(
     evals, Q = np.linalg.eigh(g.laplacian())
 
     def ratios(t):
-        H = _heat_matrices(evals, Q, t)
-        return H / np.diagonal(H, axis1=1, axis2=2)[:, :, None]
+        # weights that overflow give steps that are not finite, which
+        # worst_report refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            H = _heat_matrices(evals, Q, t)
+            return H / np.diagonal(H, axis1=1, axis2=2)[:, :, None]
 
     return _monotone_report(
         ratios, t, g.n * g.n, tol, "monotone_general", lambda j: f"u={j // g.n}, v={j % g.n}"

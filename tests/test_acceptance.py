@@ -162,7 +162,7 @@ def test_criterion_06_lemma37_convergence():
 
 def test_criterion_07_cexp_consistency():
     rng = np.random.default_rng(77)
-    max_gap = 0.0
+    max_gap = eigh_gap = 0.0
     for i in range(100):
         G = FiniteAbelianGroup(SMALL_GROUPS[i % len(SMALL_GROUPS)])
         v = rng.uniform(0, 1, G.order)
@@ -171,7 +171,13 @@ def test_criterion_07_cexp_consistency():
         s = cexp_series(u, 1e-14)
         p = cexp_spectral(u)
         max_gap = max(max_gap, float(np.max(np.abs(s.values - p.values))) / p.sup_norm())
-    series_ok = max_gap < 1e-9
+        # a route that shares no transform: the circulant C[x, y] = u(x - y)
+        # is convolution with u, so column 0 of exp(C), through eigh, is cexp(u)
+        evals, Q = np.linalg.eigh(v[G.sub_index_table()])
+        by_eigh = (Q * np.exp(evals)) @ Q[0]
+        for c in (s, p):
+            eigh_gap = max(eigh_gap, float(np.max(np.abs(c.values - by_eigh))) / p.sup_norm())
+    series_ok = max_gap < 1e-9 and eigh_gap < 1e-9
 
     G = FiniteAbelianGroup((2, 6))
     cw = random_even_weights(G, rng)
@@ -191,7 +197,8 @@ def test_criterion_07_cexp_consistency():
     report(
         7,
         series_ok and semigroup_gap < 1e-10 and circ_gap < 1e-9,
-        f"series/spectral {max_gap:.2e}, semigroup {semigroup_gap:.2e}, circulant {circ_gap:.2e}",
+        f"series/spectral {max_gap:.2e}, eigh {eigh_gap:.2e}, semigroup {semigroup_gap:.2e}, "
+        f"circulant {circ_gap:.2e}",
     )
 
 

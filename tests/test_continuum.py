@@ -9,8 +9,7 @@ from cayleyheat.continuum import (
     SpherePoint,
     h3_abc,
     h3_distance,
-    h3_heat,
-    h3_log_heat,
+    h3_log_ratio,
     h3_monotone_check,
     h3_point_symmetry,
     h3_reduced_check,
@@ -71,6 +70,28 @@ def assert_bitwise(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.dtype == b.dtype and a.shape == b.shape
     assert a.tobytes() == b.tobytes()
+
+
+def linear_d_over_sinh(d):
+    """Reference: d/sinh d in linear form, Taylor below 1e-4 and the log
+    form past the sinh overflow, where it underflows to 0."""
+    if d < 1e-4:
+        return 1.0 - d * d / 6.0 + 7.0 * d**4 / 360.0
+    try:
+        return d / math.sinh(d)
+    except OverflowError:
+        return math.exp(math.log(d) - (d + math.log1p(-math.exp(-2.0 * d)) - math.log(2.0)))
+
+
+def linear_h3_heat(d, t):
+    """Reference: (4 pi t)^{-3/2} (d/sinh d) exp(-t - d^2/(4t)) in linear form."""
+    return (4.0 * math.pi * t) ** -1.5 * linear_d_over_sinh(d) * math.exp(-t - d * d / (4.0 * t))
+
+
+def mp_log_ratio(mp, d, t):
+    """log(d/sinh d) - d^2/(4t) in mpmath at the precision set by the caller."""
+    d, t = mp.mpf(d), mp.mpf(t)
+    return (mp.log(d / mp.sinh(d)) if d else mp.mpf(0)) - d * d / (4 * t)
 
 
 def random_boost(rng):
@@ -153,27 +174,48 @@ class TestH3Symmetry:
 
 class TestH3Heat:
     def test_origin_value(self):
-        assert abs(h3_heat(0.0, 1.0) - (4 * math.pi) ** -1.5 * math.exp(-1)) < 1e-15
+        p = HyperboloidPoint([1.0, 0.0, 0.0, 0.0])
+        haa = (4 * math.pi) ** -1.5 * math.exp(-1)
+        assert h3_log_ratio(0.0, 1.0) == 0.0
+        assert all(abs(h - haa) < 1e-15 for h in continuum._h3_kernels(p, p, p, 1.0)[:5])
 
     def test_small_d_no_cancellation(self):
-        assert abs(h3_heat(1e-8, 1.0) - h3_heat(0.0, 1.0)) < 1e-12
+        # the log form log d - log sinh d returned 0 here
+        exact = -(1 / 6 + 1 / 4) * 1e-16
+        assert abs(h3_log_ratio(1e-8, 1.0) - exact) < 1e-15 * abs(exact)
 
     def test_ratio_formula(self):
         d, t = 1.3, 0.8
-        ratio = h3_heat(d, t) / h3_heat(0.0, t)
-        assert abs(ratio - (d / math.sinh(d)) * math.exp(-d * d / (4 * t))) < 1e-12
+        ratio = math.exp(h3_log_ratio(d, t))
+        assert abs(ratio - (d / math.sinh(d)) * math.exp(-d * d / (4 * t))) < 1e-15
 
     def test_log_heat_matches(self):
         for d, t in [(0.5, 0.25), (3.0, 1.0), (10.0, 4.0)]:
-            assert abs(h3_log_heat(d, t) - math.log(h3_heat(d, t))) < 1e-10
+            log_heat = math.log(linear_h3_heat(d, t)) - math.log(linear_h3_heat(0.0, t))
+            assert abs(h3_log_ratio(d, t) - log_heat) < 1e-13
 
-    def test_d_over_sinh_past_the_sinh_overflow(self):
-        # unchanged wherever sinh d is finite; the log form only beyond
-        for d in (1e-4, 1.0, 30.0, 709.0, 710.4):
-            assert continuum._d_over_sinh(d) == d / math.sinh(d)
-        assert 0.0 < continuum._d_over_sinh(710.6) < 1e-305
-        assert continuum._d_over_sinh(1000.0) == 0.0
-        assert h3_heat(1000.0, 1.0) == 0.0
+    @pytest.mark.parametrize("t", [0.05, 1.0, 5.0])
+    def test_log_ratio_matches_50_digits(self, t):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        # both sides of the switch to the series at 0.1, and of the sinh overflow
+        ds = [*np.geomspace(1e-10, 1e3, 400), math.nextafter(0.1, 0.0), 0.1, 709.0, 711.0]
+        for d in map(float, ds):
+            exact = mp_log_ratio(mp, d, t)
+            assert abs(h3_log_ratio(d, t) - exact) <= 1e-15 * max(1, abs(exact)), d
+
+    def test_kernels_underflow_past_the_sinh_overflow(self):
+        # the log ratio stays finite where sinh d overflows, and the kernel
+        # values built on it underflow to 0; hyperboloid points cannot be
+        # 1000 apart (cosh overflows first), so the triple's legs are 300
+        assert math.isfinite(h3_log_ratio(1000.0, 1.0))
+        assert math.exp(h3_log_ratio(1000.0, 1.0)) == 0.0
+        kernels = continuum._h3_kernels(*h3_abc(300.0), 1.0)
+        assert kernels[:2] == (0.0, 0.0) and kernels[4] > 0.0
+
+    def test_negative_distance_is_refused(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            h3_log_ratio(-1e-3, 1.0)
 
 
 class TestH3ReducedCheck:
@@ -213,6 +255,20 @@ class TestH3ReducedCheck:
     def test_answers_up_to_the_overflow_point(self):
         for d1 in (300.0, 355.0):
             assert h3_reduced_check(d1, 1.0)[2]
+
+    def test_small_d1_violation_is_found(self):
+        # the gap is about 0.128 d1^4 at t = 1; acosh(cosh(d1)^2) for the
+        # base length lost it to cancellation and answered False
+        assert h3_reduced_check(2e-6, 1.0)[2] is True
+
+    def test_verdict_matches_the_50_digit_gap(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        for d1 in map(float, np.geomspace(1e-6, 355.0, 1500)):
+            d2 = mp.acosh(mp.cosh(mp.mpf(d1)) ** 2)
+            for t in (0.05, 0.2, 1.0, 5.0):
+                gap = 2 * mp_log_ratio(mp, d1, t) - mp_log_ratio(mp, d2, t)
+                assert h3_reduced_check(d1, t)[2] == (gap > 0), (d1, t)
 
     @pytest.mark.parametrize("d1", [356.0, 400.0, 800.0, 1e6])
     def test_overflowing_d1_is_refused(self, d1):
@@ -638,33 +694,44 @@ def old_heat_lemma_sphere(kernels, tol):
     return margin >= -(tol + trunc), margin
 
 
+# The H3 checks read their kernel values from the log ratio, so they match
+# the linear closed form to rounding, not bitwise: margins to this much of
+# the checks' scale, H(a,a)^4 for the product form, H(a,a) for the mean
+# form and 1 for the ratios.
+H3_BOUND = 1e-14
+
+
 def old_symmetric_h3(a, b, c, t, tol):
     sbc = h3_point_symmetry(b, c)
-    lhs = h3_heat(h3_distance(a, b), t) ** 2 * h3_heat(h3_distance(b, c), t) ** 2
-    rhs = (
-        h3_heat(h3_distance(a, c), t)
-        * h3_heat(h3_distance(a, sbc), t)
-        * h3_heat(0.0, t) ** 2
-    )
+    h = lambda x, y: linear_h3_heat(h3_distance(x, y), t)  # noqa: E731
+    haa = linear_h3_heat(0.0, t)
+    lhs = h(a, b) ** 2 * h(b, c) ** 2
+    rhs = h(a, c) * h(a, sbc) * haa**2
     margin = rhs - lhs
-    return margin >= -tol, margin
+    return margin >= -tol, margin, haa**4
 
 
 def old_heat_lemma_h3(a, b, c, t, tol):
     sbc = h3_point_symmetry(b, c)
-    haa = h3_heat(0.0, t)
-    lhs = h3_heat(h3_distance(a, b), t) * h3_heat(h3_distance(b, c), t) / haa
-    rhs = 0.5 * (h3_heat(h3_distance(a, c), t) + h3_heat(h3_distance(a, sbc), t))
+    h = lambda x, y: linear_h3_heat(h3_distance(x, y), t)  # noqa: E731
+    haa = linear_h3_heat(0.0, t)
+    lhs = h(a, b) * h(b, c) / haa
+    rhs = 0.5 * (h(a, c) + h(a, sbc))
     margin = rhs - lhs
-    return margin >= -tol, margin
+    return margin >= -tol, margin, haa
 
 
 def old_h3_monotone(d, t_grid, tol=1e-12):
-    ratios = continuum._d_over_sinh(d) * np.exp(-d * d / (4.0 * t_grid))
+    """(passed, worst step, witness, whether every other step is more than
+    2 H3_BOUND above the worst, so that steps each moved by at most
+    H3_BOUND keep the same worst step)."""
+    ratios = linear_d_over_sinh(d) * np.exp(-d * d / (4.0 * t_grid))
     margins = np.diff(ratios)
     worst_i = int(np.argmin(margins))
     worst = float(margins[worst_i])
-    return worst >= -tol, worst, f"d={d}, t={t_grid[worst_i]:.6g}, t'={t_grid[worst_i + 1]:.6g}"
+    unique = bool(np.all(np.delete(margins, worst_i) > worst + 2 * H3_BOUND))
+    witness = f"d={d}, t={t_grid[worst_i]:.6g}, t'={t_grid[worst_i + 1]:.6g}"
+    return worst >= -tol, worst, witness, unique
 
 
 def old_sphere_monotone(cos_theta, t_grid, l_max=200, tol=0.0):
@@ -694,6 +761,16 @@ TRIPLE_T = (0.05, 0.2, 1.0, 5.0)
 TRIPLE_TOLS = (0.0, -1e-4, -1e-2)
 
 
+def assert_close_report(rep, old, name, witness, count=1):
+    """Same name, count and verdict, margin within H3_BOUND of the
+    reference's scale, and the same witness unless it is None."""
+    passed, margin, scale = old
+    assert (rep.name, rep.count) == (name, count)
+    assert witness is None or rep.witness == witness
+    assert bool(rep.passed) == bool(passed)
+    assert abs(rep.worst_margin - margin) <= H3_BOUND * scale
+
+
 def assert_same_report(rep, old, name, witness, count=1):
     passed, margin = old[:2]
     assert (rep.name, rep.count, rep.witness) == (name, count, witness)
@@ -702,8 +779,9 @@ def assert_same_report(rep, old, name, witness, count=1):
 
 
 class TestMergedContinuumChecks:
-    """The shared triple check and the monotone report give bitwise the
-    margins, and the verdicts and counts, of the checks they replaced."""
+    """The shared triple check and the monotone report give the verdicts
+    and counts of the checks they replaced, and their margins: bitwise on
+    S2 and RP2, within H3_BOUND of the linear closed form on H3."""
 
     @pytest.mark.parametrize("space", ["S2", "RP2"])
     def test_sphere_triples(self, space):
@@ -736,7 +814,7 @@ class TestMergedContinuumChecks:
                 (heat_lemma_check_h3, old_heat_lemma_h3, "heat_lemma"),
             ):
                 rep = check(a, b, c, t, tol)
-                assert_same_report(rep, old(a, b, c, t, tol), name, witness)
+                assert_close_report(rep, old(a, b, c, t, tol), name, witness)
                 failed += not rep.passed
         assert 0 < failed < 2 * len(triples)
 
@@ -746,8 +824,11 @@ class TestMergedContinuumChecks:
             for grid in grids:
                 for tol in (1e-12, -1e-3):
                     rep = h3_monotone_check(float(d), grid, tol)
-                    passed, margin, witness = old_h3_monotone(float(d), grid, tol)
-                    assert_same_report(rep, (passed, margin), "h3_monotone", witness, len(grid) - 1)
+                    passed, margin, witness, unique = old_h3_monotone(float(d), grid, tol)
+                    witness = witness if unique else None
+                    assert_close_report(
+                        rep, (passed, margin, 1.0), "h3_monotone", witness, len(grid) - 1
+                    )
 
     def test_sphere_monotone(self):
         grid = np.geomspace(0.1, 5, 10)
