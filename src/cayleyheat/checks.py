@@ -2,7 +2,10 @@
 
 Each check returns a CheckReport; ``passed`` means the worst margin (RHS
 minus LHS under the check's sign convention) stayed above minus the
-tolerance.
+tolerance.  Each pair inequality has one margin formula, in x = chi(g1),
+y = chi(g2), s = chi(g1+g2), d = chi(g1-g2) and c = chi(0), on Python
+floats and NumPy arrays alike: the single-pair checks, the sweeps and the
+continuum triple checks all call it.
 """
 
 from __future__ import annotations
@@ -42,50 +45,56 @@ def _center(chi: GroupFunction) -> float:
     return v0
 
 
-def check_rsd(
-    chi: GroupFunction, g1: GroupElement, g2: GroupElement, tol: float
-) -> CheckReport:
-    """chi(g1)^2 chi(g2)^2 <= chi(g1+g2) chi(g1-g2) chi(0)^2.
+def rsd_margin(x, y, s, d, c):
+    """The product inequality's margin, s d c^2 - x^2 y^2.  Squares are
+    products, so the margin is exactly 0 where both sides are one product."""
+    return s * d * (c * c) - x * x * (y * y)
 
-    An overflow (a square, or a margin that is not finite) is refused with
-    NumericalConsistencyError, as in the sweeps."""
-    v0 = _center(chi)
-    try:
-        lhs = chi(g1) ** 2 * chi(g2) ** 2
-        rhs = chi(g1 + g2) * chi(g1 - g2) * v0**2
-    except OverflowError:
-        raise NumericalConsistencyError("rsd: a square overflows") from None
-    margin = rhs - lhs
-    if not math.isfinite(margin):
-        raise NumericalConsistencyError("rsd: the margin is not finite")
-    return CheckReport(
-        passed=margin >= -tol,
-        worst_margin=margin,
-        witness=f"g1={g1}, g2={g2}",
-        count=1,
-        name="rsd",
+
+def rsd_gradient_l1(x, y, s, d, c):
+    """The l1 norm of rsd_margin's gradient in (x, y, s, d, c)."""
+    cc = c * c
+    return (
+        2 * abs(x) * (y * y) + 2 * abs(y) * (x * x) + abs(d * cc) + abs(s * cc) + 2 * abs(s * d * c)
     )
+
+
+def mean_margin(x, y, s, d, c):
+    """The mean inequality's margin, (s + d)/2 - x y / c."""
+    return 0.5 * (s + d) - x * y / c
+
+
+def mean_gradient_l1(x, y, s, d, c):
+    """The l1 norm of mean_margin's gradient in (x, y, s, d, c), for c > 0."""
+    return abs(x) / c + abs(y) / c + 1.0 + abs(x * y / c) / c
+
+
+def scalar_report(margin: float, tol: float, witness: str, name: str) -> CheckReport:
+    """The report of a check with one margin: refused with
+    NumericalConsistencyError unless the margin is finite, passed when it
+    is at least -tol."""
+    if not math.isfinite(margin):
+        raise NumericalConsistencyError(f"{name}: the margin is not finite")
+    return CheckReport(bool(margin >= -tol), float(margin), witness, 1, name)
+
+
+def _pair_check(chi: GroupFunction, g1, g2, tol: float, margin, name: str) -> CheckReport:
+    """The margin formula (rsd_margin or mean_margin) at one pair."""
+    c = _center(chi)
+    value = margin(chi(g1), chi(g2), chi(g1 + g2), chi(g1 - g2), c)
+    return scalar_report(value, tol, f"g1={g1}, g2={g2}", name)
+
+
+def check_rsd(chi: GroupFunction, g1: GroupElement, g2: GroupElement, tol: float) -> CheckReport:
+    """chi(g1)^2 chi(g2)^2 <= chi(g1+g2) chi(g1-g2) chi(0)^2."""
+    return _pair_check(chi, g1, g2, tol, rsd_margin, "rsd")
 
 
 def check_mean_ineq(
     chi: GroupFunction, g1: GroupElement, g2: GroupElement, tol: float
 ) -> CheckReport:
-    """chi(g1)chi(g2)/chi(0) <= (chi(g1+g2) + chi(g1-g2))/2.
-
-    A margin that is not finite is refused with NumericalConsistencyError."""
-    v0 = _center(chi)
-    lhs = chi(g1) * chi(g2) / v0
-    rhs = 0.5 * (chi(g1 + g2) + chi(g1 - g2))
-    margin = rhs - lhs
-    if not math.isfinite(margin):
-        raise NumericalConsistencyError("mean_ineq: the margin is not finite")
-    return CheckReport(
-        passed=margin >= -tol,
-        worst_margin=margin,
-        witness=f"g1={g1}, g2={g2}",
-        count=1,
-        name="mean_ineq",
-    )
+    """chi(g1)chi(g2)/chi(0) <= (chi(g1+g2) + chi(g1-g2))/2."""
+    return _pair_check(chi, g1, g2, tol, mean_margin, "mean_ineq")
 
 
 def worst_report(blocks, where, tol: float, count: int, name: str) -> CheckReport:
@@ -115,21 +124,14 @@ def worst_report(blocks, where, tol: float, count: int, name: str) -> CheckRepor
 _BLOCK_PAIRS = PAIR_TABLE_MAX
 
 
-def _pair_sweep(chi: GroupFunction, tol: float, kind: str) -> CheckReport:
-    """check_rsd or check_mean_ineq (kind "rsd" or "mean_ineq") over every
-    pair, in row blocks, with the same float operations in the same order,
-    reduced by ``worst_report``.  The sub block is the add block's columns
-    taken at -g."""
-    v0 = _center(chi)
+def _pair_sweep(chi: GroupFunction, tol: float, margin, name: str) -> CheckReport:
+    """The margin formula (rsd_margin or mean_margin) over every pair, in row
+    blocks, so each margin is bitwise the single-pair check's, reduced by
+    ``worst_report``.  The sub block is the add block's columns taken at
+    -g."""
+    c = _center(chi)
     G, v = chi.group, chi.values
     n = G.order
-    if kind == "rsd":
-        # squared with Python's float pow, as check_rsd does: it can differ
-        # from x*x, and it raises where a square overflows
-        try:
-            sq = np.array([x**2 for x in v.tolist()])
-        except OverflowError:
-            raise NumericalConsistencyError("rsd sweep: a square overflows") from None
     rows = max(1, _BLOCK_PAIRS // n)  # read here, so a test can shrink it
     neg = G.neg_index_table()
 
@@ -139,26 +141,23 @@ def _pair_sweep(chi: GroupFunction, tol: float, kind: str) -> CheckReport:
             add = G.add_index_table() if rows >= n else G.add_index_rows(i0, i1)
             sub = np.take(add, neg, axis=1)
             with np.errstate(all="ignore"):  # worst_report refuses what overflows
-                if kind == "rsd":
-                    margins = v[add] * v[sub] * v0**2 - sq[i0:i1, None] * sq
-                else:
-                    margins = 0.5 * (v[add] + v[sub]) - v[i0:i1, None] * v / v0
+                margins = margin(v[i0:i1, None], v, v[add], v[sub], c)
             yield i0, margins
 
     def where(i, j):
         return f"g1={G.name_of(i)}, g2={G.name_of(j)}"
 
-    return worst_report(blocks(), where, tol, n * n, f"{kind}_sweep")
+    return worst_report(blocks(), where, tol, n * n, name)
 
 
 def sweep_rsd(chi: GroupFunction, tol: float) -> CheckReport:
     """check_rsd over every (g1, g2) pair."""
-    return _pair_sweep(chi, tol, "rsd")
+    return _pair_sweep(chi, tol, rsd_margin, "rsd_sweep")
 
 
 def sweep_mean_ineq(chi: GroupFunction, tol: float) -> CheckReport:
     """check_mean_ineq over every (g1, g2) pair."""
-    return _pair_sweep(chi, tol, "mean_ineq")
+    return _pair_sweep(chi, tol, mean_margin, "mean_ineq_sweep")
 
 
 def check_convolve_even(

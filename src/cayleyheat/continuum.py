@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checks import CheckReport
+from .checks import CheckReport, mean_gradient_l1, mean_margin, rsd_gradient_l1, rsd_margin
+from .checks import scalar_report
 from .errors import DomainError, NumericalConsistencyError
 from .heat import _monotone_report, _t_grid
 
@@ -315,7 +316,7 @@ def _triple_kernels(
     cos_vals = np.array([float(np.dot(x.u, y.u)) for x, y in pairs] + [1.0])
     vals, tail = kernel(cos_vals, t, l_max)
     hab, hbc, hac, hasbc, haa = vals.tolist()
-    return hab, hbc, hac, hasbc, haa, 10.0 * tail + 100.0 * np.finfo(float).eps * haa
+    return hab, hbc, hac, hasbc, haa, 10.0 * tail + 100.0 * math.ulp(1.0) * haa
 
 
 @functools.lru_cache(maxsize=KERNEL_MEMO_SIZE)
@@ -327,43 +328,41 @@ def _h3_kernels(a: HyperboloidPoint, b: HyperboloidPoint, c: HyperboloidPoint, t
     Memoized on (a, b, c, t) like _triple_kernels, and for the same reasons
     the entry cannot go stale; the callers pass t as a float.
     """
-    if t <= 0:
-        raise DomainError("t must be positive")
-    haa = (4.0 * math.pi * t) ** -1.5 * math.exp(-t)
+    if not 0 < t < math.inf:
+        raise DomainError("t must be positive and finite")
+    try:
+        haa = (4.0 * math.pi * t) ** -1.5 * math.exp(-t)
+    except OverflowError:
+        raise NumericalConsistencyError(f"H(a,a) overflows at t={t}") from None
+    if haa == 0.0:  # every value would be 0, and the mean form 0/0
+        raise NumericalConsistencyError(f"H(a,a) underflows to 0 at t={t}")
     return (*[haa * math.exp(r) for r in _h3_log_ratios(a, b, c, t)], haa, 0.0)
+
+
+# (margin formula, l1 norm of its gradient) of each triple check's inequality
+_TRIPLE_FORMS = {
+    "symmetric_ineq": (rsd_margin, rsd_gradient_l1),
+    "heat_lemma": (mean_margin, mean_gradient_l1),
+}
 
 
 def _triple_check(kind: str, kernels, tol: float, witness: str) -> CheckReport:
     """The reflection inequality (kind "symmetric_ineq") or its mean form
     (kind "heat_lemma") from the five kernel values and their error err.
 
-    The tolerance is widened by err times a crude first-order sensitivity of
-    the two sides to it, so an error in the values can never manufacture a
-    violation.
+    With chi(g) = H(a, a+g), g1 = b - a and g2 = c - b, the reflection
+    s_b(c) = 2b - c makes the five values chi(g1), chi(g2), chi(g1+g2),
+    chi(g1-g2) and chi(0), so the kinds are the pair checks' rsd_margin and
+    mean_margin, reported by scalar_report.  A nonzero err widens the
+    tolerance by err times the l1 norm of the margin's gradient in the five
+    values, so an error of err in each cannot manufacture a violation to
+    first order.
     """
-    hab, hbc, hac, hasbc, haa, err = kernels
-    if kind == "symmetric_ineq":
-        lhs = hab**2 * hbc**2
-        rhs = hac * hasbc * haa**2
-        widen = err * (
-            2 * abs(hab) * hbc**2
-            + 2 * abs(hbc) * hab**2
-            + abs(hasbc * haa**2)
-            + abs(hac * haa**2)
-            + 2 * abs(hac * hasbc * haa)
-        )
-    else:
-        lhs = hab * hbc / haa
-        rhs = 0.5 * (hac + hasbc)
-        widen = err * (abs(hab) / haa + abs(hbc) / haa + 1.0 + lhs / haa)
-    margin = rhs - lhs
-    return CheckReport(
-        passed=bool(margin >= -(tol + widen)),
-        worst_margin=float(margin),
-        witness=witness,
-        count=1,
-        name=kind,
-    )
+    x, y, s, d, c, err = kernels
+    margin, gradient_l1 = _TRIPLE_FORMS[kind]
+    if err:
+        tol = tol + err * gradient_l1(x, y, s, d, c)
+    return scalar_report(margin(x, y, s, d, c), tol, witness, kind)
 
 
 def symmetric_ineq_check_sphere(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cayleyheat import checks, heat
+from cayleyheat import checks, continuum, heat
 from cayleyheat.checks import (
     CheckReport,
     check_convolve_even,
@@ -65,9 +65,9 @@ class TestRSD:
         G = FiniteAbelianGroup((12,))
         chi = pushed_chi(G, np.random.default_rng(2))
         g1 = G.element((5,))
-        rep = check_rsd(chi, g1, G.identity, 1e-15)
-        assert rep.passed
-        assert abs(rep.worst_margin) < 1e-12 * chi.at_index(0) ** 4
+        # both sides are chi(g1)^2 chi(0)^2, multiplied in the same order
+        rep = check_rsd(chi, g1, G.identity, 0.0)
+        assert rep.passed and rep.worst_margin == 0.0
 
     def test_exhaustive_on_pushforwards_z12(self):
         rng = np.random.default_rng(3)
@@ -147,13 +147,15 @@ class TestPairSweep:
                 assert sum(built) == 2 * chi.group.order and max(built) == rows
 
     def test_squares_as_check_rsd_takes_them(self):
-        # libm's pow(x, 2) can exceed x*x by an ulp.  With chi = (1, x) on Z2
-        # the pair (0, 1) has margin x*x - x**2, so a sweep squaring with x*x
-        # would report 0 at (0, 0) where check_rsd finds a negative margin.
-        xs = np.random.default_rng(9).uniform(0.1, 0.9, 20000).tolist()
-        x = next((x for x in xs if x**2 > x * x), xs[0])
-        chi = GroupFunction(FiniteAbelianGroup((2,)), np.array([1.0, x]))
-        assert_same_report(sweep_rsd(chi, 0.0), loop_sweep(chi, 0.0, check_rsd, "rsd_sweep"))
+        # With chi = (1, x) on Z2, the pairs (0, 1) and (1, 0) read
+        # x^2 <= x^2.  Squares taken as products make those margins exactly
+        # 0; libm's pow(x, 2) exceeds x*x by an ulp at this x, and a margin
+        # x*x - x**2 failed the sweep with -5.55e-17.
+        chi = GroupFunction(FiniteAbelianGroup((2,)), np.array([1.0, 0.6524064426367464]))
+        rep = sweep_rsd(chi, 0.0)
+        assert rep.passed and rep.worst_margin.hex() == (0.0).hex()
+        assert rep.witness == "g1=(0), g2=(0)"
+        assert_same_report(rep, loop_sweep(chi, 0.0, check_rsd, "rsd_sweep"))
 
     @pytest.mark.parametrize(
         "sweep, values",
@@ -175,7 +177,7 @@ class TestPairSweep:
     @pytest.mark.parametrize(
         "check, values, g",
         [
-            # a square overflows Python's float pow
+            # the squares overflow: inf - inf
             (check_rsd, [1e200, 1.0, 1.0, 1.0], 0),
             # both sides overflow: inf - inf
             (check_rsd, [1e100, 1e90, 1e80, 1e90], 0),
@@ -205,6 +207,27 @@ class TestPairSweep:
         G = FiniteAbelianGroup((4,))
         with pytest.raises(DomainError):
             sweep(GroupFunction(G, np.array([center, 1.0, 0.5, 1.0])), 0.0)
+
+
+def test_triple_check_is_the_pair_check():
+    """The paper's dictionary: with chi(g) = H(a, a+g), g1 = b - a and
+    g2 = c - b, a triple's kernel values H(a,b), H(b,c), H(a,c), H(a,s_b(c))
+    and H(a,a) are chi(g1), chi(g2), chi(g1+g2), chi(g1-g2) and chi(0), so
+    the continuum triple check on those five values, with no error to widen
+    by, gives the pair checks' margins and verdicts bitwise."""
+    for chi, tol_rsd, tol_mean in sweep_cases():
+        elements = [chi.group.from_index(i) for i in range(chi.group.order)]
+        for g1 in elements:
+            for g2 in elements:
+                values = (chi(g1), chi(g2), chi(g1 + g2), chi(g1 - g2), chi.at_index(0), 0.0)
+                for kind, single, tol in (
+                    ("symmetric_ineq", check_rsd, tol_rsd),
+                    ("heat_lemma", check_mean_ineq, tol_mean),
+                ):
+                    rep = continuum._triple_check(kind, values, tol, "")
+                    ref = single(chi, g1, g2, tol)
+                    assert rep.worst_margin.hex() == ref.worst_margin.hex()
+                    assert rep.passed is ref.passed
 
 
 class TestConvolveEven:

@@ -423,6 +423,35 @@ class TestSymmetricInequality:
         assert symmetric_ineq_check_h3(a, b, c, 1.0, tol=1e-6).passed
         assert heat_lemma_check_h3(a, b, c, 1.0, tol=1e-4).passed
 
+    def test_nonfinite_h3_margin_is_refused(self):
+        # at t = 1e-60 H(a,a) is 2.2e88, so both sides of the product form
+        # overflow and the margin is inf - inf
+        b = h3_abc(0.5)[1]
+        with pytest.raises(NumericalConsistencyError, match="not finite"):
+            symmetric_ineq_check_h3(b, b, b, 1e-60)
+
+    def test_overflowing_h3_center_is_refused(self):
+        # (4 pi t)^-1.5 overflows a double at t = 1e-250
+        b = h3_abc(0.5)[1]
+        for check in (symmetric_ineq_check_h3, heat_lemma_check_h3):
+            with pytest.raises(NumericalConsistencyError, match="overflows"):
+                check(b, b, b, 1e-250)
+
+    def test_underflowing_h3_center_is_refused(self):
+        # e^-t underflows H(a,a) to 0 at t = 1000: the product form passed
+        # with margin 0 and the mean form raised ZeroDivisionError
+        a, b, c = h3_abc(0.5)
+        for check in (symmetric_ineq_check_h3, heat_lemma_check_h3):
+            with pytest.raises(NumericalConsistencyError, match="underflows"):
+                check(a, b, c, 1000.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_h3_triples_refuse_a_bad_t(self, bad):
+        a, b, c = h3_abc(0.5)
+        for check in (symmetric_ineq_check_h3, heat_lemma_check_h3):
+            with pytest.raises(DomainError, match="t must be positive and finite"):
+                check(a, b, c, bad)
+
     def test_reports_hold_python_scalars(self):
         rng = np.random.default_rng(5)
         s = tuple(random_sphere_point(rng) for _ in range(3))
@@ -649,7 +678,8 @@ class TestKernelMemo:
 
 
 # --- the continuum checks as they were written before they shared one
-# triple check and heat._monotone_report: references for bitwise equality ---
+# triple check and heat._monotone_report, with squares taken as products as
+# the shared margin formulas take them: references for bitwise equality ---
 
 
 def old_kernels(space, a, b, c, t, l_max=200):
@@ -670,14 +700,14 @@ def old_kernels(space, a, b, c, t, l_max=200):
 
 def old_symmetric_sphere(kernels, tol):
     hab, hbc, hac, hasbc, haa, tail = kernels
-    lhs = hab**2 * hbc**2
-    rhs = hac * hasbc * haa**2
+    lhs = hab * hab * (hbc * hbc)
+    rhs = hac * hasbc * (haa * haa)
     per_eval = 10.0 * tail + 100.0 * np.finfo(float).eps * haa
     trunc = per_eval * (
-        2 * abs(hab) * hbc**2
-        + 2 * abs(hbc) * hab**2
-        + abs(hasbc * haa**2)
-        + abs(hac * haa**2)
+        2 * abs(hab) * (hbc * hbc)
+        + 2 * abs(hbc) * (hab * hab)
+        + abs(hasbc * (haa * haa))
+        + abs(hac * (haa * haa))
         + 2 * abs(hac * hasbc * haa)
     )
     margin = rhs - lhs
