@@ -89,6 +89,11 @@ MAX_LMAX = 10_000
 # and RP2 (same VM), with peak RSS flat at 35 MB.  So 100 000 trials take
 # about 12 s.
 MAX_SPHERE_TRIALS = 100_000
+# Largest check-monotone and h3-monotone --steps.  check-monotone on Z4096
+# took 1.3 s at 10 000 steps and 9.9 s at 100 000, with peak RSS flat at
+# 80 MB (same VM); h3-monotone's peak RSS grows with the grid, 54 MB at
+# 10^6 steps and 193 MB at 10^7.
+MAX_STEPS = 100_000
 
 
 def _fmt(x) -> str:
@@ -252,7 +257,7 @@ EPS = {"--eps": dict(dest="epsilon", metavar="EPS", type=FINITE, default=1e-12,
 GRID = {
     "--tmin": dict(type=FINITE, default=0.05),
     "--tmax": dict(type=FINITE, default=50.0),
-    "--steps": dict(type=_int_at_least(2), default=20),
+    "--steps": dict(type=_int_between(2, MAX_STEPS), default=20),
 }
 
 # Environment variables that set a flag's default; the flag itself wins.

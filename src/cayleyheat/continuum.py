@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -395,6 +396,24 @@ def heat_lemma_check_sphere(
     return _triple_check("heat_lemma", kernels, tol, f"space={space}, t={t}")
 
 
+# the two sides of each triple check's inequality, from the five kernel values
+_TRIPLE_SIDES = {
+    "symmetric_ineq": lambda x, y, s, d, c: (x * x * (y * y), s * d * (c * c)),
+    "heat_lemma": lambda x, y, s, d, c: (x * y / c, 0.5 * (s + d)),
+}
+
+
+def _h3_triple_check(kind: str, a, b, c, t: float, tol: float) -> CheckReport:
+    """_triple_check on the closed-form H3 kernels.  Every H3 kernel value is
+    positive, so a side of the inequality below the smallest normal double
+    has underflowed; where both sides have, comparing them says nothing, and
+    the check is refused with NumericalConsistencyError."""
+    kernels = _h3_kernels(a, b, c, float(t))
+    if max(_TRIPLE_SIDES[kind](*kernels[:5])) < sys.float_info.min:
+        raise NumericalConsistencyError(f"{kind}: both sides underflow at t={t}")
+    return _triple_check(kind, kernels, tol, f"space=H3, t={t}")
+
+
 def symmetric_ineq_check_h3(
     a: HyperboloidPoint,
     b: HyperboloidPoint,
@@ -403,8 +422,7 @@ def symmetric_ineq_check_h3(
     tol: float = 0.0,
 ) -> CheckReport:
     """The reflection inequality on hyperbolic 3-space (closed form)."""
-    kernels = _h3_kernels(a, b, c, float(t))
-    return _triple_check("symmetric_ineq", kernels, tol, f"space=H3, t={t}")
+    return _h3_triple_check("symmetric_ineq", a, b, c, t, tol)
 
 
 def heat_lemma_check_h3(
@@ -415,8 +433,7 @@ def heat_lemma_check_h3(
     tol: float = 0.0,
 ) -> CheckReport:
     """The mean form on hyperbolic 3-space (closed form)."""
-    kernels = _h3_kernels(a, b, c, float(t))
-    return _triple_check("heat_lemma", kernels, tol, f"space=H3, t={t}")
+    return _h3_triple_check("heat_lemma", a, b, c, t, tol)
 
 
 def sphere_monotone_check(

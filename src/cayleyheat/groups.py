@@ -11,22 +11,23 @@ group law (g_i + g_j over pairs, and -g_i) are built from per-factor tables
 by Kronecker sum (``_kron_index``), which gives the integers ``flat`` gives
 at one numpy pass per table, whatever the number of factors.
 
-The DFT and its inverse run on a fixed plan per group (``_plan``).  Each run
-of consecutive factors below 16 is merged into dense DFT blocks of at most 64
-elements, applied by matrix products; each factor of 16 or more goes through
-np.fft.  The block matrices are built once from exact integer phases.  A
-group with many small factors then costs about what a cyclic group of its
-order costs, not one numpy pass per factor.  ``transform_error`` states the
-plan's forward-error constant, which ``approx`` uses for its rate floor.
+The DFT and its inverse run on a fixed plan per group (``_plan``), walked by
+one loop (``_transform``).  Each run of consecutive factors below 16 is
+merged into dense DFT blocks of at most 64 elements, applied by matrix
+products; each factor of 16 or more goes through np.fft.  The block matrices
+are built once from exact integer phases (``_dense_block``).  A group with
+many small factors then costs about what a cyclic group of its order costs,
+not one numpy pass per factor.  ``transform_error`` states the plan's
+forward-error constant, which ``approx`` uses for its rate floor.
 
-``idft_stack`` inverts a real stack (the heat rows' spectra) at half width
-(``_half``).  For real s, idft(s) = conj(dft(s))/|G|, and dft(s)(-k) =
-conj dft(s)(k).  So the first step is computed only on a half set H of its
-block, with H and -H covering it: np.fft.rfft on an FFT step, the block's
-columns at H on a dense one.  Later steps run on width |H|, and each element
-takes its real part from itself or from its negative.  The rows come out
-exactly even, the largest |Im| over H is the largest over G, and a block of
-Z_2's, whose DFT is exactly real, keeps every product real.
+The same loop inverts a real stack (the heat rows' spectra) at half width.
+For real s, idft(s)(-k) = conj idft(s)(k).  So the first step is computed
+only on a half set H of its block, with H and -H covering it: np.fft.ihfft on
+an FFT step, the inverse block's columns at H on a dense one.  Later steps
+run on width |H|, and each element takes its real part from itself or from
+its negative.  The rows come out exactly even, the largest |Im| over H is
+the largest over G, and a block of Z_2's, whose inverse DFT is exactly real,
+keeps every product real.
 """
 
 from __future__ import annotations
@@ -343,10 +344,24 @@ class _Plan(NamedTuple):
     block of m elements is an inner product of length m per value, gamma_m
     ~ m u; an FFT of length m adds about log2(m) u.  So c is the sum of the
     dense block sizes plus the sum of log2 of the FFT lengths.  The tests
-    check it against an extended-precision character sum."""
+    check it against an extended-precision character sum.
+
+    The other fields serve the half-width inverse of a real stack.  The
+    first step's half set is H = {i : i <= -i} of its block (0, ..., m // 2
+    for an FFT step), so H and -H cover the block.  ``first`` holds a dense
+    first step's inverse block at the columns H (None for an FFT step);
+    ``half_steps`` are the later steps with post at width |H| in place of m,
+    and ``width`` is the row length |G| |H| / m they leave.  ``src`` maps
+    each element k to its value in that row (rows: the other factors;
+    columns: H): k itself or -k, the one with the smaller flat index when
+    both are there; None when every k = -k."""
 
     steps: tuple[tuple[int, int, int, tuple[int, ...] | None], ...]
     error: float
+    first: np.ndarray | None
+    half_steps: tuple[tuple[int, int, int, tuple[int, ...] | None], ...]
+    width: int
+    src: np.ndarray | None
 
 
 @functools.lru_cache(maxsize=None)
@@ -372,7 +387,26 @@ def _plan(sizes: tuple[int, ...]) -> _Plan:
         steps.append((pre, m, total // (pre * m), factors if dense else None))
         pre *= m
         error += m if dense else math.log2(m)
-    return _Plan(tuple(reversed(steps)), error)
+    steps.reverse()
+    # the half route
+    _, m, _, factors = steps[0]
+    H = np.flatnonzero(np.arange(m) <= _kron_index(factors or (m,), np.arange(m), _cyclic_neg))
+    first = None
+    if factors is not None:
+        first = np.ascontiguousarray(_dense_block(factors, True)[:, H])
+        first.setflags(write=False)
+    k = np.arange(total)
+    neg_k = _kron_index(sizes, k, _cyclic_neg)
+    src = None
+    if np.any(neg_k != k):
+        pos = np.full(m, -1)
+        pos[H] = np.arange(len(H))
+        held = pos[k % m] >= 0
+        rep = np.where(held & ~(held[neg_k] & (neg_k < k)), k, neg_k)
+        src = rep // m * len(H) + pos[rep % m]
+        src.setflags(write=False)
+    half_steps = tuple((p, n, q // m * len(H), f) for p, n, q, f in steps[1:])
+    return _Plan(tuple(steps), error, first, half_steps, total // m * len(H), src)
 
 
 def _unit_roots(L: int) -> np.ndarray:
@@ -397,112 +431,57 @@ def _dense_block(factors: tuple[int, ...], inverse: bool) -> np.ndarray:
     order when inverse.  The phase is the exact integer sum_j (k_j g_j mod n_j)
     L/n_j mod L, L = lcm(n_j), so each entry is within a few ulps of its root
     of unity.  The matrix is symmetric, which lets one matrix act from either
-    side."""
+    side.  An inverse block of Z_2's, whose DFT is exactly real, comes back
+    real, so products on real rows stay real."""
     L = math.lcm(*factors)
     res = np.indices(factors).reshape(len(factors), -1)
     phase = sum(np.outer(r, r) % n * (L // n) for r, n in zip(res, factors)) % L
     mat = _unit_roots(L)[phase]
     if inverse:
         mat = mat.conj() / len(mat)
+        if not mat.imag.any():
+            mat = np.ascontiguousarray(mat.real)
     mat.setflags(write=False)
     return mat
 
 
-def _transform(group: FiniteAbelianGroup, x: np.ndarray, inverse: bool) -> np.ndarray:
+def _transform(
+    group: FiniteAbelianGroup, x: np.ndarray, inverse: bool, half: bool = False
+) -> np.ndarray:
     """DFT of each length-|G| row of a (B, |G|) stack x, or its inverse with
-    the 1/|G| factor, as a complex (B, |G|) array.  Each step's products have
-    one shape per row, whatever B is, so a row's bits do not depend on the
-    stack it is in (a single (B*pre, m) product would send B*pre = 1 down
-    numpy's matrix-vector path, which rounds differently)."""
+    the 1/|G| factor, as a complex (B, |G|) array.  An inverse of real rows
+    takes half: the first step runs on the half set H only (np.fft.ihfft on
+    an FFT step, the plan's ``first`` on a dense one), the later steps at
+    width |H|, and the result is the (B, width) array of ``_Plan``, real
+    when every block is.  Each step's products have one shape per row,
+    whatever B is, so a row's bits do not depend on the stack it is in (a
+    single (B*pre, m) product would send B*pre = 1 down numpy's
+    matrix-vector path, which rounds differently)."""
     B = x.shape[0]
+    plan = _plan(group.factor_sizes)
+    steps = plan.steps
+    if half:
+        pre, m, _, _ = steps[0]
+        if plan.first is None:
+            x = np.fft.ihfft(x.reshape(B * pre, m), axis=1)
+        elif np.iscomplexobj(plan.first):  # one real product, as for real rows below
+            x = np.matmul(x.reshape(B, pre, m), plan.first.view(float)).view(complex)
+        else:
+            x = np.matmul(x.reshape(B, pre, m), plan.first)
+        steps = plan.half_steps
     fft = np.fft.ifft if inverse else np.fft.fft
-    for pre, m, post, factors in _plan(group.factor_sizes).steps:
+    for pre, m, post, factors in steps:
         if factors is None:
             x = fft(x.reshape(B * pre, m, post) if post > 1 else x.reshape(B * pre, m), axis=1)
-        elif post > 1:  # not the first step, so x is complex
+        elif post > 1:  # not the first step
             x = np.matmul(_dense_block(factors, inverse), x.reshape(B * pre, m, post))
         elif np.iscomplexobj(x):
             x = np.matmul(x.reshape(B, pre, m), _dense_block(factors, inverse))
-        else:  # real rows: M's float view holds (Re, Im) pairs as complex memory
-            # does, so one real product gives the complex result
+        else:  # real rows, forward: M's float view holds (Re, Im) pairs as
+            # complex memory does, so one real product gives the complex result
             x = np.matmul(x.reshape(B, pre, m), _dense_block(factors, inverse).view(float))
             x = x.view(complex)
-    return x.reshape(B, group.order)
-
-
-class _Half(NamedTuple):
-    """The real-input route of a group's plan.  The first step's half set is
-    H = {i : i <= -i} of its block (0, ..., m // 2 for an FFT step), so H and
-    -H cover the block; ``width`` is |H|.  ``first`` holds a dense first
-    step's forward DFT columns at H (None for an FFT step), and ``blocks``
-    each later dense step's forward block (None for an FFT step), each
-    divided by its block order; with the FFT steps' norm="forward", the
-    steps together carry 1/|G|.  Both are real on a block of Z_2's, whose
-    DFT is exactly real.  ``src`` maps each
-    element k to its value in the half array (rows: the other factors;
-    columns: H): k itself or -k, the one with the smaller flat index when
-    both are there; None when every k = -k."""
-
-    first: np.ndarray | None
-    blocks: tuple[np.ndarray | None, ...]
-    width: int
-    src: np.ndarray | None
-
-
-def _real_if_exact(mat: np.ndarray) -> np.ndarray:
-    """A read-only C-ordered copy of mat, real when its imaginary part is 0."""
-    mat = np.ascontiguousarray(mat if mat.imag.any() else mat.real)
-    mat.setflags(write=False)
-    return mat
-
-
-@functools.lru_cache(maxsize=None)
-def _half(sizes: tuple[int, ...]) -> _Half:
-    """The real-input route of ``_plan(sizes)``, built once per group."""
-    (_, m, _, factors), *rest = _plan(sizes).steps
-    neg = _kron_index(factors or (m,), np.arange(m), _cyclic_neg)
-    H = np.flatnonzero(np.arange(m) <= neg)
-    first = None if factors is None else _real_if_exact(_dense_block(factors, False)[:, H] / m)
-    blocks = tuple(
-        None if f is None else _real_if_exact(_dense_block(f, False) / math.prod(f))
-        for _, _, _, f in rest
-    )
-    k = np.arange(math.prod(sizes))
-    neg_k = _kron_index(sizes, k, _cyclic_neg)
-    src = None
-    if np.any(neg_k != k):
-        pos = np.full(m, -1)
-        pos[H] = np.arange(len(H))
-        held = pos[k % m] >= 0
-        rep = np.where(held & ~(held[neg_k] & (neg_k < k)), k, neg_k)
-        src = rep // m * len(H) + pos[rep % m]
-        src.setflags(write=False)
-    return _Half(first, blocks, len(H), src)
-
-
-def _half_dft(group: FiniteAbelianGroup, x: np.ndarray) -> np.ndarray:
-    """Forward DFT, divided by |G|, of each real row of a (B, |G|) stack x at
-    the elements whose first-step residue is in the half set H (see
-    ``_Half``), as a (B, |G| |H| / m) array in the plan's layout; real when
-    every block is.  Steps after the first run on width |H| in place of m.
-    As in ``_transform``, a row's bits do not depend on the stack."""
-    B = x.shape[0]
-    half = _half(group.factor_sizes)
-    (pre, m0, _, _), *rest = _plan(group.factor_sizes).steps
-    if half.first is None:
-        x = np.fft.rfft(x.reshape(B * pre, m0), axis=1, norm="forward")
-    elif np.iscomplexobj(half.first):  # one real product on (Re, Im) pairs, as in _transform
-        x = np.matmul(x.reshape(B, pre, m0), half.first.view(float)).view(complex)
-    else:
-        x = np.matmul(x.reshape(B, pre, m0), half.first)
-    for (pre, m, post, _), block in zip(rest, half.blocks):
-        post = post // m0 * half.width
-        if block is None:
-            x = x.reshape(B * pre, m, post) if post > 1 else x.reshape(B * pre, m)
-            x = np.fft.fft(x, axis=1, norm="forward")
-        else:
-            x = np.matmul(block, x.reshape(B * pre, m, post))
-    return x.reshape(B, group.order // m0 * half.width)
+    return x.reshape(B, plan.width if half else group.order)
 
 
 def idft_stack(group: FiniteAbelianGroup, spectra: np.ndarray) -> np.ndarray:
@@ -529,14 +508,14 @@ def idft_stack(group: FiniteAbelianGroup, spectra: np.ndarray) -> np.ndarray:
                 norm[i] = nrm = scale * math.sqrt(np.vecdot(row, row).real)
                 if not nrm < math.inf:  # a NaN norm fails too
                     raise NumericalConsistencyError(f"spectrum norm of row {i} is not finite")
-    if np.iscomplexobj(spectra):
-        out = _transform(group, spectra, inverse=True)
-        imag = np.abs(out.imag).max(axis=1)
-        real = out.real.copy()
-    else:  # idft(s) = conj(dft(s)) / |G|, and y(-k) = conj y(k)
-        y = _half_dft(group, spectra)
+    half = not np.iscomplexobj(spectra)
+    y = _transform(group, spectra, True, half=half)
+    if not half:
+        imag = np.abs(y.imag).max(axis=1)
+        real = y.real.copy()
+    else:  # y(-k) = conj y(k) completes each row
         imag = np.abs(y.imag).max(axis=1) if np.iscomplexobj(y) else np.zeros(len(y))
-        src = _half(group.factor_sizes).src
+        src = _plan(group.factor_sizes).src
         # take gives C order, as fancy indexing does not
         real = y.real if src is None else y.real.take(src, axis=1)
     for i, (res, nrm) in enumerate(zip(imag.tolist(), norm)):

@@ -342,6 +342,7 @@ class TestCommandTable:
             ("search-counterexample", "--trials", cli.MAX_TRIALS),
             ("sphere-check", "--lmax", cli.MAX_LMAX),
             ("sphere-check", "--trials", cli.MAX_SPHERE_TRIALS),
+            ("h3-monotone", "--steps", cli.MAX_STEPS),  # check-monotone's --steps is the same
         ],
     )
     def test_size_caps_parse_at_the_bound(self, capsys, command, flag, cap):
@@ -398,6 +399,7 @@ ARGV_CASES = {
     "lmax_zero": (["sphere-check", "--lmax", "0"], {}, {}, 2),
     "sphere_trials_above_cap": (["sphere-check", "--trials", "100001"], {}, {}, 2),
     "steps_one": (["h3-monotone", "--steps", "1"], {}, {}, 2),
+    "steps_above_cap": (["h3-monotone", "--steps", "100001"], {}, {}, 2),
     "nan_float": (["h3-violation", "--t", "nan"], {}, {}, 2),
     "heat_tol_malformed": (["search-counterexample", "--trials", "1"], {"HEAT_TOL": "abc"}, {}, 2),
     "heat_eps_malformed": (["pushforward", "--instances", "1"], {"HEAT_EPS": "abc"}, {}, 2),

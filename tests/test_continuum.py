@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -445,6 +446,19 @@ class TestSymmetricInequality:
             with pytest.raises(NumericalConsistencyError, match="underflows"):
                 check(a, b, c, 1000.0)
 
+    def test_h3_far_triples_are_refused_where_both_sides_underflow(self):
+        # at t = 1 the product form's sides underflow from d1 = 30 and the
+        # mean form's from d1 = 60, where each passed with margin 0.0; the
+        # reduced log-space check finds the violation at both
+        for check, d1 in ((symmetric_ineq_check_h3, 30.0), (heat_lemma_check_h3, 60.0)):
+            with pytest.raises(NumericalConsistencyError, match="both sides underflow"):
+                check(*h3_abc(d1), 1.0)
+            assert h3_reduced_check(d1, 1.0)[2]
+        # at d1 = 20 the product form's sides are still normal numbers
+        rep = symmetric_ineq_check_h3(*h3_abc(20.0), 1.0)
+        assert not rep.passed
+        assert rep.worst_margin == pytest.approx(-4.1e-211, rel=0.01)
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_h3_triples_refuse_a_bad_t(self, bad):
         a, b, c = h3_abc(0.5)
@@ -738,7 +752,7 @@ def old_symmetric_h3(a, b, c, t, tol):
     lhs = h(a, b) ** 2 * h(b, c) ** 2
     rhs = h(a, c) * h(a, sbc) * haa**2
     margin = rhs - lhs
-    return margin >= -tol, margin, haa**4
+    return (margin >= -tol, margin, haa**4), max(lhs, rhs)
 
 
 def old_heat_lemma_h3(a, b, c, t, tol):
@@ -748,7 +762,7 @@ def old_heat_lemma_h3(a, b, c, t, tol):
     lhs = h(a, b) * h(b, c) / haa
     rhs = 0.5 * (h(a, c) + h(a, sbc))
     margin = rhs - lhs
-    return margin >= -tol, margin, haa
+    return (margin >= -tol, margin, haa), max(lhs, rhs)
 
 
 def old_h3_monotone(d, t_grid, tol=1e-12):
@@ -835,7 +849,7 @@ class TestMergedContinuumChecks:
         rng = np.random.default_rng(62)
         triples = [tuple(random_h3_point(rng) for _ in range(3)) for _ in range(1000)]
         triples += [h3_abc(d1) for d1 in np.geomspace(0.05, 30.0, 40)]
-        failed = 0
+        failed = refused = 0
         for i, (a, b, c) in enumerate(triples):
             t, tol = TRIPLE_T[i % 4], TRIPLE_TOLS[i % 3] * 1e-3
             witness = f"space=H3, t={t}"
@@ -843,10 +857,17 @@ class TestMergedContinuumChecks:
                 (symmetric_ineq_check_h3, old_symmetric_h3, "symmetric_ineq"),
                 (heat_lemma_check_h3, old_heat_lemma_h3, "heat_lemma"),
             ):
+                ref, larger_side = old(a, b, c, t, tol)
+                if larger_side < sys.float_info.min:  # both sides underflow
+                    with pytest.raises(NumericalConsistencyError, match="both sides underflow"):
+                        check(a, b, c, t, tol)
+                    refused += 1
+                    continue
                 rep = check(a, b, c, t, tol)
-                assert_close_report(rep, old(a, b, c, t, tol), name, witness)
+                assert_close_report(rep, ref, name, witness)
                 failed += not rep.passed
         assert 0 < failed < 2 * len(triples)
+        assert 0 < refused < failed
 
     def test_h3_monotone(self):
         grids = (np.geomspace(0.05, 50, 20), np.linspace(0.01, 3.0, 40))

@@ -428,6 +428,14 @@ class TestDFT:
             bound = (G.transform_error + sum(math.log2(n) for n in sizes)) * U
             assert np.linalg.norm(dft(f) - ref) <= bound * np.linalg.norm(ref)
 
+    def test_complex_idft_stack_is_ifftn(self):
+        # on FFT-only plans each row of a complex stack gets ifftn's bits
+        for sizes in [(16,), (17,), (31,), (16, 16), (17, 19), (64, 64), (4096,)]:
+            G = FiniteAbelianGroup(sizes)
+            spectra = np.stack([dft(random_fn(G)) for _ in range(3)])
+            ref = np.fft.ifftn(spectra.reshape(3, *sizes), axes=range(1, len(sizes) + 1))
+            assert np.array_equal(idft_stack(G, spectra), ref.real.reshape(3, G.order))
+
     def test_plans(self):
         # runs of factors below 16 merge into blocks of at most 64 elements;
         # larger factors keep the FFT; the error constant sums the dense
@@ -533,7 +541,7 @@ class TestRealRoute:
             assert np.array_equal(idft(G, s).values, row)
         assert np.array_equal(full, full[:, G.neg_index_table()])
         if max(sizes) <= 2:  # every product stays real
-            assert not np.iscomplexobj(groups._half_dft(G, spectra))
+            assert not np.iscomplexobj(groups._transform(G, spectra, True, half=True))
 
     @pytest.mark.parametrize("sizes", [s for s in REAL_ROUTE_GROUPS if max(s) > 2], ids=str)
     def test_odd_spectrum_is_refused(self, sizes):
