@@ -61,7 +61,7 @@ def build_chi_n(
     if n < 2 or (alpha > 0 and n <= alpha):
         raise DomainError(f"need n > alpha and n >= 2, got n={n}")
     if alpha == 0:
-        return PushforwardResult(delta(g0.group), 0.0, epsilon)
+        return PushforwardResult(delta(g0.group), 0.0)
     r_n = math.sqrt(math.log(n / alpha) / math.pi)
     hom = LatticeHom(Lattice.integers(r_n), g0.group, (g0,))
     return pushforward(hom, epsilon)

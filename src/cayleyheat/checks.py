@@ -2,10 +2,10 @@
 
 Each check returns a CheckReport; ``passed`` means the worst margin (RHS
 minus LHS under the check's sign convention) stayed above minus the
-tolerance.  Each pair inequality has one margin formula, in x = chi(g1),
-y = chi(g2), s = chi(g1+g2), d = chi(g1-g2) and c = chi(0), on Python
-floats and NumPy arrays alike: the single-pair checks, the sweeps and the
-continuum triple checks all call it.
+tolerance.  Each pair inequality is written once, as its two sides, in
+x = chi(g1), y = chi(g2), s = chi(g1+g2), d = chi(g1-g2) and c = chi(0), on
+Python floats and NumPy arrays alike: the single-pair checks, the sweeps and
+the continuum triple checks all call it and take RHS - LHS as the margin.
 """
 
 from __future__ import annotations
@@ -45,27 +45,27 @@ def _center(chi: GroupFunction) -> float:
     return v0
 
 
-def rsd_margin(x, y, s, d, c):
-    """The product inequality's margin, s d c^2 - x^2 y^2.  Squares are
+def rsd_sides(x, y, s, d, c):
+    """(LHS, RHS) of the product inequality x^2 y^2 <= s d c^2.  Squares are
     products, so the margin is exactly 0 where both sides are one product."""
-    return s * d * (c * c) - x * x * (y * y)
+    return x * x * (y * y), s * d * (c * c)
 
 
 def rsd_gradient_l1(x, y, s, d, c):
-    """The l1 norm of rsd_margin's gradient in (x, y, s, d, c)."""
+    """The l1 norm of the product margin's gradient in (x, y, s, d, c)."""
     cc = c * c
     return (
         2 * abs(x) * (y * y) + 2 * abs(y) * (x * x) + abs(d * cc) + abs(s * cc) + 2 * abs(s * d * c)
     )
 
 
-def mean_margin(x, y, s, d, c):
-    """The mean inequality's margin, (s + d)/2 - x y / c."""
-    return 0.5 * (s + d) - x * y / c
+def mean_sides(x, y, s, d, c):
+    """(LHS, RHS) of the mean inequality x y / c <= (s + d)/2."""
+    return x * y / c, 0.5 * (s + d)
 
 
 def mean_gradient_l1(x, y, s, d, c):
-    """The l1 norm of mean_margin's gradient in (x, y, s, d, c), for c > 0."""
+    """The l1 norm of the mean margin's gradient in (x, y, s, d, c), for c > 0."""
     return abs(x) / c + abs(y) / c + 1.0 + abs(x * y / c) / c
 
 
@@ -78,23 +78,23 @@ def scalar_report(margin: float, tol: float, witness: str, name: str) -> CheckRe
     return CheckReport(bool(margin >= -tol), float(margin), witness, 1, name)
 
 
-def _pair_check(chi: GroupFunction, g1, g2, tol: float, margin, name: str) -> CheckReport:
-    """The margin formula (rsd_margin or mean_margin) at one pair."""
+def _pair_check(chi: GroupFunction, g1, g2, tol: float, sides, name: str) -> CheckReport:
+    """RHS - LHS of the sides formula (rsd_sides or mean_sides) at one pair."""
     c = _center(chi)
-    value = margin(chi(g1), chi(g2), chi(g1 + g2), chi(g1 - g2), c)
-    return scalar_report(value, tol, f"g1={g1}, g2={g2}", name)
+    lhs, rhs = sides(chi(g1), chi(g2), chi(g1 + g2), chi(g1 - g2), c)
+    return scalar_report(rhs - lhs, tol, f"g1={g1}, g2={g2}", name)
 
 
 def check_rsd(chi: GroupFunction, g1: GroupElement, g2: GroupElement, tol: float) -> CheckReport:
     """chi(g1)^2 chi(g2)^2 <= chi(g1+g2) chi(g1-g2) chi(0)^2."""
-    return _pair_check(chi, g1, g2, tol, rsd_margin, "rsd")
+    return _pair_check(chi, g1, g2, tol, rsd_sides, "rsd")
 
 
 def check_mean_ineq(
     chi: GroupFunction, g1: GroupElement, g2: GroupElement, tol: float
 ) -> CheckReport:
     """chi(g1)chi(g2)/chi(0) <= (chi(g1+g2) + chi(g1-g2))/2."""
-    return _pair_check(chi, g1, g2, tol, mean_margin, "mean_ineq")
+    return _pair_check(chi, g1, g2, tol, mean_sides, "mean_ineq")
 
 
 def worst_report(blocks, where, tol: float, count: int, name: str) -> CheckReport:
@@ -124,11 +124,11 @@ def worst_report(blocks, where, tol: float, count: int, name: str) -> CheckRepor
 _BLOCK_PAIRS = PAIR_TABLE_MAX
 
 
-def _pair_sweep(chi: GroupFunction, tol: float, margin, name: str) -> CheckReport:
-    """The margin formula (rsd_margin or mean_margin) over every pair, in row
-    blocks, so each margin is bitwise the single-pair check's, reduced by
-    ``worst_report``.  The sub block is the add block's columns taken at
-    -g."""
+def _pair_sweep(chi: GroupFunction, tol: float, sides, name: str) -> CheckReport:
+    """RHS - LHS of the sides formula (rsd_sides or mean_sides) over every
+    pair, in row blocks, so each margin is bitwise the single-pair check's,
+    reduced by ``worst_report``.  The sub block is the add block's columns
+    taken at -g."""
     c = _center(chi)
     G, v = chi.group, chi.values
     n = G.order
@@ -141,7 +141,8 @@ def _pair_sweep(chi: GroupFunction, tol: float, margin, name: str) -> CheckRepor
             add = G.add_index_table() if rows >= n else G.add_index_rows(i0, i1)
             sub = np.take(add, neg, axis=1)
             with np.errstate(all="ignore"):  # worst_report refuses what overflows
-                margins = margin(v[i0:i1, None], v, v[add], v[sub], c)
+                lhs, rhs = sides(v[i0:i1, None], v, v[add], v[sub], c)
+                margins = rhs - lhs
             yield i0, margins
 
     def where(i, j):
@@ -152,12 +153,12 @@ def _pair_sweep(chi: GroupFunction, tol: float, margin, name: str) -> CheckRepor
 
 def sweep_rsd(chi: GroupFunction, tol: float) -> CheckReport:
     """check_rsd over every (g1, g2) pair."""
-    return _pair_sweep(chi, tol, rsd_margin, "rsd_sweep")
+    return _pair_sweep(chi, tol, rsd_sides, "rsd_sweep")
 
 
 def sweep_mean_ineq(chi: GroupFunction, tol: float) -> CheckReport:
     """check_mean_ineq over every (g1, g2) pair."""
-    return _pair_sweep(chi, tol, mean_margin, "mean_ineq_sweep")
+    return _pair_sweep(chi, tol, mean_sides, "mean_ineq_sweep")
 
 
 def check_convolve_even(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checks import CheckReport, mean_gradient_l1, mean_margin, rsd_gradient_l1, rsd_margin
+from .checks import CheckReport, mean_gradient_l1, mean_sides, rsd_gradient_l1, rsd_sides
 from .checks import scalar_report
 from .errors import DomainError, NumericalConsistencyError
 from .heat import _monotone_report, _t_grid
@@ -124,13 +124,19 @@ def h3_reduced_log(d1: float, t: float) -> tuple[float, float]:
 
     The base length d2 is 2 asinh(sinh(d1)/sqrt 2), which is exactly
     cosh d2 = cosh^2 d1 and keeps its digits at small d1, where
-    acosh(cosh^2 d1) cancels.
+    acosh(cosh^2 d1) cancels.  A side that is not finite (d^2/4t overflows
+    at a subnormal t) is refused with NumericalConsistencyError.
     """
-    if not 0 < d1 < math.inf or t <= 0:
-        raise DomainError("d1 must be positive and finite, and t positive")
+    if not 0 < d1 < math.inf:
+        raise DomainError("d1 must be positive and finite")
+    if not 0 < t < math.inf:
+        raise DomainError("t must be positive and finite")
     _cosh_squared(d1)  # refuses where h3_abc cannot build the triple
     d2 = 2.0 * math.asinh(math.sinh(d1) / math.sqrt(2.0))
-    return 2.0 * h3_log_ratio(d1, t), h3_log_ratio(d2, t)
+    log_ls, log_rs = 2.0 * h3_log_ratio(d1, t), h3_log_ratio(d2, t)
+    if not (math.isfinite(log_ls) and math.isfinite(log_rs)):
+        raise NumericalConsistencyError(f"the log sides are not finite at d1={d1}, t={t}")
+    return log_ls, log_rs
 
 
 def h3_reduced_check(d1: float, t: float) -> tuple[float, float, bool]:
@@ -146,7 +152,8 @@ def h3_reduced_check(d1: float, t: float) -> tuple[float, float, bool]:
     r_ab, r_bc, r_ac, r_asbc = _h3_log_ratios(*h3_abc(d1), t)
     reduced_gap = log_ls - log_rs
     unreduced_gap = 0.5 * (2.0 * r_ab + 2.0 * r_bc - r_ac - r_asbc)
-    if abs(reduced_gap - unreduced_gap) > 1e-10 * max(abs(reduced_gap), 1.0):
+    # written so that a NaN gap fails too
+    if not abs(reduced_gap - unreduced_gap) <= 1e-10 * max(abs(reduced_gap), 1.0):
         raise NumericalConsistencyError(
             "reduced and unreduced inequality routes disagree"
         )
@@ -289,16 +296,20 @@ def random_sphere_point(rng: np.random.Generator) -> SpherePoint:
     return SpherePoint(v / np.linalg.norm(v))
 
 
-@functools.lru_cache(maxsize=KERNEL_MEMO_SIZE)
-def _triple_kernels(
-    space: str, a: SpherePoint, b: SpherePoint, c: SpherePoint, t: float, l_max: int
-):
-    """(H(a,b), H(b,c), H(a,c), H(a,s_b(c)), H(a,a), err) on S2 or RP2, from
-    one series evaluation at the five cosines.
+# the kernel of each series space, and the set the sphere checks accept
+_SERIES_KERNELS = {"S2": sphere_heat, "RP2": rp2_heat}
 
-    err bounds each value's error: ten times the truncation tail plus the
-    series roundoff, since |P_l| <= 1 bounds the termwise absolute sum by
-    the value at distance zero.
+
+@functools.lru_cache(maxsize=KERNEL_MEMO_SIZE)
+def _triple_kernels(space: str, a, b, c, t: float, l_max: int):
+    """(H(a,b), H(b,c), H(a,c), H(a,s_b(c)), H(a,a), err) on S2, RP2 or H3.
+
+    On S2 and RP2 the values come from one series evaluation at the five
+    cosines, and err bounds each value's error: ten times the truncation
+    tail plus the series roundoff, since |P_l| <= 1 bounds the termwise
+    absolute sum by the value at distance zero.  On H3 each value is H(a,a)
+    exp(r), with H(a,a) = (4 pi t)^{-3/2} e^{-t} and r its log ratio; the
+    closed form is taken as exact, so err is 0, and l_max is not read.
 
     Memoized on (space, a, b, c, t, l_max), so the second check on a triple
     gets the very floats the first one computed.  The callers pass t as a
@@ -310,60 +321,64 @@ def _triple_kernels(
     applied later and is not part of the key; a refusal raises and is not
     kept, so it is raised again on every call.
     """
-    kernel = {"S2": sphere_heat, "RP2": rp2_heat}.get(space)
-    if kernel is None:
-        raise DomainError(f"unknown series space {space!r}")
+    if space == "H3":
+        if not 0 < t < math.inf:
+            raise DomainError("t must be positive and finite")
+        try:
+            haa = (4.0 * math.pi * t) ** -1.5 * math.exp(-t)
+        except OverflowError:
+            raise NumericalConsistencyError(f"H(a,a) overflows at t={t}") from None
+        if haa == 0.0:  # every value would be 0, and the mean form 0/0
+            raise NumericalConsistencyError(f"H(a,a) underflows to 0 at t={t}")
+        return (*[haa * math.exp(r) for r in _h3_log_ratios(a, b, c, t)], haa, 0.0)
     pairs = ((a, b), (b, c), (a, c), (a, sphere_point_symmetry(b, c)))
     cos_vals = np.array([float(np.dot(x.u, y.u)) for x, y in pairs] + [1.0])
-    vals, tail = kernel(cos_vals, t, l_max)
+    vals, tail = _SERIES_KERNELS[space](cos_vals, t, l_max)
     hab, hbc, hac, hasbc, haa = vals.tolist()
     return hab, hbc, hac, hasbc, haa, 10.0 * tail + 100.0 * math.ulp(1.0) * haa
 
 
-@functools.lru_cache(maxsize=KERNEL_MEMO_SIZE)
-def _h3_kernels(a: HyperboloidPoint, b: HyperboloidPoint, c: HyperboloidPoint, t: float):
-    """(H(a,b), H(b,c), H(a,c), H(a,s_b(c)), H(a,a), err) on H3, each as
-    H(a,a) exp(r) with H(a,a) = (4 pi t)^{-3/2} e^{-t} and r its log ratio;
-    the closed form is taken as exact, so err is 0.
-
-    Memoized on (a, b, c, t) like _triple_kernels, and for the same reasons
-    the entry cannot go stale; the callers pass t as a float.
-    """
-    if not 0 < t < math.inf:
-        raise DomainError("t must be positive and finite")
-    try:
-        haa = (4.0 * math.pi * t) ** -1.5 * math.exp(-t)
-    except OverflowError:
-        raise NumericalConsistencyError(f"H(a,a) overflows at t={t}") from None
-    if haa == 0.0:  # every value would be 0, and the mean form 0/0
-        raise NumericalConsistencyError(f"H(a,a) underflows to 0 at t={t}")
-    return (*[haa * math.exp(r) for r in _h3_log_ratios(a, b, c, t)], haa, 0.0)
-
-
-# (margin formula, l1 norm of its gradient) of each triple check's inequality
+# (sides formula, l1 norm of its margin's gradient) of each triple check
 _TRIPLE_FORMS = {
-    "symmetric_ineq": (rsd_margin, rsd_gradient_l1),
-    "heat_lemma": (mean_margin, mean_gradient_l1),
+    "symmetric_ineq": (rsd_sides, rsd_gradient_l1),
+    "heat_lemma": (mean_sides, mean_gradient_l1),
 }
 
 
-def _triple_check(kind: str, kernels, tol: float, witness: str) -> CheckReport:
+def _triple_check(kind: str, space: str, a, b, c, t, tol: float, l_max: int) -> CheckReport:
     """The reflection inequality (kind "symmetric_ineq") or its mean form
-    (kind "heat_lemma") from the five kernel values and their error err.
+    (kind "heat_lemma") on the triple's five kernel values and their error
+    err, read from _triple_kernels.
 
     With chi(g) = H(a, a+g), g1 = b - a and g2 = c - b, the reflection
     s_b(c) = 2b - c makes the five values chi(g1), chi(g2), chi(g1+g2),
-    chi(g1-g2) and chi(0), so the kinds are the pair checks' rsd_margin and
-    mean_margin, reported by scalar_report.  A nonzero err widens the
+    chi(g1-g2) and chi(0), so the kinds are the pair checks' rsd_sides and
+    mean_sides, and the margin RHS - LHS is reported by scalar_report.
+
+    On H3 every kernel value is positive, so a side below the smallest
+    normal double has underflowed; where both sides have, comparing them
+    says nothing, and the check is refused with NumericalConsistencyError.
+    The rule is H3's only: a pushforward chi has exact zeros, and a
+    truncated series value need not be positive.  A nonzero err widens the
     tolerance by err times the l1 norm of the margin's gradient in the five
     values, so an error of err in each cannot manufacture a violation to
     first order.
     """
-    x, y, s, d, c, err = kernels
-    margin, gradient_l1 = _TRIPLE_FORMS[kind]
+    x, y, s, d, h0, err = _triple_kernels(space, a, b, c, float(t), operator.index(l_max))
+    sides, gradient_l1 = _TRIPLE_FORMS[kind]
+    lhs, rhs = sides(x, y, s, d, h0)
+    if space == "H3" and max(lhs, rhs) < sys.float_info.min:
+        raise NumericalConsistencyError(f"{kind}: both sides underflow at t={t}")
     if err:
-        tol = tol + err * gradient_l1(x, y, s, d, c)
-    return scalar_report(margin(x, y, s, d, c), tol, witness, kind)
+        tol = tol + err * gradient_l1(x, y, s, d, h0)
+    return scalar_report(rhs - lhs, tol, f"space={space}, t={t}", kind)
+
+
+def _series_space(space: str) -> str:
+    """space, refused with DomainError unless it has a series kernel."""
+    if space not in _SERIES_KERNELS:
+        raise DomainError(f"unknown series space {space!r}")
+    return space
 
 
 def symmetric_ineq_check_sphere(
@@ -377,8 +392,7 @@ def symmetric_ineq_check_sphere(
 ) -> CheckReport:
     """H(a,b)^2 H(b,c)^2 <= H(a,c) H(a,s_b(c)) H(a,a)^2 on S2 or RP2, with
     the tolerance widened by the series error."""
-    kernels = _triple_kernels(space, a, b, c, float(t), operator.index(l_max))
-    return _triple_check("symmetric_ineq", kernels, tol, f"space={space}, t={t}")
+    return _triple_check("symmetric_ineq", _series_space(space), a, b, c, t, tol, l_max)
 
 
 def heat_lemma_check_sphere(
@@ -392,26 +406,7 @@ def heat_lemma_check_sphere(
 ) -> CheckReport:
     """H(a,b)H(b,c)/H(a,a) <= (H(a,c) + H(a,s_b(c)))/2 on S2 or RP2, with
     the tolerance widened by the series error."""
-    kernels = _triple_kernels(space, a, b, c, float(t), operator.index(l_max))
-    return _triple_check("heat_lemma", kernels, tol, f"space={space}, t={t}")
-
-
-# the two sides of each triple check's inequality, from the five kernel values
-_TRIPLE_SIDES = {
-    "symmetric_ineq": lambda x, y, s, d, c: (x * x * (y * y), s * d * (c * c)),
-    "heat_lemma": lambda x, y, s, d, c: (x * y / c, 0.5 * (s + d)),
-}
-
-
-def _h3_triple_check(kind: str, a, b, c, t: float, tol: float) -> CheckReport:
-    """_triple_check on the closed-form H3 kernels.  Every H3 kernel value is
-    positive, so a side of the inequality below the smallest normal double
-    has underflowed; where both sides have, comparing them says nothing, and
-    the check is refused with NumericalConsistencyError."""
-    kernels = _h3_kernels(a, b, c, float(t))
-    if max(_TRIPLE_SIDES[kind](*kernels[:5])) < sys.float_info.min:
-        raise NumericalConsistencyError(f"{kind}: both sides underflow at t={t}")
-    return _triple_check(kind, kernels, tol, f"space=H3, t={t}")
+    return _triple_check("heat_lemma", _series_space(space), a, b, c, t, tol, l_max)
 
 
 def symmetric_ineq_check_h3(
@@ -422,7 +417,7 @@ def symmetric_ineq_check_h3(
     tol: float = 0.0,
 ) -> CheckReport:
     """The reflection inequality on hyperbolic 3-space (closed form)."""
-    return _h3_triple_check("symmetric_ineq", a, b, c, t, tol)
+    return _triple_check("symmetric_ineq", "H3", a, b, c, t, tol, DEFAULT_L_MAX)
 
 
 def heat_lemma_check_h3(
@@ -433,7 +428,7 @@ def heat_lemma_check_h3(
     tol: float = 0.0,
 ) -> CheckReport:
     """The mean form on hyperbolic 3-space (closed form)."""
-    return _h3_triple_check("heat_lemma", a, b, c, t, tol)
+    return _triple_check("heat_lemma", "H3", a, b, c, t, tol, DEFAULT_L_MAX)
 
 
 def sphere_monotone_check(

@@ -574,7 +574,7 @@ def cexp_series(upsilon: GroupFunction, tol: float = 1e-14) -> GroupFunction:
     stopped at the same term or earlier.  And since |z(k)|/(n+1) <= 1, the
     first omitted term's first bound is at most term n's, so it obeys the
     same inequality.  The term cap raises DivergenceError.  A bound that is
-    not finite (an overflow) is refused with DomainError.
+    not finite (an overflow) is refused with NumericalConsistencyError.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -592,7 +592,7 @@ def cexp_series(upsilon: GroupFunction, tol: float = 1e-14) -> GroupFunction:
         upper = float(np.add.reduce(np.abs(term))) / G.order
         lower = math.sqrt(np.vdot(acc, acc).real) / G.order
         if not (upper < math.inf and lower < math.inf):
-            raise DomainError(f"cexp series term {n} is not finite")
+            raise NumericalConsistencyError(f"cexp series term {n} is not finite")
         if n + 1 >= z_max and upper <= tol * max(lower, ABS_TOL):
             return idft(G, acc)
     raise DivergenceError(f"cexp series did not converge in {cap} terms")

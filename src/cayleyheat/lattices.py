@@ -115,7 +115,6 @@ class LatticeHom:
 class PushforwardResult:
     chi: GroupFunction
     tail_bound: float
-    epsilon: float
 
 
 def _enumeration_box(lattice: Lattice, epsilon: float, point_cap: int | None = None):
@@ -265,7 +264,7 @@ def pushforward(
     G = hom.target
     d = hom.lattice.dim
     if d == 0:
-        return PushforwardResult(delta(G), 0.0, epsilon)
+        return PushforwardResult(delta(G), 0.0)
     R, m, tail = _enumeration_box(hom.lattice, epsilon)
     coeffs = _ball_candidates(hom.lattice, R, m, point_cap)
     pts = coeffs.astype(float) @ hom.lattice.basis.T
@@ -276,7 +275,7 @@ def pushforward(
 
     flat = G.flat(hom.images @ coeffs.T)
     vals = np.bincount(flat, weights=weights, minlength=G.order)
-    return PushforwardResult(GroupFunction(G, vals), tail, epsilon)
+    return PushforwardResult(GroupFunction(G, vals), tail)
 
 
 def direct_sum(h1: LatticeHom, h2: LatticeHom) -> LatticeHom:

@@ -287,6 +287,14 @@ class TestOtherCommands:
         assert code == 3
         assert out == "" and "overflows" in err
 
+    def test_h3_subnormal_t_is_refused(self, capsys):
+        # d1^2/4t overflows at t = 1e-310, so both log sides are -inf: the
+        # reduced check refuses them, before the output's JSON guard
+        code = main(["h3-violation", "--t", "1e-310"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == "" and "log sides are not finite" in err
+
     # one seed per configuration on which the box enumeration was refused
     @pytest.mark.parametrize(
         "group, dim, seed",

@@ -178,7 +178,7 @@ class TestH3Heat:
         p = HyperboloidPoint([1.0, 0.0, 0.0, 0.0])
         haa = (4 * math.pi) ** -1.5 * math.exp(-1)
         assert h3_log_ratio(0.0, 1.0) == 0.0
-        assert all(abs(h - haa) < 1e-15 for h in continuum._h3_kernels(p, p, p, 1.0)[:5])
+        assert all(abs(h - haa) < 1e-15 for h in continuum._triple_kernels("H3", p, p, p, 1.0, 200)[:5])
 
     def test_small_d_no_cancellation(self):
         # the log form log d - log sinh d returned 0 here
@@ -211,7 +211,7 @@ class TestH3Heat:
         # 1000 apart (cosh overflows first), so the triple's legs are 300
         assert math.isfinite(h3_log_ratio(1000.0, 1.0))
         assert math.exp(h3_log_ratio(1000.0, 1.0)) == 0.0
-        kernels = continuum._h3_kernels(*h3_abc(300.0), 1.0)
+        kernels = continuum._triple_kernels("H3", *h3_abc(300.0), 1.0, 200)
         assert kernels[:2] == (0.0, 0.0) and kernels[4] > 0.0
 
     def test_negative_distance_is_refused(self):
@@ -278,6 +278,21 @@ class TestH3ReducedCheck:
             h3_reduced_check(d1, 1.0)
         with pytest.raises(NumericalConsistencyError, match="overflows"):
             h3_abc(d1)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_nonfinite_t_is_rejected(self, t):
+        # NaN answered (nan, nan, False) and inf answered violated=True,
+        # where the H3 triple checks refuse both
+        for check in (h3_reduced_log, h3_reduced_check):
+            with pytest.raises(DomainError, match="t must be positive and finite"):
+                check(3.0, t)
+
+    def test_subnormal_t_is_refused(self):
+        # d1^2/4t overflows, so both log sides are -inf; the cross-check let
+        # their NaN gap through and the check answered (0.0, 0.0, False)
+        for check in (h3_reduced_log, h3_reduced_check):
+            with pytest.raises(NumericalConsistencyError, match="log sides are not finite"):
+                check(3.0, 1e-310)
 
     @pytest.mark.parametrize("d1", [math.inf, math.nan])
     def test_nonfinite_d1_is_rejected(self, d1):
@@ -466,6 +481,14 @@ class TestSymmetricInequality:
             with pytest.raises(DomainError, match="t must be positive and finite"):
                 check(a, b, c, bad)
 
+    @pytest.mark.parametrize("space", ["H3", "S3"])
+    def test_sphere_checks_refuse_other_spaces(self, space):
+        # H3 has a branch in the shared kernel memo, but no series kernel
+        s = tuple(random_sphere_point(np.random.default_rng(5)) for _ in range(3))
+        for check in (symmetric_ineq_check_sphere, heat_lemma_check_sphere):
+            with pytest.raises(DomainError, match=f"unknown series space '{space}'"):
+                check(space, *s, 0.2)
+
     def test_reports_hold_python_scalars(self):
         rng = np.random.default_rng(5)
         s = tuple(random_sphere_point(rng) for _ in range(3))
@@ -562,7 +585,6 @@ class TestSeriesEarlyStop:
 
 def clear_kernel_memos():
     continuum._triple_kernels.cache_clear()
-    continuum._h3_kernels.cache_clear()
 
 
 def count_calls(monkeypatch, name):
@@ -597,6 +619,18 @@ class TestKernelMemo:
             check(*h, 1.0)
         assert len(series) == 1
         assert len(distances) == 4  # the four pairs of one evaluation
+
+    def test_every_space_fills_the_one_memo(self):
+        clear_kernel_memos()
+        s = tuple(random_sphere_point(np.random.default_rng(7)) for _ in range(3))
+        h = h3_abc(3.0)
+        for space in ("S2", "RP2"):
+            for check in SPHERE_CHECKS:
+                check(space, *s, 0.2)
+        for check in H3_CHECKS:
+            check(*h, 1.0)
+        info = continuum._triple_kernels.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
 
     def test_reports_match_a_cleared_evaluation(self, monkeypatch):
         rng = np.random.default_rng(7)

@@ -672,14 +672,13 @@ class TestCexp:
     )
     def test_series_overflow_is_refused(self, sizes, weight):
         # the terms overflow to inf or NaN: the stop test fires and the sum
-        # is refused, without running to the term cap (about 4e201 terms at
-        # weight 1e200)
+        # is refused as an overflow, without a NumPy warning and without
+        # running to the term cap (about 4e201 terms at weight 1e200)
         G = FiniteAbelianGroup(sizes)
         v = np.zeros(G.order)
         v[1] = v[G.neg_index_table()[1]] = weight
-        with np.errstate(all="ignore"):
-            with pytest.raises(DomainError, match="finite"):
-                cexp_series(GroupFunction(G, v))
+        with pytest.raises(NumericalConsistencyError, match="finite"):
+            cexp_series(GroupFunction(G, v))
 
     def test_series_tol_precondition(self):
         G = FiniteAbelianGroup((2,))
