@@ -55,22 +55,15 @@ def build_chi_n(
     alpha: float, g0: GroupElement, n: int, epsilon: float = DEFAULT_EPSILON
 ) -> PushforwardResult:
     """Pushforward of r_n*Z onto g0's group, with r_n chosen so
-    rho(r_n) = alpha/n; needs alpha >= 0, n >= 2 and n > alpha."""
-    if alpha < 0:
-        raise DomainError("alpha must be nonnegative")
-    if n < 2 or (alpha > 0 and n <= alpha):
+    rho(r_n) = alpha/n; needs alpha > 0, n >= 2 and n > alpha.  At
+    alpha = 0, chi_n would be delta exactly, with no rate to fit."""
+    if not alpha > 0:  # NaN too
+        raise DomainError(f"need alpha > 0 (alpha = 0 makes chi_n = delta exactly), got {alpha}")
+    if n < 2 or n <= alpha:
         raise DomainError(f"need n > alpha and n >= 2, got n={n}")
-    if alpha == 0:
-        return PushforwardResult(delta(g0.group), 0.0)
     r_n = math.sqrt(math.log(n / alpha) / math.pi)
     hom = LatticeHom(Lattice.integers(r_n), g0.group, (g0,))
     return pushforward(hom, epsilon)
-
-
-def _refuse_alpha_zero(alpha: float) -> None:
-    """At alpha = 0, chi_n is delta exactly: every error is 0, with no rate."""
-    if alpha == 0:
-        raise DomainError("alpha = 0 makes chi_n = delta exactly; there is no rate to fit")
 
 
 _U = 2.0**-53  # unit roundoff of IEEE double precision
@@ -124,8 +117,8 @@ def rate_check_lemma35(
     epsilon: float = DEFAULT_EPSILON,
 ) -> RateReport:
     """Sup-norm error of delta + alpha*phi/n - chi_n; expects fourth-order
-    decay.  Refuses alpha = 0, and an error at or below its ``_floor``."""
-    _refuse_alpha_zero(alpha)
+    decay.  Refuses alpha = 0 (build_chi_n), and an error at or below its
+    ``_floor``."""
     ns = tuple(sorted(int(n) for n in ns))
     G = g0.group
     bump = phi(G, g0)
@@ -153,10 +146,9 @@ def convergence_check_lemma37(
     the default 16 to 256), not a specific slope.  The Euler error falls as
     1/n, so at a small alpha the errors meet an order-1 threshold exactly
     and rounding would decide; they clear order 1/2 by a factor
-    sqrt(ns[-1] / ns[0]).  Refuses alpha = 0, and a distance at or below
-    n ||chi_n||_1^{n-1} times its ``_floor``.
+    sqrt(ns[-1] / ns[0]).  Refuses alpha = 0 (build_chi_n), and a distance
+    at or below n ||chi_n||_1^{n-1} times its ``_floor``.
     """
-    _refuse_alpha_zero(alpha)
     ns = tuple(sorted(int(n) for n in ns))
     G = g0.group
     target = cexp_spectral(alpha * phi(G, g0))

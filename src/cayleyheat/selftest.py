@@ -19,7 +19,8 @@ from .approx import (
     convergence_check_lemma37,
     rate_check_lemma35,
 )
-from .continuum import h3_monotone_check, h3_reduced_check, sphere_monotone_check
+from .continuum import h3_abc, h3_monotone_check, h3_reduced_check, sphere_monotone_check
+from .continuum import heat_lemma_check_h3, symmetric_ineq_check_h3
 from .groups import (
     FiniteAbelianGroup,
     cexp_series,
@@ -176,8 +177,14 @@ def _check_heat_cayley():
 
 
 def _check_continuum():
+    # the reduced check reports the violation at d1 = 3, t = 1, and both
+    # unreduced triple checks fail on the points of h3_abc(3) there
     ls, rs, violated = h3_reduced_check(3.0, 1.0)
     _require(violated and ls > rs, (ls, rs, violated))
+    triple = h3_abc(3.0)
+    for check in (symmetric_ineq_check_h3, heat_lemma_check_h3):
+        rep = check(*triple, 1.0)
+        _require(not rep.passed, rep)
     rep = h3_monotone_check(2.0, np.geomspace(0.1, 10, 15))
     _require(rep.passed, rep)
     rep = sphere_monotone_check(0.0, np.geomspace(0.1, 5, 10))

@@ -134,9 +134,11 @@ class TestLemma37Convergence:
         assert abs(power.values[0] - target) < 5e-3
 
     def test_alpha_zero_edge(self):
+        # chi_n would be delta exactly: refused, before the n check
         G = FiniteAbelianGroup((8,))
-        res = build_chi_n(0.0, G.element((1,)), 16)
-        assert np.allclose(res.chi.values, delta(G).values)
+        for n in (16, 1):
+            with pytest.raises(DomainError, match="alpha = 0"):
+                build_chi_n(0.0, G.element((1,)), n)
 
 
 class TestErrorFloor:

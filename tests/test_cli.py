@@ -417,6 +417,13 @@ ARGV_CASES = {
     "no_command": ([], {}, {}, 2),
     "help": (["--help"], {}, {}, 0),
     "h3_monotone_d_1000": (["h3-monotone", "--d", "1000"], {}, {}, 0),
+    # d^2/4t overflows, so every log ratio is -inf: refused (the linear
+    # steps of exp(r) passed with worst margin 0.0)
+    "h3_monotone_log_ratio_overflow": (["h3-monotone", "--d", "1e300"], {}, {}, 3),
+    # the log sides are finite while 2 r(a,b) + 2 r(b,c) on the points of
+    # h3_abc overflows to -inf; a per-call cross-check on that sum refused
+    # it as a disagreement, and the violation is reproduced (exit 0)
+    "h3_violation_t_5e-308": (["h3-violation", "--d1", "3", "--t", "5e-308"], {}, {}, 0),
     "h3_monotone_negative_d": (["h3-monotone", "--d=-5"], {}, {}, 2),
     # one dropped flag per command
     "selftest_seed": (["selftest", "--seed", "1"], {}, {}, 2),
@@ -456,8 +463,8 @@ ARGV_CASES = {
     "infinite_margin": (
         ["h3-violation"], {}, {"h3_reduced_log": lambda d1, t: (float("inf"), 0.0)}, 3
     ),
-    "overflow": (["h3-violation"], {}, {"h3_reduced_check": _raises(OverflowError("x"))}, 3),
-    "internal_error": (["h3-violation"], {}, {"h3_reduced_check": _raises(KeyError("x"))}, 4),
+    "overflow": (["h3-violation"], {}, {"h3_reduced_log": _raises(OverflowError("x"))}, 3),
+    "internal_error": (["h3-violation"], {}, {"h3_reduced_log": _raises(KeyError("x"))}, 4),
 }
 
 

@@ -238,10 +238,19 @@ class TestH3ReducedCheck:
             assert log_ls > log_rs
 
     def test_reduced_matches_unreduced_route(self):
-        # h3_reduced_check raises internally if the two routes disagree
-        for d1 in (0.5, 1.0, 3.0, 8.0, 20.0):
-            for t in (0.25, 1.0, 4.0):
-                h3_reduced_check(d1, t)
+        # the reduced gap log LS - log RS is the unreduced gap in the log
+        # ratios of the points of h3_abc, with the factors H_t(0) cancelled,
+        # on the grid of test_verdict_matches_the_50_digit_gap, where both
+        # are finite at every point; a gap that is not finite fails
+        for d1 in map(float, np.geomspace(1e-6, 355.0, 1500)):
+            a, b, c = h3_abc(d1)
+            pairs = ((a, b), (b, c), (a, c), (a, h3_point_symmetry(b, c)))
+            for t in (0.05, 0.2, 1.0, 5.0):
+                log_ls, log_rs = h3_reduced_log(d1, t)
+                r_ab, r_bc, r_ac, r_asbc = (h3_log_ratio(h3_distance(x, y), t) for x, y in pairs)
+                reduced = log_ls - log_rs
+                unreduced = 0.5 * (2.0 * r_ab + 2.0 * r_bc - r_ac - r_asbc)
+                assert abs(reduced - unreduced) <= 1e-10 * max(abs(reduced), 1.0), (d1, t)
 
     def test_asymptotic_quadratic_coefficients(self):
         t = 1.0
@@ -288,8 +297,8 @@ class TestH3ReducedCheck:
                 check(3.0, t)
 
     def test_subnormal_t_is_refused(self):
-        # d1^2/4t overflows, so both log sides are -inf; the cross-check let
-        # their NaN gap through and the check answered (0.0, 0.0, False)
+        # d1^2/4t overflows, so both log sides are -inf; their NaN gap once
+        # got through and the check answered (0.0, 0.0, False)
         for check in (h3_reduced_log, h3_reduced_check):
             with pytest.raises(NumericalConsistencyError, match="log sides are not finite"):
                 check(3.0, 1e-310)
@@ -322,9 +331,28 @@ class TestH3Monotone:
         assert h3_monotone_check(d, np.geomspace(0.05, 50, 20)).passed
 
     def test_answers_past_the_sinh_overflow(self):
-        # the ratio underflows to 0 at every t, so every step is 0
-        rep = h3_monotone_check(1000.0, np.geomspace(0.05, 50, 20))
-        assert rep.passed and rep.worst_margin == 0.0
+        # the ratio underflows to 0 at every t, but its log steps,
+        # d^2/4 (1/t - 1/t'), are finite and positive
+        d, grid = 1000.0, np.geomspace(0.05, 50, 20)
+        rep = h3_monotone_check(d, grid)
+        steps = np.diff(-d * d / (4.0 * grid))
+        assert rep.passed and rep.worst_margin > 0
+        assert abs(rep.worst_margin - steps.min()) <= 1e-12 * steps.min()
+
+    @pytest.mark.parametrize("d, tmin, tmax", [(2.0, 1e-300, 1e-299), (40.0, 0.05, 1.0)])
+    def test_answers_where_the_ratios_underflow(self, d, tmin, tmax):
+        # every ratio, or the two at the worst step, is 0.0 in floats; the
+        # linear steps passed with worst margin 0.0
+        grid = np.geomspace(tmin, tmax, 20)
+        assert np.exp(h3_log_ratio(d, grid[:2])).tolist() == [0.0, 0.0]
+        rep = h3_monotone_check(d, grid)
+        assert rep.passed and rep.worst_margin > 0
+
+    def test_refuses_where_the_log_ratio_overflows(self):
+        # d^2 overflows, so every log ratio is -inf; the linear steps passed
+        # with worst margin 0.0
+        with pytest.raises(NumericalConsistencyError, match="log ratio is not finite"):
+            h3_monotone_check(1e300, np.geomspace(0.05, 50, 20))
 
 
 class TestSphereHeat:
@@ -775,7 +803,8 @@ def old_heat_lemma_sphere(kernels, tol):
 # The H3 checks read their kernel values from the log ratio, so they match
 # the linear closed form to rounding, not bitwise: margins to this much of
 # the checks' scale, H(a,a)^4 for the product form, H(a,a) for the mean
-# form and 1 for the ratios.
+# form, and for the monotone check's log steps the largest |log ratio|, at
+# least 1.
 H3_BOUND = 1e-14
 
 
@@ -799,17 +828,28 @@ def old_heat_lemma_h3(a, b, c, t, tol):
     return (margin >= -tol, margin, haa), max(lhs, rhs)
 
 
+def ref_log_d_over_sinh(d):
+    """Reference: log(d/sinh d) through math.sinh below d = 20, and as
+    log d - d + log 2 from there, where e^{-2d} is below 5e-18 (and sinh
+    overflows past 710)."""
+    if d == 0:
+        return 0.0
+    return math.log(d) - (math.log(math.sinh(d)) if d < 20 else d - math.log(2.0))
+
+
 def old_h3_monotone(d, t_grid, tol=1e-12):
-    """(passed, worst step, witness, whether every other step is more than
-    2 H3_BOUND above the worst, so that steps each moved by at most
-    H3_BOUND keep the same worst step)."""
-    ratios = linear_d_over_sinh(d) * np.exp(-d * d / (4.0 * t_grid))
-    margins = np.diff(ratios)
+    """(passed, worst log step, witness, whether every other step is more
+    than 2 H3_BOUND scale above the worst, so that steps each moved by at
+    most H3_BOUND scale keep the same worst step, scale), with scale the
+    largest |log ratio|, at least 1."""
+    logs = ref_log_d_over_sinh(d) - d * d / (4.0 * t_grid)
+    scale = max(1.0, float(np.max(np.abs(logs))))
+    margins = np.diff(logs)
     worst_i = int(np.argmin(margins))
     worst = float(margins[worst_i])
-    unique = bool(np.all(np.delete(margins, worst_i) > worst + 2 * H3_BOUND))
+    unique = bool(np.all(np.delete(margins, worst_i) > worst + 2 * H3_BOUND * scale))
     witness = f"d={d}, t={t_grid[worst_i]:.6g}, t'={t_grid[worst_i + 1]:.6g}"
-    return worst >= -tol, worst, witness, unique
+    return worst >= -tol, worst, witness, unique, scale
 
 
 def old_sphere_monotone(cos_theta, t_grid, l_max=200, tol=0.0):
@@ -909,10 +949,10 @@ class TestMergedContinuumChecks:
             for grid in grids:
                 for tol in (1e-12, -1e-3):
                     rep = h3_monotone_check(float(d), grid, tol)
-                    passed, margin, witness, unique = old_h3_monotone(float(d), grid, tol)
+                    passed, margin, witness, unique, scale = old_h3_monotone(float(d), grid, tol)
                     witness = witness if unique else None
                     assert_close_report(
-                        rep, (passed, margin, 1.0), "h3_monotone", witness, len(grid) - 1
+                        rep, (passed, margin, scale), "h3_monotone", witness, len(grid) - 1
                     )
 
     def test_sphere_monotone(self):
