@@ -116,6 +116,7 @@ def worst_report(blocks, where, tol: float, count: int, name: str) -> CheckRepor
             worst = float(margins.flat[k])
             i, j = divmod(k, margins.size // len(margins))
             at = (offset + i, j)
+        del margins  # the next block is made without this one
     return CheckReport(worst >= -tol, worst, where(*at), count, name)
 
 

@@ -89,8 +89,8 @@ MAX_LMAX = 10_000
 # about 12 s.
 MAX_SPHERE_TRIALS = 100_000
 # Largest check-monotone and h3-monotone --steps.  check-monotone on Z4096
-# took 1.3 s at 10 000 steps and 9.9 s at 100 000, with peak RSS flat at
-# 80 MB (same VM); h3-monotone's peak RSS grows with the grid, 54 MB at
+# took 1.2-1.3 s at 10 000 steps and 7.0 s at 100 000, with peak RSS flat at
+# 33 MB (same VM); h3-monotone's peak RSS grows with the grid, 54 MB at
 # 10^6 steps and 193 MB at 10^7.
 MAX_STEPS = 100_000
 

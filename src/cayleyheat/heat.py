@@ -5,13 +5,16 @@ On a Cayley graph the kernel is translation-invariant, so a single row
 (based at the identity) determines the whole matrix; it is computed as
 exp(-t*deg) times the convolutional exponential of the t-scaled weights.
 Arbitrary graphs go through a dense symmetric eigendecomposition.  A
-t-grid is computed in one batch: one DFT and one stacked inverse transform per
-Cayley graph, one eigendecomposition per general graph.
+t-grid is computed in blocks of t of at most _BLOCK_VALUES heat values (one
+block for a 20-point grid below |G| = 2048): one DFT per Cayley graph and one
+stacked inverse transform per block, one eigendecomposition per general graph
+and one stacked product per block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +50,16 @@ class CayleyWeights:
     @property
     def degree(self) -> float:
         return float(np.sum(self.w.values))
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Re dft(w), read-only: computed once however many t-blocks use it.
+        Weights whose transform overflows give a spectrum that is not finite,
+        which idft_stack refuses in the heat rows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = dft(self.w).real
+        s.setflags(write=False)
+        return s
 
     @staticmethod
     def from_dict(spec: dict) -> "CayleyWeights":
@@ -101,27 +114,37 @@ class GeneralGraph:
 
 def _times(t_grid) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float)
-    if not np.all((t > 0) & (t < np.inf)):
+    if not ((t > 0) & (t < np.inf)).all():
         raise DomainError("t must be positive and finite")
     return t
 
 
 def _heat_rows(cw: CayleyWeights, t) -> np.ndarray:
     """(T, |G|) rows of exp(-tL) based at the identity, one per t > 0:
-    exp(-t*deg) * cexp(t*w), through one DFT and one stacked inverse transform.
+    exp(-t*deg) * cexp(t*w), through one stacked inverse transform of
+    ``cw.spectrum``.  The array returned is the caller's to overwrite.
 
     The spectrum exponentiated is Re dft(w), the transform of w's even part
     (w(g) + w(-g))/2.  CayleyWeights holds w even to REL_TOL, so that is w
     itself to that tolerance, and the exponential is a real one.  The
-    degree shift is applied inside it; the exponents t*(Re w_hat(k) - deg)
-    are never positive, so no overflow at large t.  The stack is real, so
-    idft_stack inverts it at half width, and the rows come out exactly even.
+    degree shift is applied inside it, as the transform's own Re w_hat(0):
+    np.sum(w) can differ from that by an ulp, which would make the k = 0
+    exponent, exactly 0, come out positive and grow with t.  The exponents
+    t*(Re w_hat(k) - Re w_hat(0)) are at most 0, since |w_hat(k)| <= w_hat(0)
+    for w >= 0, and are clamped there, so no overflow at large t;
+    np.minimum keeps a NaN.  They are formed and exponentiated in one
+    (T, |G|) array.  The stack is real, so idft_stack
+    inverts it at half width, and the rows come out exactly even.
     Where the weights or t*deg overflow, a spectrum is not finite, and
     idft_stack refuses it with NumericalConsistencyError.
     """
     t = t[:, None]
+    spectrum = cw.spectrum
     with np.errstate(over="ignore", invalid="ignore"):  # refused by idft_stack
-        spectra = np.exp(t * dft(cw.w).real - t * cw.degree)
+        spectra = np.multiply(t, spectrum)
+        spectra -= t * spectrum[0]
+        np.minimum(spectra, 0.0, out=spectra)
+        np.exp(spectra, out=spectra)
     return idft_stack(cw.group, spectra)
 
 
@@ -142,14 +165,19 @@ def heat_matrix_general(g: GeneralGraph, t: float) -> np.ndarray:
 
 def _t_grid(t_grid) -> np.ndarray:
     t = _times(t_grid)
-    if len(t) < 2 or np.any(np.diff(t) <= 0):
+    if len(t) < 2 or not (t[1:] > t[:-1]).all():
         raise DomainError("t_grid must be strictly increasing with length >= 2")
     return t
 
 
-# heat values per block of the t-grid: a 20-point grid is one block up to the
-# order cap, and a long grid runs in bounded memory
-_BLOCK_VALUES = 1 << 20
+# heat values per block of the t-grid, 256 KB of float64; a 20-point grid
+# splits from |G| = 2048 on.  Measured on perfbench's heat_tgrid rounds: the
+# whole grid in one block made 2.3 MB of temporaries per Z4096 check, which
+# malloc handed back to the kernel once freed, so every check faulted them in
+# again (about 7 600 minor faults a round); in blocks they stay in malloc's
+# heap (about 20 a round).  Blocks of 2^14 and 2^16 ran as fast; at 2^13 the
+# cost per block shows.
+_BLOCK_VALUES = 1 << 15
 
 
 def _monotone_report(ratios, t: np.ndarray, size: int, tol: float, name: str, where):
@@ -158,15 +186,22 @@ def _monotone_report(ratios, t: np.ndarray, size: int, tol: float, name: str, wh
     reduced by ``worst_report``; ``where(j)`` names a t's ratio j, in flat
     order.
 
-    The grid goes in blocks of t overlapping by one, so the blocks of steps
-    do not overlap.
+    The grid goes in blocks of t that do not overlap, so each t's ratios
+    are formed once: a block's first step is taken from the last ratio row
+    of the block before it.
     """
-    per = max(2, _BLOCK_VALUES // size)
+    per = max(1, _BLOCK_VALUES // size)
 
     def blocks():
-        for i0 in range(0, len(t) - 1, per - 1):
+        last = None
+        for i0 in range(0, len(t), per):
             ratio = ratios(t[i0 : i0 + per])
-            yield i0, ratio[1:] - ratio[:-1]
+            if last is not None:
+                yield i0 - 1, ratio[:1] - last
+            last = ratio[-1:].copy()
+            if len(ratio) > 1:
+                yield i0, ratio[1:] - ratio[:-1]
+            del ratio  # the next block is made without this one
 
     def at(i, j):
         return f"{where(j)}, t={t[i]:.6g}, t'={t[i + 1]:.6g}"
@@ -181,7 +216,8 @@ def monotone_check_cayley(
 
     def ratios(t):
         rows = _heat_rows(cw, t)
-        return rows / rows[:, :1]
+        rows /= rows[:, :1].copy()
+        return rows
 
     G = cw.group
     return _monotone_report(
@@ -207,7 +243,8 @@ def monotone_violation_search(
         # worst_report refuses
         with np.errstate(over="ignore", invalid="ignore"):
             H = _heat_matrices(evals, Q, t)
-            return H / np.diagonal(H, axis1=1, axis2=2)[:, :, None]
+            H /= np.diagonal(H, axis1=1, axis2=2)[:, :, None].copy()
+            return H
 
     return _monotone_report(
         ratios, t, g.n * g.n, tol, "monotone_general", lambda j: f"u={j // g.n}, v={j % g.n}"

@@ -118,6 +118,19 @@ class TestCheckMonotone:
         assert env["command"] == "check-monotone"
         assert env["reports"][0]["passed"] is True
 
+    def test_large_t_passes_where_the_degree_sum_misses_the_spectrum(self, capsys, tmp_path):
+        # np.sum of these weights is one ulp below Re w_hat(0): shifted by
+        # the sum, the k = 0 exponent grew with t until the spectrum
+        # overflowed at t = 3.6e14 (exit 3)
+        p = tmp_path / "w.json"
+        p.write_text(json.dumps({"group": "Z12", "weights": {"1": 0.23, "2": 0.86, "4": 0.63}}))
+        code, out = run_cli(
+            capsys, "check-monotone", "--weights", str(p),
+            "--tmin", "0.05", "--tmax", "1e300", "--steps", "20",
+        )
+        assert code == 0
+        assert json.loads(out)["reports"][0]["passed"] is True
+
     def test_group_override(self, capsys, tmp_path):
         p = tmp_path / "w.json"
         p.write_text(json.dumps({"group": "Z4", "weights": {"1": 1.0}}))

@@ -68,7 +68,8 @@ def loop_monotone_cayley(cw, t_grid, tol=1e-10):
     the first strictly smaller step."""
     worst, witness, count, prev = math.inf, "", 0, None
     for t in np.asarray(t_grid, dtype=float):
-        spec = np.exp(t * dft(cw.w).real - t * cw.degree)
+        spec = dft(cw.w).real
+        spec = np.exp(np.minimum(t * spec - t * spec[0], 0.0))
         row = idft(cw.group, spec).values
         ratio = row / row[0]
         if prev is not None:
@@ -162,6 +163,15 @@ class TestHeatRowCayley:
             row = heat_row_cayley(cw, t).values
             assert abs(row.sum() - 1.0) < 1e-10
             assert np.all(row > 0)
+
+    @pytest.mark.parametrize("t", [50.0, 1e12, 1e15])
+    def test_row_sums_to_one_at_large_t(self, t):
+        # Re w_hat(0) - np.sum(w) = 4.4e-16 here: shifted by the sum, the
+        # row summed to 1.0005 at t = 1e12 and 1.649 at t = 1e15
+        cw = CayleyWeights.from_dict({"group": "Z12", "weights": {"1": 0.23, "2": 0.86, "4": 0.63}})
+        assert float(np.sum(cw.w.values)) != dft(cw.w).real[0]
+        row = heat_row_cayley(cw, t).values
+        assert abs(row.sum() - 1.0) <= cw.group.order * np.finfo(float).eps
 
     def test_semigroup(self):
         rng = np.random.default_rng(4)
@@ -358,10 +368,11 @@ class TestTGridBatch:
             for i in (0, 7, len(grid) - 1):
                 assert np.array_equal(heat_matrix_general(g, grid[i]), stack[i])
 
-    @pytest.mark.parametrize("per", [2, 3, 7])
+    @pytest.mark.parametrize("per", [1, 2, 3, 7])
     def test_t_blocks_match_per_t_loop(self, monkeypatch, per):
-        # blocks of `per` t overlapping by one, the last one partial; a tie
-        # across blocks must leave the first worst step as the witness
+        # blocks of `per` t, the last one partial, each block's first step
+        # taken from the block before; a tie across blocks must leave the
+        # first worst step as the witness
         grid = default_t_grid()
         for cw in self.cayley_cases():
             ref = loop_monotone_cayley(cw, grid)
@@ -371,6 +382,38 @@ class TestTGridBatch:
             ref = loop_monotone_general(g, grid)
             monkeypatch.setattr(heat, "_BLOCK_VALUES", per * g.n * g.n)
             assert_same_report(monotone_violation_search(g, grid), ref)
+
+    def test_one_transform_per_check(self, monkeypatch):
+        # the weights' spectrum is taken once, however many blocks the grid
+        # splits into (7 here)
+        G = FiniteAbelianGroup((64,))
+        cw = sparse_weights(G, np.random.default_rng(24))
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return dft(f)
+
+        monkeypatch.setattr(heat, "dft", counted)
+        monkeypatch.setattr(heat, "_BLOCK_VALUES", 3 * G.order)
+        rep = monotone_check_cayley(cw, default_t_grid())
+        assert len(calls) == 1
+        assert rep.count == 19 * G.order
+
+    def test_default_grid_peak_memory(self):
+        # a 20-point grid at the order cap, in blocks of 8 t: 1.05 MB traced
+        # at peak, against 2.33 MB for the whole grid in one block
+        G = FiniteAbelianGroup((4096,))
+        cw = sparse_weights(G, np.random.default_rng(23))
+        grid = default_t_grid()
+        assert heat._BLOCK_VALUES // G.order < len(grid)
+        tracemalloc.start()
+        try:
+            monotone_check_cayley(cw, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6e6
 
     def test_long_grid_runs_in_bounded_memory(self, monkeypatch):
         G = FiniteAbelianGroup((4096,))
