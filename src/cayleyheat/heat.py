@@ -133,10 +133,10 @@ def _heat_rows(cw: CayleyWeights, t) -> np.ndarray:
     t*(Re w_hat(k) - Re w_hat(0)) are at most 0, since |w_hat(k)| <= w_hat(0)
     for w >= 0, and are clamped there, so no overflow at large t;
     np.minimum keeps a NaN.  They are formed and exponentiated in one
-    (T, |G|) array.  The stack is real, so idft_stack
-    inverts it at half width, and the rows come out exactly even.
-    Where the weights or t*deg overflow, a spectrum is not finite, and
-    idft_stack refuses it with NumericalConsistencyError.
+    (T, |G|) array.  The stack is real, so idft_stack inverts it at half
+    width, and the rows come out exactly even.  Where the weights or the
+    t-scaled spectrum overflow, a spectrum is not finite, and idft_stack
+    refuses it with NumericalConsistencyError.
     """
     t = t[:, None]
     spectrum = cw.spectrum
@@ -175,7 +175,7 @@ def _t_grid(t_grid) -> np.ndarray:
 # whole grid in one block made 2.3 MB of temporaries per Z4096 check, which
 # malloc handed back to the kernel once freed, so every check faulted them in
 # again (about 7 600 minor faults a round); in blocks they stay in malloc's
-# heap (about 20 a round).  Blocks of 2^14 and 2^16 ran as fast; at 2^13 the
+# heap (under 30 a round).  Blocks of 2^14 and 2^16 ran as fast; at 2^13 the
 # cost per block shows.
 _BLOCK_VALUES = 1 << 15
 

@@ -427,7 +427,7 @@ class TestTGridBatch:
         finally:
             tracemalloc.stop()
         assert rep.count == 199 * G.order
-        # one block of 8 rows is 0.5 MB of complex values; the whole grid is 13 MB
+        # blocks of 8 rows peak at 1.2 MB traced; the whole grid's rows alone are 6.6 MB
         assert peak < 4e6
 
     def test_nonpositive_t_in_grid_rejected(self):
