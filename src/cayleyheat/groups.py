@@ -11,23 +11,25 @@ group law (g_i + g_j over pairs, and -g_i) are built from per-factor tables
 by Kronecker sum (``_kron_index``), which gives the integers ``flat`` gives
 at one numpy pass per table, whatever the number of factors.
 
-The DFT and its inverse run on a fixed plan per group (``_plan``), walked by
-one loop (``_transform``).  Each run of consecutive factors below 16 is
-merged into dense DFT blocks of at most 64 elements, applied by matrix
-products; each factor of 16 or more goes through np.fft.  The block matrices
-are built once from exact integer phases (``_dense_block``).  A group with
-many small factors then costs about what a cyclic group of its order costs,
-not one numpy pass per factor.  ``transform_error`` states the plan's
-forward-error constant, which ``approx`` uses for its rate floor.
+The transforms run on a fixed plan per group (``_plan``).  Each run of
+consecutive factors below 16 is merged into dense DFT blocks of at most 64
+elements, applied by matrix products; each factor of 16 or more goes through
+np.fft.  The block matrices are built once from exact integer phases
+(``_dense_block``).  A group with many small factors then costs about what a
+cyclic group of its order costs, not one numpy pass per factor.
+``transform_error`` states the plan's forward-error constant, which
+``approx`` uses for its rate floor.
 
-The same loop inverts a real stack (the heat rows' spectra) at half width.
-For real s, idft(s)(-k) = conj idft(s)(k).  So the first step is computed
-only on a half set H of its block, with H and -H covering it: np.fft.ihfft on
-an FFT step, the inverse block's columns at H on a dense one.  Later steps
-run on width |H|, and each element takes its real part from itself or from
-its negative.  The rows come out exactly even, the largest |Im| over H is
-the largest over G, and a block of Z_2's, whose inverse DFT is exactly real,
-keeps every product real.
+The plan holds three routes as plain data, each a tuple of steps whose last
+field is the operator itself (an np.fft function or a block matrix), and one
+loop (``_transform``) walks any of them: the DFT, its inverse, and the inverse
+of a real stack (the heat rows' spectra) at half width.  For real s,
+idft(s)(-k) = conj idft(s)(k).  So the half route's first step is computed
+only on a half set H of its block, with H and -H covering it, and its later
+steps run on width |H|; each element then takes its real part from itself or
+from its negative.  The rows come out exactly even, the largest |Im| over H
+is the largest over G, and a block of Z_2's, whose inverse DFT is exactly
+real, keeps every product real.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,12 +119,11 @@ class FiniteAbelianGroup:
         return tuple(self.residues[:, index].tolist())
 
     def element(self, residues: Sequence[int]) -> "GroupElement":
-        res = tuple(int(r) % n for r, n in zip(residues, self.factor_sizes))
-        if len(res) != self.rank:
-            raise DomainError(
-                f"expected {self.rank} residues, got {len(res)}"
-            )
-        return GroupElement(self, res)
+        """The element with these residues, each reduced mod its factor."""
+        res = tuple(int(r) for r in residues)
+        # residues past the rank are kept, so GroupElement refuses the length
+        reduced = tuple(r % n for r, n in zip(res, self.factor_sizes))
+        return GroupElement(self, reduced + res[self.rank:])
 
     def from_index(self, index: int) -> "GroupElement":
         return GroupElement(self, self.residues_of(index))
@@ -224,6 +225,8 @@ class GroupElement:
     residues: tuple[int, ...]
 
     def __post_init__(self):
+        if len(self.residues) != self.group.rank:
+            raise DomainError(f"expected {self.group.rank} residues, got {len(self.residues)}")
         for r, n in zip(self.residues, self.group.factor_sizes):
             if not 0 <= r < n:
                 raise DomainError(f"residue {r} out of range for factor Z{n}")
@@ -324,7 +327,7 @@ def dft(f: GroupFunction) -> np.ndarray:
     f_hat(k) = sum_g f(g) exp(-2*pi*i sum_j k_j g_j / n_j); this makes the
     convolution theorem a plain pointwise product.
     """
-    return _transform(f.group, f.values[None], inverse=False)[0]
+    return _transform(f.values[None], _plan(f.group.factor_sizes).forward, f.group.order)[0]
 
 
 # factors below this size are merged into dense blocks; larger ones keep the FFT
@@ -334,32 +337,38 @@ _BLOCK_CAP = 64
 
 
 class _Plan(NamedTuple):
-    """How a group's transform runs.  ``steps`` are (pre, m, post, block),
-    last axis first: a transform of length m over the middle axis of each
-    row reshaped to (pre, m, post), by the FFT when ``block`` is None and
-    otherwise by the dense DFT of the run of factors ``block``.  ``error`` is
-    the forward-error constant c of the standard model (Higham, "Accuracy and
-    Stability of Numerical Algorithms", ch. 3 and 24): the computed transform
-    is within c u ||y||_2 of the exact one y, to first order in u.  A dense
-    block of m elements is an inner product of length m per value, gamma_m
-    ~ m u; an FFT of length m adds about log2(m) u.  So c is the sum of the
-    dense block sizes plus the sum of log2 of the FFT lengths.  The tests
-    check it against an extended-precision character sum.
+    """How a group's transforms run.  Each route is a tuple of steps
+    (pre, m, post, op), last axis first: a transform of length m over the
+    middle axis of each row reshaped to (pre, m, post), by ``op``, an np.fft
+    function or the dense DFT block of a run of factors (``_dense_block``).
+    ``forward`` is the DFT and ``inverse`` its inverse with the 1/|G|
+    factor, every block complex.  ``error`` is the forward-error constant c
+    of the standard model (Higham, "Accuracy and Stability of Numerical
+    Algorithms", ch. 3 and 24): the computed transform is within
+    c u ||y||_2 of the exact one y, to first order in u.  A dense block of m
+    elements is an inner product of length m per value, gamma_m ~ m u; an
+    FFT of length m adds about log2(m) u.  So c is the sum of the dense
+    block sizes plus the sum of log2 of the FFT lengths.  The tests check it
+    against an extended-precision character sum.
 
-    The other fields serve the half-width inverse of a real stack.  The
-    first step's half set is H = {i : i <= -i} of its block (0, ..., m // 2
-    for an FFT step), so H and -H cover the block.  ``first`` holds a dense
-    first step's inverse block at the columns H (None for an FFT step);
-    ``half_steps`` are the later steps with post at width |H| in place of m,
-    and ``width`` is the row length |G| |H| / m they leave.  ``src`` maps
-    each element k to its value in that row (rows: the other factors;
-    columns: H): k itself or -k, the one with the smaller flat index when
-    both are there; None when every k = -k."""
+    ``half`` is the inverse of a real stack at half width.  Its first step's
+    half set is H = {i : i <= -i} of its block (0, ..., m // 2 for an FFT
+    step), so H and -H cover the block.  That step's op is the inverse
+    block's columns at H on a dense step, and np.fft.ihfft on an FFT step
+    that later steps follow.  On a one-step FFT plan it is
+    rfft(norm="forward"), of which ihfft is the conjugate: the real parts
+    and |Im| that ``idft_stack`` reads are the same.  Later steps have post
+    at width |H| in place of m, and a block of Z_2's keeps its real inverse
+    block, so products on real rows stay real.  ``width`` is the row length
+    |G| |H| / m the half route leaves.  ``src`` maps each element k to its
+    value in that row (rows: the other factors; columns: H): k itself or -k,
+    the one with the smaller flat index when both are there; None when every
+    k = -k."""
 
-    steps: tuple[tuple[int, int, int, tuple[int, ...] | None], ...]
+    forward: tuple[tuple[int, int, int, Callable | np.ndarray], ...]
+    inverse: tuple[tuple[int, int, int, Callable | np.ndarray], ...]
+    half: tuple[tuple[int, int, int, Callable | np.ndarray], ...]
     error: float
-    first: np.ndarray | None
-    half_steps: tuple[tuple[int, int, int, tuple[int, ...] | None], ...]
     width: int
     src: np.ndarray | None
 
@@ -371,7 +380,7 @@ def _plan(sizes: tuple[int, ...]) -> _Plan:
     factor on its own, by the FFT.  The multidimensional DFT is the Kronecker
     product of its factors' DFTs (Van Loan, "Computational Frameworks for the
     Fast Fourier Transform"), so any grouping of the axes gives the same
-    transform."""
+    transform, and each route is that product written as data."""
     segments: list[tuple[tuple[int, ...], bool]] = []  # (factors, dense)
     for n in sizes:
         if n >= _DENSE_BELOW:
@@ -388,13 +397,18 @@ def _plan(sizes: tuple[int, ...]) -> _Plan:
         pre *= m
         error += m if dense else math.log2(m)
     steps.reverse()
+    forward = tuple((p, n, q, np.fft.fft if f is None else _dense_block(f, False))
+                    for p, n, q, f in steps)
+    inverse = [(p, n, q, np.fft.ifft if f is None else _dense_block(f, True))
+               for p, n, q, f in steps]
     # the half route
-    _, m, _, factors = steps[0]
+    pre, m, _, factors = steps[0]
     H = np.flatnonzero(np.arange(m) <= _kron_index(factors or (m,), np.arange(m), _cyclic_neg))
-    first = None
     if factors is not None:
-        first = np.ascontiguousarray(_dense_block(factors, True)[:, H])
-        first.setflags(write=False)
+        first = _readonly(inverse[0][3][:, H])
+    else:
+        first = np.fft.ihfft if len(steps) > 1 else functools.partial(np.fft.rfft, norm="forward")
+    half = ((pre, m, 1, first),) + tuple((p, n, q // m * len(H), op) for p, n, q, op in inverse[1:])
     k = np.arange(total)
     neg_k = _kron_index(sizes, k, _cyclic_neg)
     src = None
@@ -405,8 +419,16 @@ def _plan(sizes: tuple[int, ...]) -> _Plan:
         rep = np.where(held & ~(held[neg_k] & (neg_k < k)), k, neg_k)
         src = rep // m * len(H) + pos[rep % m]
         src.setflags(write=False)
-    half_steps = tuple((p, n, q // m * len(H), f) for p, n, q, f in steps[1:])
-    return _Plan(tuple(steps), error, first, half_steps, total // m * len(H), src)
+    # a real Z_2 block cast once here, not by numpy on every complex product
+    inverse = tuple((p, n, q, op if callable(op) else _readonly(op.astype(complex, copy=False)))
+                    for p, n, q, op in inverse)
+    return _Plan(forward, inverse, half, error, total // m * len(H), src)
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    a.setflags(write=False)
+    return a
 
 
 def _unit_roots(L: int) -> np.ndarray:
@@ -445,43 +467,26 @@ def _dense_block(factors: tuple[int, ...], inverse: bool) -> np.ndarray:
     return mat
 
 
-def _transform(
-    group: FiniteAbelianGroup, x: np.ndarray, inverse: bool, half: bool = False
-) -> np.ndarray:
-    """DFT of each length-|G| row of a (B, |G|) stack x, or its inverse with
-    the 1/|G| factor, as a complex (B, |G|) array.  An inverse of real rows
-    takes half: the first step runs on the half set H only (np.fft.ihfft on
-    an FFT step, the plan's ``first`` on a dense one), the later steps at
-    width |H|, and the result is the (B, width) array of ``_Plan``, real
-    when every block is.  Each step's products have one shape per row,
-    whatever B is, so a row's bits do not depend on the stack it is in (a
-    single (B*pre, m) product would send B*pre = 1 down numpy's
-    matrix-vector path, which rounds differently)."""
+def _transform(x: np.ndarray, steps, width: int) -> np.ndarray:
+    """Each row of a (B, n) stack x taken through one route of a ``_Plan``,
+    as a (B, width) array: |G| for ``forward`` and ``inverse``, the plan's
+    ``width`` for ``half``.  It is complex unless every op is a real block.
+    Each step's products have one shape per row, whatever B is, so a row's
+    bits do not depend on the stack it is in (a single (B*pre, m) product
+    would send B*pre = 1 down numpy's matrix-vector path, which rounds
+    differently)."""
     B = x.shape[0]
-    plan = _plan(group.factor_sizes)
-    steps = plan.steps
-    if half:
-        pre, m, _, _ = steps[0]
-        if plan.first is None:
-            x = np.fft.ihfft(x.reshape(B * pre, m), axis=1)
-        elif np.iscomplexobj(plan.first):  # one real product, as for real rows below
-            x = np.matmul(x.reshape(B, pre, m), plan.first.view(float)).view(complex)
-        else:
-            x = np.matmul(x.reshape(B, pre, m), plan.first)
-        steps = plan.half_steps
-    fft = np.fft.ifft if inverse else np.fft.fft
-    for pre, m, post, factors in steps:
-        if factors is None:
-            x = fft(x.reshape(B * pre, m, post) if post > 1 else x.reshape(B * pre, m), axis=1)
-        elif post > 1:  # not the first step
-            x = np.matmul(_dense_block(factors, inverse), x.reshape(B * pre, m, post))
-        elif np.iscomplexobj(x):
-            x = np.matmul(x.reshape(B, pre, m), _dense_block(factors, inverse))
-        else:  # real rows, forward: M's float view holds (Re, Im) pairs as
+    for pre, m, post, op in steps:
+        if callable(op):
+            x = op(x.reshape(B * pre, m, post) if post > 1 else x.reshape(B * pre, m), axis=1)
+        elif post > 1:  # not the first step: the block is symmetric
+            x = np.matmul(op, x.reshape(B * pre, m, post))
+        elif np.iscomplexobj(x) or not np.iscomplexobj(op):
+            x = np.matmul(x.reshape(B, pre, m), op)
+        else:  # real rows: the block's float view holds (Re, Im) pairs as
             # complex memory does, so one real product gives the complex result
-            x = np.matmul(x.reshape(B, pre, m), _dense_block(factors, inverse).view(float))
-            x = x.view(complex)
-    return x.reshape(B, plan.width if half else group.order)
+            x = np.matmul(x.reshape(B, pre, m), op.view(float)).view(complex)
+    return x.reshape(B, width)
 
 
 def idft_stack(group: FiniteAbelianGroup, spectra: np.ndarray) -> np.ndarray:
@@ -508,16 +513,15 @@ def idft_stack(group: FiniteAbelianGroup, spectra: np.ndarray) -> np.ndarray:
                 norm[i] = nrm = scale * math.sqrt(np.vecdot(row, row).real)
                 if not nrm < math.inf:  # a NaN norm fails too
                     raise NumericalConsistencyError(f"spectrum norm of row {i} is not finite")
-    half = not np.iscomplexobj(spectra)
-    y = _transform(group, spectra, True, half=half)
-    if not half:
-        imag = np.abs(y.imag).max(axis=1)
-        real = y.real.copy()
+    plan = _plan(group.factor_sizes)
+    if np.iscomplexobj(spectra):
+        y, src = _transform(spectra, plan.inverse, group.order), None
     else:  # y(-k) = conj y(k) completes each row
-        imag = np.abs(y.imag).max(axis=1) if np.iscomplexobj(y) else np.zeros(len(y))
-        src = _plan(group.factor_sizes).src
-        # take gives C order, as fancy indexing does not
-        real = y.real if src is None else y.real.take(src, axis=1)
+        y, src = _transform(spectra, plan.half, plan.width), plan.src
+    # real rows (Z_2 blocks only) have no residue; their .imag is a new zero array
+    imag = np.abs(y.imag).max(axis=1) if np.iscomplexobj(y) else np.zeros(len(y))
+    # take gives C order, as fancy indexing does not
+    real = np.ascontiguousarray(y.real) if src is None else y.real.take(src, axis=1)
     for i, (res, nrm) in enumerate(zip(imag.tolist(), norm)):
         if not res <= IMAG_REL_TOL * max(nrm, ABS_TOL):  # a NaN residue fails too
             raise NumericalConsistencyError(
@@ -532,9 +536,12 @@ def idft(group: FiniteAbelianGroup, spectrum: np.ndarray) -> GroupFunction:
 
 
 def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
-    """(f*g)(x) = sum_y f(x-y) g(y), through the transform."""
+    """(f*g)(x) = sum_y f(x-y) g(y), through the transform: f and g go
+    through the DFT as one two-row stack, each row as dft gives it."""
     _same_group(f, g)
-    return idft(f.group, dft(f) * dft(g))
+    G = f.group
+    s = _transform(np.stack([f.values, g.values]), _plan(G.factor_sizes).forward, G.order)
+    return idft(G, s[0] * s[1])
 
 
 def cexp_spectral(upsilon: GroupFunction) -> GroupFunction:

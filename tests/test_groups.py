@@ -12,6 +12,7 @@ from cayleyheat.errors import (
 from cayleyheat import groups
 from cayleyheat.groups import (
     FiniteAbelianGroup,
+    GroupElement,
     GroupFunction,
     cexp_series,
     cexp_spectral,
@@ -203,6 +204,19 @@ class TestGroupArithmetic:
     def test_order_cap(self):
         with pytest.raises(DomainError):
             FiniteAbelianGroup((5000,))
+
+    def test_element_refuses_wrong_length(self):
+        # a long vector is refused, not cut short
+        for sizes, res in [((12,), (1, 2)), ((2, 3), (1, 2, 5)), ((2, 3), (1,)), ((2, 3), ())]:
+            with pytest.raises(DomainError, match=f"expected {len(sizes)} residues, got {len(res)}"):
+                FiniteAbelianGroup(sizes).element(res)
+
+    def test_group_element_refuses_wrong_length(self):
+        # refused here, not by a bare ValueError from .index
+        G = FiniteAbelianGroup((12,))
+        for res in [(1, 2), ()]:
+            with pytest.raises(DomainError, match=f"expected 1 residues, got {len(res)}"):
+                GroupElement(G, res)
 
 
 class TestLayout:
@@ -396,9 +410,10 @@ class TestDFT:
             G = FiniteAbelianGroup(sizes)
             fs = [random_fn(G) for _ in range(20)]
             stack = np.stack([f.values for f in fs])
-            full = groups._transform(G, stack, inverse=False)
+            forward = groups._plan(sizes).forward
+            full = groups._transform(stack, forward, G.order)
             for b in (1, 2, 20):
-                assert np.array_equal(groups._transform(G, stack[:b], inverse=False), full[:b])
+                assert np.array_equal(groups._transform(stack[:b], forward, G.order), full[:b])
             for f, row in zip(fs, full):
                 assert np.array_equal(dft(f), row)
 
@@ -439,7 +454,8 @@ class TestDFT:
     def test_plans(self):
         # runs of factors below 16 merge into blocks of at most 64 elements;
         # larger factors keep the FFT; the error constant sums the dense
-        # block sizes and log2 of the FFT lengths
+        # block sizes and log2 of the FFT lengths; the inverse has the
+        # forward route's shapes, the half route its (pre, m) at its own width
         cases = {
             (2,) * 10: ([(2,) * 4, (2,) * 6], 16 + 64),
             (4,) * 6: ([(4, 4, 4), (4, 4, 4)], 128),
@@ -451,10 +467,34 @@ class TestDFT:
         }
         for sizes, (blocks, error) in cases.items():
             plan = groups._plan(sizes)
-            assert [step[3] for step in plan.steps] == blocks
+            for f, (_, _, _, op) in zip(blocks, plan.forward, strict=True):
+                assert op is (np.fft.fft if f is None else groups._dense_block(f, False))
             assert plan.error == error == FiniteAbelianGroup(sizes).transform_error
-            for pre, m, post, _ in plan.steps:
+            for pre, m, post, _ in plan.forward:
                 assert pre * m * post == math.prod(sizes)
+            assert [s[:3] for s in plan.inverse] == [s[:3] for s in plan.forward]
+            assert [s[:2] for s in plan.half] == [s[:2] for s in plan.forward]
+            for pre, m, post, _ in plan.half[1:]:
+                assert pre * m * post == plan.width
+
+    @pytest.mark.parametrize("sizes", [(2,), (2, 2, 2), (2,) * 10, (7,), (2, 16, 4), (4,) * 4])
+    def test_inverse_blocks_complex_and_z2_half_blocks_real(self, sizes):
+        # complex rows meet complex blocks; real rows on Z2^k stay real
+        plan = groups._plan(sizes)
+        assert all(np.iscomplexobj(op) for *_, op in plan.inverse if not callable(op))
+        if max(sizes) == 2:
+            assert not any(callable(op) or np.iscomplexobj(op) for *_, op in plan.half)
+
+    @pytest.mark.parametrize("n", [16, 17, 4096])
+    def test_one_step_half_route_matches_ihfft(self, n):
+        # the half route's op is ihfft's conjugate: same real parts and |Im|
+        G = FiniteAbelianGroup((n,))
+        spectra = even_real_spectra(G, 3)
+        plan = groups._plan((n,))
+        y = groups._transform(spectra, plan.half, plan.width)
+        ref = np.fft.ihfft(spectra, axis=1)
+        assert np.array_equal(y.real, ref.real)
+        assert np.array_equal(np.abs(y.imag), np.abs(ref.imag))
 
     def test_dense_block_entries(self):
         # quarter turns exact, p and L - p exact conjugates, each entry within
@@ -541,7 +581,8 @@ class TestRealRoute:
             assert np.array_equal(idft(G, s).values, row)
         assert np.array_equal(full, full[:, G.neg_index_table()])
         if max(sizes) <= 2:  # every product stays real
-            assert not np.iscomplexobj(groups._transform(G, spectra, True, half=True))
+            plan = groups._plan(sizes)
+            assert not np.iscomplexobj(groups._transform(spectra, plan.half, plan.width))
 
     @pytest.mark.parametrize("sizes", [s for s in REAL_ROUTE_GROUPS if max(s) > 2], ids=str)
     def test_odd_spectrum_is_refused(self, sizes):
