@@ -128,8 +128,8 @@ _BLOCK_PAIRS = PAIR_TABLE_MAX
 def _pair_sweep(chi: GroupFunction, tol: float, sides, name: str) -> CheckReport:
     """RHS - LHS of the sides formula (rsd_sides or mean_sides) over every
     pair, in row blocks, so each margin is bitwise the single-pair check's,
-    reduced by ``worst_report``.  The sub block is the add block's columns
-    taken at -g."""
+    reduced by ``worst_report``.  chi(g1 - g2) is the gathered chi(g1 + g2)
+    block's columns taken at -g2, so no index block is built for it."""
     c = _center(chi)
     G, v = chi.group, chi.values
     n = G.order
@@ -140,9 +140,9 @@ def _pair_sweep(chi: GroupFunction, tol: float, sides, name: str) -> CheckReport
         for i0 in range(0, n, rows):
             i1 = min(i0 + rows, n)
             add = G.add_index_table() if rows >= n else G.add_index_rows(i0, i1)
-            sub = np.take(add, neg, axis=1)
+            s = v[add]
             with np.errstate(all="ignore"):  # worst_report refuses what overflows
-                lhs, rhs = sides(v[i0:i1, None], v, v[add], v[sub], c)
+                lhs, rhs = sides(v[i0:i1, None], v, s, s.take(neg, axis=1), c)
                 margins = rhs - lhs
             yield i0, margins
 
@@ -170,7 +170,7 @@ def check_convolve_even(
     chi(0) <= 0 is refused (DomainError), as in the sweeps, and so is a
     convolution or a margin that is not finite (NumericalConsistencyError)."""
     v0 = _center(chi)
-    if np.any(upsilon.values < 0) or not upsilon.is_even():
+    if (upsilon.values < 0).any() or not upsilon.is_even():
         raise DomainError("upsilon must be even and nonnegative")
     G = chi.group
     # idft_stack's norm guard refuses a transform that overflows, and

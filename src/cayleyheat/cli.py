@@ -65,11 +65,13 @@ MAX_DIM = 5
 # one trial at n = 1024 took 3.0 s and 131 MB peak RSS (same VM); its cost
 # grows as n^3 and its memory as n^2.
 MAX_GRAPH_N = 1024
-# Largest pushforward --instances.  Each instance costs 0.75 ms at the
-# defaults (Z12, --dim 2), about 0.6 s on a group of order 4096 (its two
-# sweeps) and up to 1.3 s at --dim 5, with 0.5 kB of output; memory does not
-# grow with the count.  So 1 000 instances take under 1 s at the defaults and
-# under half an hour at the worst.
+# Largest pushforward --instances.  Each instance costs 0.77-0.81 ms at the
+# defaults (Z12, --dim 2; timing_ms of 1 000 instances, three runs on a
+# 2-vCPU VM), 0.45-0.5 s on a group of order 4096 (Z4096 and Z64xZ64, its
+# two sweeps) and up to 0.72 s at --dim 5 (the slowest of the 100 instances
+# of seeds 0-19), with 0.5 kB of output; memory does not grow with the
+# count.  So 1 000 instances take under 1 s at the defaults and under a
+# quarter of an hour at the worst.
 MAX_INSTANCES = 1000
 # Largest search-counterexample --trials.  A trial costs 0.23 ms at the
 # default --n 8 (vertex counts 3-8), 2.2 ms at --n 64 and up to 3.0 s at

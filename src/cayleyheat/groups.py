@@ -67,13 +67,6 @@ _EXP_ARG_MAX = 709.78
 PAIR_TABLE_MAX = 1 << 20
 
 
-def _close(a: np.ndarray, b: np.ndarray) -> bool:
-    # the array methods skip np.max's dispatch, which costs more than the
-    # reduction on a small group
-    scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
-    return bool(np.abs(a - b).max(initial=0.0) <= REL_TOL * scale + ABS_TOL)
-
-
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
     """Product of cyclic groups Z_{n1} x ... x Z_{nk}."""
@@ -264,12 +257,16 @@ class GroupFunction:
     values: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.values):  # a cast to float drops the imaginary parts
+            raise DomainError("values must be real, got complex values")
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.group.order,):
             raise DomainError(
                 f"values length {vals.shape} != group order {self.group.order}"
             )
-        if not np.all(np.isfinite(vals)):
+        # the array methods skip np.all's dispatch, which costs more than the
+        # reduction on a small group
+        if not np.isfinite(vals).all():
             raise DomainError("values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -281,7 +278,10 @@ class GroupFunction:
         return float(self.values[i])
 
     def is_even(self) -> bool:
-        return _close(self.values, self.values[self.group.neg_index_table()])
+        """f(-g) = f(g) to within REL_TOL * max|f| + ABS_TOL everywhere."""
+        v = self.values
+        gap = np.abs(v - v[self.group.neg_index_table()]).max(initial=0.0)
+        return bool(gap <= REL_TOL * np.abs(v).max(initial=0.0) + ABS_TOL)
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values), initial=0.0))
@@ -495,9 +495,10 @@ def idft_stack(group: FiniteAbelianGroup, spectra: np.ndarray) -> np.ndarray:
 
     Raises if the stack is not (B, |G|); before any transform runs, if a
     row's spectrum norm is not finite; and after it, if a row's imaginary
-    residue exceeds IMAG_REL_TOL times that norm.  A smaller residue is
-    discarded.  A row whose squares overflow is scaled by its largest |s|
-    before squaring, so a finite row with a finite norm gets it.
+    residue exceeds IMAG_REL_TOL times that norm.  Each guard names the first
+    row that fails it.  A smaller residue is discarded.  A row whose squares
+    overflow is scaled by its largest |s| before squaring, so a finite row
+    with a finite norm gets it.
     A finite norm bounds every value of the row's transform, so the values
     returned are finite.  A real stack runs at half width (see the module
     docstring), and its rows come out exactly even.
@@ -540,7 +541,7 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
     through the DFT as one two-row stack, each row as dft gives it."""
     _same_group(f, g)
     G = f.group
-    s = _transform(np.stack([f.values, g.values]), _plan(G.factor_sizes).forward, G.order)
+    s = _transform(np.array([f.values, g.values]), _plan(G.factor_sizes).forward, G.order)
     return idft(G, s[0] * s[1])
 
 
@@ -616,7 +617,7 @@ def phi_basis_decompose(upsilon: GroupFunction) -> list[tuple[float, GroupElemen
     vals = upsilon.values
     if np.any(vals < -ABS_TOL):
         raise DomainError("decomposition requires a nonnegative function")
-    if not _close(vals, vals[neg]):
+    if not upsilon.is_even():
         raise DomainError("decomposition requires an even function")
     # each orbit's smaller index where upsilon > 0; phi doubles on self-inverse orbits
     idx = np.flatnonzero((np.arange(G.order) <= neg) & (vals > 0.0))

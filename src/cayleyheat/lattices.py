@@ -125,15 +125,19 @@ def _enumeration_box(lattice: Lattice, epsilon: float, point_cap: int | None = N
     bound; every skipped point has rho < exp(-pi R^2) and Nb absorbs the
     multiplicity.  R is clamped below by the shortest basis vector so the
     region never silently excludes every nonzero point.  Every point of the
-    ball has |c_i| <= ||c|| <= R/smin <= m.  ``point_cap`` is not read: the
-    cap counts candidates (``_ball_candidates``); perfbench's box-rule test
-    still passes it.
+    ball has |c_i| <= ||c|| <= R/smin <= m.  An epsilon too small for this
+    solve in floats, where epsilon/2 underflows to 0 or R overflows, is
+    refused (DomainError).  ``point_cap`` is not read: the cap counts
+    candidates (``_ball_candidates``); perfbench's box-rule test still
+    passes it.
     """
     d = lattice.dim
     smin = lattice.min_singular_value
     # solve against epsilon/2 so fixed-point rounding cannot push the
     # reported tail above the requested epsilon
     target = epsilon / 2.0
+    if target == 0.0:
+        raise DomainError(f"epsilon {epsilon} is too small: epsilon/2 underflows to 0")
     R = math.sqrt(math.log(1.0 / target) / math.pi)
     for _ in range(64):
         nb = (2.0 * R / smin + 1.0) ** d
@@ -142,6 +146,8 @@ def _enumeration_box(lattice: Lattice, epsilon: float, point_cap: int | None = N
             R = new_r
             break
         R = new_r
+    if not R < math.inf:  # 1/target or nb/target overflowed
+        raise DomainError(f"epsilon {epsilon} is too small: the enumeration radius overflows")
     R = max(R, lattice.shortest_basis_norm)
     m = math.ceil(R / smin) if d > 0 else 0
     nb = (2.0 * R / smin + 1.0) ** d if d > 0 else 1.0
@@ -225,28 +231,43 @@ def _ball_candidates(lattice: Lattice, R: float, m: int, point_cap: int) -> np.n
     top = min(math.floor(T / M[0][0]), m)
     _check_budget(2 * top + 1, point_cap)
     x = np.arange(-top, top + 1)
-    cols = [x]
-    pending = [x * M[k][0] for k in range(1, d)]  # a_k for the levels below
-    rest = T * T - np.square(x * M[0][0])  # T^2 - s_k
+    # each level repeats the rows of two 2-d arrays, one call each: the
+    # coefficients, with the columns of the levels below still 0, and the
+    # state, T^2 - s_k and then a_j for the levels j below, deepest first,
+    # so the next level's a_k is the last column and is dropped after it
+    coeffs = np.zeros((len(x), d), dtype=np.int64)
+    coeffs[:, 0] = x
+    state = x[:, None] * [M[j][0] for j in [0, *range(d - 1, 0, -1)]]
+    state[:, 0] = T * T - np.square(state[:, 0])
     for k in range(1, d):
-        a = pending.pop(0)
-        inv = 1.0 / M[k][k]
-        centre = a * -inv
-        half = np.sqrt(np.maximum(rest, 0.0)) * inv
-        lo = np.maximum(np.ceil(centre - half), -m)
-        counts = np.minimum(np.floor(centre + half), m) - lo + 1.0
-        np.maximum(counts, 0.0, out=counts)
-        total = counts.sum()
-        _check_budget(total, point_cap)
-        counts = counts.astype(np.int64)
-        start = np.cumsum(counts) - counts
-        x = np.arange(int(total)) - np.repeat(start - lo.astype(np.int64), counts)
-        cols = [np.repeat(c, counts) for c in cols] + [x]
+        counts, x = _children(state[:, -1], state[:, 0], M[k][k], m, point_cap)
+        coeffs = np.repeat(coeffs, counts, axis=0)
+        coeffs[:, k] = x
         if k + 1 < d:
-            pending = [np.repeat(p, counts) + M[j][k] * x for j, p in enumerate(pending, k + 1)]
-            y = np.repeat(a, counts) + M[k][k] * x
-            rest = np.repeat(rest, counts) - y * y
-    return np.stack(cols, axis=1)
+            state = np.repeat(state, counts, axis=0)
+            state[:, 0] -= np.square(state[:, -1] + M[k][k] * x)
+            state[:, 1:-1] += x[:, None] * [M[j][k] for j in range(d - 1, k, -1)]
+            state = state[:, :-1]
+    return coeffs
+
+
+def _children(a: np.ndarray, rest: np.ndarray, mkk: float, m: int, point_cap: int):
+    """One level of ``_ball_candidates``: from each parent row's a_k and
+    T^2 - s_k, how many children it has and their c_k, all rows' children
+    in order.  The parent-sized temporaries are freed on return, before the
+    level's rows are repeated."""
+    inv = 1.0 / mkk
+    centre = a * -inv
+    half = np.sqrt(np.maximum(rest, 0.0)) * inv
+    lo = np.maximum(np.ceil(centre - half), -m)
+    counts = np.minimum(np.floor(centre + half), m) - lo + 1.0
+    del centre, half  # the children's arrays are made without them
+    np.maximum(counts, 0.0, out=counts)
+    total = counts.sum()
+    _check_budget(total, point_cap)
+    counts = counts.astype(np.int64)
+    start = np.cumsum(counts) - counts
+    return counts, np.arange(int(total)) - np.repeat(start - lo.astype(np.int64), counts)
 
 
 def pushforward(

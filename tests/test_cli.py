@@ -407,6 +407,19 @@ ARGV_CASES = {
     "instances_zero": (["pushforward", "--instances", "0"], {}, {}, 2),
     "negative_seed": (["pushforward", "--seed", "-1"], {}, {}, 2),
     "eps_above_one": (["pushforward", "--eps", "4"], {}, {}, 2),
+    # epsilon/2 underflows to 0 (a ZeroDivisionError exited 4), or the
+    # enumeration radius overflows (exit 3, "cannot convert float infinity
+    # to integer"): refused as input that names epsilon
+    "eps_half_underflows": (["pushforward", "--eps", "5e-324"], {}, {}, 2),
+    "eps_radius_overflows": (["pushforward", "--eps", "1e-302"], {}, {}, 2),
+    "eps_subnormal": (["pushforward", "--eps", "1e-310"], {}, {}, 2),
+    "heat_eps_half_underflows": (["pushforward"], {"HEAT_EPS": "5e-324"}, {}, 2),
+    "rate_check_eps_half_underflows_35": (
+        ["rate-check", "--lemma", "35", "--eps", "5e-324"], {}, {}, 2
+    ),
+    "rate_check_eps_half_underflows_37": (
+        ["rate-check", "--lemma", "37", "--eps", "5e-324"], {}, {}, 2
+    ),
     "search_n_two": (["search-counterexample", "--n", "2"], {}, {}, 2),
     "search_n_above_cap": (["search-counterexample", "--n", "1025"], {}, {}, 2),
     "search_n_at_cap": (["search-counterexample", "--n", "1024", "--trials", "0"], {}, {}, 1),

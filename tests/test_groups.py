@@ -218,6 +218,13 @@ class TestGroupArithmetic:
             with pytest.raises(DomainError, match=f"expected 1 residues, got {len(res)}"):
                 GroupElement(G, res)
 
+    def test_function_refuses_complex_values(self):
+        # a cast to float would keep the real parts and drop the rest
+        G = FiniteAbelianGroup((4,))
+        for values in (np.arange(4) + 1j, np.zeros(4, dtype=complex), [0, 1, 2, 3j]):
+            with pytest.raises(DomainError, match="values must be real"):
+                GroupFunction(G, values)
+
 
 class TestLayout:
     @pytest.mark.parametrize("sizes", HEAT_TGRID_GROUPS, ids=str)
@@ -536,6 +543,40 @@ class TestDFT:
         with np.errstate(all="ignore"):
             with pytest.raises(NumericalConsistencyError, match="row 1"):
                 idft_stack(G, spectra)
+
+    @pytest.mark.parametrize("values", [(np.inf, np.nan), (np.nan, np.inf), (np.inf, np.inf)])
+    def test_stack_names_the_first_row_whose_norm_is_not_finite(self, values):
+        G = FiniteAbelianGroup((2, 4))
+        spectra = np.stack([dft(random_fn(G))] * 4)
+        spectra[1, 3], spectra[2, 0] = values
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalConsistencyError, match="norm of row 1 is not"):
+                idft_stack(G, spectra)
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_stack_names_the_first_row_with_a_residue(self, real):
+        # rows 1 and 2 both fail, row 2 by the larger residue
+        G = FiniteAbelianGroup((8,))
+        good = dft(random_fn(G))
+        odd = 1e-3j * np.eye(8)[1]
+        if real:  # an odd real part has an imaginary transform
+            good, odd = good.real, RNG.normal(size=8)
+            odd -= odd[G.neg_index_table()]
+        spectra = np.stack([good, good + odd, good + 10 * odd, good])
+        with pytest.raises(NumericalConsistencyError, match=r"\(row 1\)"):
+            idft_stack(G, spectra)
+
+    def test_row_whose_squares_overflow_passes_beside_a_good_row(self):
+        # row 0's squares overflow; its norm, taken on the scaled row, is
+        # finite, and its residue is judged against that norm
+        G = FiniteAbelianGroup((8,))
+        good = dft(random_fn(G))
+        out = idft_stack(G, np.stack([1e300 * good, good]))
+        assert np.array_equal(out[0], idft(G, 1e300 * good).values)
+        assert np.array_equal(out[1], idft(G, good).values)
+        bad = 1e300 * (good + 1e-6j * np.eye(8)[1])
+        with pytest.raises(NumericalConsistencyError, match=r"\(row 0\)"):
+            idft_stack(G, np.stack([bad, good]))
 
     def test_even_function_real_spectrum(self):
         G = FiniteAbelianGroup((8,))

@@ -69,6 +69,14 @@ class TestGaussianMass:
         with pytest.raises(DomainError):
             pushforward(h, epsilon=epsilon)
 
+    @pytest.mark.parametrize("epsilon", [5e-324, 1e-310, 1e-302])
+    def test_tiny_epsilon_is_refused_by_name(self, epsilon):
+        # epsilon/2 underflows to 0, where 1/target raised ZeroDivisionError;
+        # or 1/target or nb/target overflows, and ceil of the infinite R
+        # raised OverflowError ("cannot convert float infinity to integer")
+        with pytest.raises(DomainError, match=f"^epsilon {epsilon} is too small"):
+            gaussian_mass(Lattice(np.eye(4)), epsilon=epsilon)
+
 
 class TestPushforward:
     def test_trivial_target_collects_mass(self):
