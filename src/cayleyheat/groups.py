@@ -99,10 +99,12 @@ class FiniteAbelianGroup:
     def flat(self, residues) -> np.ndarray:
         """Flat indices from per-factor integer arrays of any sign, which
         broadcast together, each reduced mod its factor; accumulated one
-        factor at a time (Horner's rule over the factor sizes), so no stacked
-        (rank, ...) array is built."""
-        out = 0
-        for r, n in zip(residues, self.factor_sizes, strict=True):
+        factor at a time (Horner's rule over the factor sizes, from the first
+        factor's residues), so no stacked (rank, ...) array is built."""
+        pairs = zip(residues, self.factor_sizes, strict=True)
+        r, n = next(pairs)
+        out = r % n
+        for r, n in pairs:
             out = out * n + r % n
         return out
 
@@ -251,7 +253,14 @@ def _residue_str(residues) -> str:
 
 @dataclass(frozen=True, eq=False)
 class GroupFunction:
-    """Dense real-valued function on a finite Abelian group."""
+    """Dense real-valued function on a finite Abelian group.
+
+    Every public construction checks the values: real, one per element and
+    finite.  Two library routes build it with ``_trusted``, which skips those
+    checks, because their values are finite by a stated argument:
+    ``lattices.pushforward``'s ``bincount`` of weights in [0, 1], and
+    ``idft``'s row, which ``idft_stack``'s norm guard bounds.
+    """
 
     group: FiniteAbelianGroup
     values: np.ndarray
@@ -270,6 +279,17 @@ class GroupFunction:
             raise DomainError("values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _trusted(cls, group: FiniteAbelianGroup, values: np.ndarray) -> "GroupFunction":
+        """The function with these values, which the caller has proven to be
+        a finite float64 (|G|,) array, built without ``__post_init__``'s
+        checks; the array is made read-only."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "group", group)
+        values.setflags(write=False)
+        object.__setattr__(f, "values", values)
+        return f
 
     def __call__(self, g: GroupElement) -> float:
         return float(self.values[g.index])
@@ -532,8 +552,13 @@ def idft_stack(group: FiniteAbelianGroup, spectra: np.ndarray) -> np.ndarray:
 
 
 def idft(group: FiniteAbelianGroup, spectrum: np.ndarray) -> GroupFunction:
-    """Inverse transform carrying the 1/|G| factor: the one-row idft_stack."""
-    return GroupFunction(group, idft_stack(group, np.asarray(spectrum)[None])[0])
+    """Inverse transform carrying the 1/|G| factor: the one-row idft_stack.
+    A spectrum of another dtype is first cast to float64 or complex128."""
+    s = np.asarray(spectrum)
+    s = s.astype(complex if s.dtype.kind == "c" else float, copy=False)
+    row = idft_stack(group, s[None])[0]
+    # finite: idft_stack's norm guard bounds every value of the row
+    return GroupFunction._trusted(group, row)
 
 
 def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:

@@ -47,10 +47,6 @@ class CayleyWeights:
         if not self.w.is_even():
             raise DomainError("weights must be even: w(g) = w(-g)")
 
-    @property
-    def degree(self) -> float:
-        return float(np.sum(self.w.values))
-
     @cached_property
     def spectrum(self) -> np.ndarray:
         """Re dft(w), read-only: computed once however many t-blocks use it.

@@ -27,6 +27,11 @@ from .errors import (
 from .groups import FiniteAbelianGroup, GroupFunction, convolve, delta
 
 MIN_SINGULAR_VALUE = 1e-9
+# largest singular value accepted.  It bounds every column norm, so also the
+# enumeration radius R (the larger of the shortest column and the radius
+# solve's few units) and the norm of every enumerated point: the squared
+# norms, the Gram entries and pi R^2 stay far below the float maximum, 1.8e308
+MAX_SINGULAR_VALUE = 1e150
 DEFAULT_EPSILON = 1e-12
 DEFAULT_POINT_CAP = 10_000_000
 # largest closure error (sup norm) accepted by ``pushforward_closure``; each
@@ -36,7 +41,12 @@ CLOSURE_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
-    """Full-rank lattice in R^d given by basis columns."""
+    """Full-rank lattice in R^d given by basis columns.
+
+    A basis that is not square, has an entry that is not finite, has a
+    singular value above MAX_SINGULAR_VALUE or is rank-deficient is refused
+    (DomainError), by one SVD.
+    """
 
     basis: np.ndarray  # (d, d), columns are basis vectors
     # smallest singular value of the basis, from the rank check's SVD
@@ -48,7 +58,17 @@ class Lattice:
             raise DomainError(f"basis must be square, got shape {b.shape}")
         smin = math.inf
         if b.shape[0] > 0:
-            smin = float(np.linalg.svd(b, compute_uv=False)[-1])
+            try:
+                s = np.linalg.svd(b, compute_uv=False)
+            except np.linalg.LinAlgError:  # LAPACK's answer to a NaN entry
+                raise DomainError(f"basis {b.tolist()} is not finite") from None
+            # an infinite entry gives NaN singular values, which fail too
+            if not s[0] <= MAX_SINGULAR_VALUE:
+                raise DomainError(
+                    f"basis {b.tolist()} is not finite or too large (largest "
+                    f"singular value {s[0]:.2e}, limit {MAX_SINGULAR_VALUE:.0e})"
+                )
+            smin = float(s[-1])
             if smin <= MIN_SINGULAR_VALUE:
                 raise DomainError(
                     f"basis is rank-deficient (smallest singular value {smin:.2e})"
@@ -127,7 +147,8 @@ def _enumeration_box(lattice: Lattice, epsilon: float, point_cap: int | None = N
     region never silently excludes every nonzero point.  Every point of the
     ball has |c_i| <= ||c|| <= R/smin <= m.  An epsilon too small for this
     solve in floats, where epsilon/2 underflows to 0 or R overflows, is
-    refused (DomainError).  ``point_cap`` is not read: the cap counts
+    refused (DomainError), and so is a basis whose count bound Nb overflows
+    (NumericalConsistencyError).  ``point_cap`` is not read: the cap counts
     candidates (``_ball_candidates``); perfbench's box-rule test still
     passes it.
     """
@@ -150,7 +171,13 @@ def _enumeration_box(lattice: Lattice, epsilon: float, point_cap: int | None = N
         raise DomainError(f"epsilon {epsilon} is too small: the enumeration radius overflows")
     R = max(R, lattice.shortest_basis_norm)
     m = math.ceil(R / smin) if d > 0 else 0
-    nb = (2.0 * R / smin + 1.0) ** d if d > 0 else 1.0
+    try:
+        nb = (2.0 * R / smin + 1.0) ** d if d > 0 else 1.0
+    except OverflowError:  # a long shortest column against a small smin
+        raise NumericalConsistencyError(
+            f"basis too ill-conditioned to enumerate: (2R/smin + 1)^d overflows "
+            f"(R = {R:.2e}, smin = {smin:.2e}, d = {d})"
+        ) from None
     tail = nb * math.exp(-math.pi * R * R)
     return R, m, tail
 
@@ -190,7 +217,9 @@ def _ball_candidates(lattice: Lattice, R: float, m: int, point_cap: int) -> np.n
     Levels grow one coordinate at a time; each row's children are contiguous
     and ascending, which is the order of meshgrid(indexing="ij").  Each
     interval is clipped to [-m, m], so the candidates lie in the box and
-    hold exactly the box points that the test accepts.
+    hold exactly the box points that the test accepts.  At d = 1 the first
+    level's interval is the answer, returned as one column; no level state
+    is built.
 
     Slack (u = 2^-53, gamma_n = nu/(1-nu), F = ||B||_F, kappa = F/smin, and
     the standard error model of Higham, "Accuracy and Stability of Numerical
@@ -231,6 +260,8 @@ def _ball_candidates(lattice: Lattice, R: float, m: int, point_cap: int) -> np.n
     top = min(math.floor(T / M[0][0]), m)
     _check_budget(2 * top + 1, point_cap)
     x = np.arange(-top, top + 1)
+    if d == 1:
+        return x[:, None]
     # each level repeats the rows of two 2-d arrays, one call each: the
     # coefficients, with the columns of the levels below still 0, and the
     # state, T^2 - s_k and then a_j for the levels j below, deepest first,
@@ -266,7 +297,7 @@ def _children(a: np.ndarray, rest: np.ndarray, mkk: float, m: int, point_cap: in
     total = counts.sum()
     _check_budget(total, point_cap)
     counts = counts.astype(np.int64)
-    start = np.cumsum(counts) - counts
+    start = np.add.accumulate(counts) - counts  # the ufunc skips np.cumsum's dispatch
     return counts, np.arange(int(total)) - np.repeat(start - lo.astype(np.int64), counts)
 
 
@@ -291,12 +322,14 @@ def pushforward(
     pts = coeffs.astype(float) @ hom.lattice.basis.T
     sq = np.einsum("ij,ij->i", pts, pts)
     mask = sq <= R * R
-    coeffs = coeffs[mask]
-    weights = np.exp(-np.pi * sq[mask])
+    if np.count_nonzero(mask) < len(mask):  # most often every candidate passes: no copies
+        coeffs, sq = coeffs[mask], sq[mask]
+    weights = np.exp(-np.pi * sq)
 
     flat = G.flat(hom.images @ coeffs.T)
     vals = np.bincount(flat, weights=weights, minlength=G.order)
-    return PushforwardResult(GroupFunction(G, vals), tail)
+    # finite: each value sums at most len(weights) terms, each in [0, 1]
+    return PushforwardResult(GroupFunction._trusted(G, vals), tail)
 
 
 def direct_sum(h1: LatticeHom, h2: LatticeHom) -> LatticeHom:
@@ -319,45 +352,29 @@ def _block_basis(h1: LatticeHom, h2: LatticeHom) -> np.ndarray:
 def _integer_kernel(mat: list[list[int]]) -> list[list[int]]:
     """Basis of the integer kernel {z : M z = 0}, as a list of columns.
 
-    Column-echelon reduction with exact integer arithmetic; unimodular
-    column operations are mirrored on an identity matrix whose columns
-    matching zeroed-out columns of M form the kernel basis.
+    Column-echelon reduction with exact integer arithmetic.  Each working
+    column holds M's column above the identity's, so every unimodular column
+    operation acts on both, and the identity part of each column whose M
+    part is zeroed out is a kernel basis vector.
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
-    A = [row[:] for row in mat]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_axpy(dst: int, src: int, q: int):
-        for r in range(m):
-            A[r][dst] += q * A[r][src]
-        for r in range(n):
-            V[r][dst] += q * V[r][src]
-
-    def col_swap(a: int, b: int):
-        for r in range(m):
-            A[r][a], A[r][b] = A[r][b], A[r][a]
-        for r in range(n):
-            V[r][a], V[r][b] = V[r][b], V[r][a]
-
+    cols = [[row[c] for row in mat] + [int(r == c) for r in range(n)] for c in range(n)]
     col = 0
     for row in range(m):
         while True:
-            nz = [c for c in range(col, n) if A[row][c] != 0]
+            nz = [c for c in range(col, n) if cols[c][row] != 0]
             if len(nz) <= 1:
                 break
-            nz.sort(key=lambda c: abs(A[row][c]))
-            p = nz[0]
+            nz.sort(key=lambda c: abs(cols[c][row]))
+            p = cols[nz[0]]
             for c in nz[1:]:
-                q = A[row][c] // A[row][p]
-                col_axpy(c, p, -q)
-        nz = [c for c in range(col, n) if A[row][c] != 0]
+                q = cols[c][row] // p[row]
+                cols[c] = [a - q * b for a, b in zip(cols[c], p)]
         if nz:
-            if nz[0] != col:
-                col_swap(nz[0], col)
+            cols[col], cols[nz[0]] = cols[nz[0]], cols[col]
             col += 1
-    kernel_cols = [c for c in range(n) if all(A[r][c] == 0 for r in range(m))]
-    return [[V[r][c] for r in range(n)] for c in kernel_cols]
+    return [c[m:] for c in cols if not any(c[:m])]
 
 
 def fiber_product(h1: LatticeHom, h2: LatticeHom) -> LatticeHom:

@@ -83,7 +83,8 @@ def assert_heat_rows_permute(G, w, p, t):
     cw = CayleyWeights(G, GroupFunction(G, w))
     c = G.transform_error
     rows = heat._heat_rows(cw, t)
-    spread = t * (c * norm(dft(cw.w)) + (4 + math.log2(G.order)) * cw.degree) + 1 + c
+    deg = float(np.sum(cw.w.values))
+    spread = t * (c * norm(dft(cw.w)) + (4 + math.log2(G.order)) * deg) + 1 + c
     bound = 2 * spread * U * norm(rows, axis=1)
     moved = heat._heat_rows(CayleyWeights(G, GroupFunction(G, w[p])), t)
     assert np.all(norm(moved - rows[:, p], axis=1) <= bound), G

@@ -225,6 +225,16 @@ class TestGroupArithmetic:
             with pytest.raises(DomainError, match="values must be real"):
                 GroupFunction(G, values)
 
+    @pytest.mark.parametrize("values, message", [
+        (np.zeros(3), "values length"),
+        (np.zeros(5), "values length"),
+        (np.array([0.0, np.nan, 0.0, 0.0]), "values must be finite"),
+        (np.array([0.0, 0.0, -np.inf, 0.0]), "values must be finite"),
+    ])
+    def test_function_refuses_wrong_length_and_non_finite_values(self, values, message):
+        with pytest.raises(DomainError, match=message):
+            GroupFunction(FiniteAbelianGroup((4,)), values)
+
 
 class TestLayout:
     @pytest.mark.parametrize("sizes", HEAT_TGRID_GROUPS, ids=str)
@@ -390,6 +400,15 @@ class TestDFT:
         G = FiniteAbelianGroup((3,))
         out = idft(G, np.array([3.0, 0, 0], dtype=complex))
         assert np.allclose(out.values, 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int64, np.float64, complex])
+    def test_idft_values_are_read_only_float64(self, dtype):
+        # the row skips GroupFunction's checks, so idft owns its dtype and flags
+        for sizes in [(3,), (16,), (2, 2)]:
+            G = FiniteAbelianGroup(sizes)
+            out = idft(G, np.full(G.order, 3).astype(dtype))
+            assert out.values.dtype == np.float64 and not out.values.flags.writeable
+            assert out.values[0] == 3.0
 
     def test_idft_rejects_large_imaginary(self):
         G = FiniteAbelianGroup((3,))

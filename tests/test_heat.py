@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from cayleyheat import heat
-from cayleyheat.checks import CheckReport
+from cayleyheat.checks import (
+    CheckReport,
+    check_convolve_even,
+    sweep_mean_ineq,
+    sweep_rsd,
+    worst_report,
+)
 from cayleyheat.errors import DomainError, NumericalConsistencyError
 from cayleyheat.groups import (
     FiniteAbelianGroup,
@@ -124,7 +130,7 @@ class TestCayleyWeights:
         assert cw.w.values[1] == 2.5
         assert cw.w.values[11] == 2.5
         assert cw.w.values[9] == 1.0
-        assert cw.degree == 2 * (2.5 + 1.0)
+        assert float(np.sum(cw.w.values)) == 2 * (2.5 + 1.0)
 
     def test_from_dict_rejects_identity_index(self):
         with pytest.raises(DomainError):
@@ -189,7 +195,7 @@ class TestHeatRowCayley:
         cw = random_weights(G, rng, scale=1.0)
         t = 0.8
         row = heat_row_cayley(cw, t).values
-        series = math.exp(-t * cw.degree) * cexp_series(t * cw.w, 1e-15).values
+        series = math.exp(-t * float(np.sum(cw.w.values))) * cexp_series(t * cw.w, 1e-15).values
         assert np.max(np.abs(row - series)) < 1e-9
 
     def test_rejects_nonpositive_t(self):
@@ -335,7 +341,8 @@ class TestTGridBatch:
         # agree to rounding
         def complex_rows(cw, t):
             t = t[:, None]
-            return idft_stack(cw.group, np.exp(t * dft(cw.w) - t * cw.degree))
+            deg = float(np.sum(cw.w.values))
+            return idft_stack(cw.group, np.exp(t * dft(cw.w) - t * deg))
 
         for cw in self.cayley_cases():
             rows = heat._heat_rows(cw, grid)
@@ -470,6 +477,113 @@ class TestTGridBatch:
         rep = report(t[:2])
         assert rep.worst_margin == pytest.approx(-0.1)
         assert rep.witness == "v=1, t=1, t'=2"
+
+
+def pareto_weights(G, rng):
+    """Full-support heavy-tailed weights: Pareto(1.5) on every orbit {g, -g},
+    g != 0, scaled to degree 4, so that the default t-grid runs from rows
+    near the delta to rows near uniform on every group."""
+    v = rng.pareto(1.5, G.order) + 0.01
+    v = np.maximum(v, v[G.neg_index_table()])
+    v[0] = 0.0
+    return CayleyWeights(G, GroupFunction(G, v * (4.0 / v.sum())))
+
+
+class TestConvolutionRoute:
+    """The paper's proof chain on the rows check-monotone builds: since
+    H_t' = H_t * H_(t'-t), each monotone step H_t'(v)/H_t'(0) - H_t(v)/H_t(0)
+    is check_convolve_even's margin with chi = H_t and upsilon = H_(t'-t),
+    which is even and nonnegative; and every row passes both pair sweeps.
+
+    The semigroup holds for any exponent linear in t, so this cannot see a
+    lost 1/|G|, a lost degree shift or a rescaled t; it does see a row taken
+    at the wrong t (a lost block offset, a block's first step taken from the
+    wrong row) and an exponent that is not linear in t."""
+
+    U = 2.0**-53
+
+    def weight_sets(self):
+        rng = np.random.default_rng(12)
+        for sizes in [(4, 8), (2,) * 5, (64,), (256,), (16, 16)]:
+            yield pareto_weights(FiniteAbelianGroup(sizes), rng)
+        # the README's weights file
+        yield CayleyWeights.from_dict({"group": "Z12", "weights": {"1": 2.0, "3": 1.0}})
+
+    def row_error(self, cw, t, row):
+        """Sup-norm error bound of a computed heat row at t, the first-order
+        model of test_automorphisms.assert_heat_rows_permute: an exponent
+        error of t (c ||w_hat||_2 + (4 + log2|G|) deg) u, exp's u and the
+        inverse's c u, relative to the row's 2-norm (which bounds its sup
+        norm), doubled, with c the group's transform_error."""
+        G = cw.group
+        c = G.transform_error
+        deg = float(np.sum(cw.w.values))
+        spread = t * (c * np.linalg.norm(dft(cw.w)) + (4 + math.log2(G.order)) * deg) + 1 + c
+        return 2 * spread * self.U * np.linalg.norm(row)
+
+    def step_bound(self, cw, t, t2, f, g, h):
+        """How far check_convolve_even's margins on (f, g) = (H_t, H_dt),
+        dt = t2 - t, may lie from the step H_t2/H_t2(0) - f/f(0), h = H_t2.
+        The rows are nonnegative with sum 1, so each DFT is at most 1 in
+        sup norm, and the convolution's own rounding is at most
+        (3c + 1) u max(||f||_2, ||g||_2); input errors pass through it
+        unchanged (||f||_1 = ||g||_1 = 1); t + dt misses t2 by u t2, which
+        moves H by at most 2 u t2 deg.  A ratio to H(0) carries twice the
+        sup error over H(0), plus u; the f/f(0) terms are the same bits in
+        both, and each subtraction rounds by at most 2u.  The whole is
+        doubled."""
+        c = cw.group.transform_error
+        deg = float(np.sum(cw.w.values))
+        dt = t2 - t
+        conv = (
+            self.row_error(cw, t, f) + self.row_error(cw, dt, g)
+            + (3 * c + 1) * self.U * max(np.linalg.norm(f), np.linalg.norm(g))
+            + 2 * self.U * t2 * deg
+        )
+        return 2 * (2 * (conv + self.row_error(cw, t2, h)) / h[0] + 6 * self.U)
+
+    @pytest.mark.parametrize("blocks", [1, 3], ids=["one-block", "blocks-of-3-t"])
+    def test_each_step_is_the_convolution_margin(self, blocks, monkeypatch):
+        # the steps monotone_check_cayley reduces, as worst_report gets them;
+        # blocks-of-3-t runs the grid in blocks of three t
+        steps = {}
+
+        def record(blocks_, where, tol, count, name):
+            blocks_ = [(i0, m.copy()) for i0, m in blocks_]
+            for i0, m in blocks_:
+                for i, row in enumerate(m):
+                    steps[i0 + i] = row
+            return worst_report(blocks_, where, tol, count, name)
+
+        monkeypatch.setattr(heat, "worst_report", record)
+        grid = default_t_grid()
+        for cw in self.weight_sets():
+            G = cw.group
+            if blocks > 1:
+                monkeypatch.setattr(heat, "_BLOCK_VALUES", 3 * G.order)
+            steps.clear()
+            report = monotone_check_cayley(cw, grid)
+            assert sorted(steps) == list(range(len(grid) - 1))
+            rows = heat._heat_rows(cw, grid)
+            gaps = heat._heat_rows(cw, grid[1:] - grid[:-1])
+            for i in range(len(grid) - 1):
+                f, g, h = rows[i], gaps[i], rows[i + 1]
+                chi, upsilon = GroupFunction(G, f), GroupFunction(G, g)
+                conv = check_convolve_even(chi, upsilon, 0.0)  # accepts upsilon
+                omega = convolve(chi, upsilon).values
+                margins = omega / omega[0] - f / f[0]
+                bound = self.step_bound(cw, grid[i], grid[i + 1], f, g, h)
+                assert np.max(np.abs(margins - steps[i])) <= bound, (G, i)
+                assert abs(conv.worst_margin - float(steps[i].min())) <= bound, (G, i)
+            assert report.passed
+
+    def test_every_row_passes_both_sweeps(self):
+        # at pushforward's tolerances, 1e-12 chi(0)^4 and 1e-12 chi(0)^2
+        for cw in self.weight_sets():
+            for row in heat._heat_rows(cw, default_t_grid()):
+                chi = GroupFunction(cw.group, row)
+                assert sweep_rsd(chi, 1e-12 * row[0] ** 4).passed, cw.group
+                assert sweep_mean_ineq(chi, 1e-12 * row[0] ** 2).passed, cw.group
 
 
 class TestCTRW:

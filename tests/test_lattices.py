@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from cayleyheat.errors import DomainError, EnumerationBudgetError, GroupMismatchError
+from cayleyheat.errors import (
+    DomainError,
+    EnumerationBudgetError,
+    GroupMismatchError,
+    NumericalConsistencyError,
+)
 from cayleyheat.groups import FiniteAbelianGroup, GroupElement, convolve, parse_group
 from cayleyheat.lattices import (
     Lattice,
@@ -33,6 +38,36 @@ class TestLattice:
     def test_rank_deficient_rejected(self):
         with pytest.raises(DomainError):
             Lattice(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize("basis", [
+        [[np.nan]],
+        [[np.inf]],
+        [[-np.inf]],
+        [[1.0, np.inf], [0.0, 1.0]],
+        [[1.0, np.nan], [0.0, 1.0]],
+        # column norms whose squares overflow
+        [[3.0, 0.0], [0.0, 1e200]],
+        [[1e300]],  # the basis Lattice.integers(1e300) builds
+    ], ids=["nan", "inf", "-inf", "inf-entry", "nan-entry", "diag-3-1e200", "integers-1e300"])
+    def test_non_finite_or_huge_basis_is_refused_by_name(self, basis):
+        with pytest.raises(DomainError, match=r"^basis \["):
+            Lattice(np.array(basis))
+
+    @pytest.mark.parametrize("basis", [[[1e150]], [[1e150, 0.0], [0.0, 1e150]], [[1e100]]])
+    def test_largest_accepted_bases_answer(self, basis):
+        # every nonzero point is far outside the ball: chi is the delta, with
+        # no overflow on the way (the suite turns RuntimeWarnings into errors)
+        G = FiniteAbelianGroup((4,))
+        res = pushforward(LatticeHom(Lattice(np.array(basis)), G, (G.from_index(1),) * len(basis)))
+        assert res.chi.values.tolist() == [1.0, 0.0, 0.0, 0.0] and res.tail_bound == 0.0
+
+    def test_overflowing_box_count_is_refused(self):
+        # accepted (largest singular value 1.4e149), but R is the long shortest
+        # column and smin is 7e-6, so (2R/smin + 1)^2 overflows
+        G = FiniteAbelianGroup((4,))
+        h = LatticeHom(Lattice(np.array([[1e149, 1e149], [0.0, 1e-5]])), G, (G.from_index(1),) * 2)
+        with pytest.raises(NumericalConsistencyError, match="overflows"):
+            pushforward(h)
 
     def test_gram_spd(self):
         B = np.array([[2.0, 0.5], [0.0, 1.0]])
@@ -109,6 +144,8 @@ class TestPushforward:
         G = FiniteAbelianGroup((2, 4))
         for _ in range(5):
             res = pushforward(random_hom(G, rng, 2))
+            # built without GroupFunction's checks, so pushforward owns the flags
+            assert res.chi.values.dtype == np.float64 and not res.chi.values.flags.writeable
             assert np.all(res.chi.values >= 0)
             neg = G.neg_index_table()
             assert np.max(np.abs(res.chi.values - res.chi.values[neg])) <= max(
@@ -272,7 +309,41 @@ class TestDirectSum:
             direct_sum(h1, h2)
 
 
+def integer_kernel_by_rows(mat):
+    """Reference for ``_integer_kernel``: the same column-echelon reduction
+    on a row-major matrix and a separate identity, one entry at a time."""
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    A = [row[:] for row in mat]
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    col = 0
+    for row in range(m):
+        while True:
+            nz = sorted((c for c in range(col, n) if A[row][c] != 0), key=lambda c: abs(A[row][c]))
+            if len(nz) <= 1:
+                break
+            p = nz[0]
+            for c in nz[1:]:
+                q = A[row][c] // A[row][p]
+                for M in (A, V):
+                    for r in M:
+                        r[c] -= q * r[p]
+        if nz:
+            for M in (A, V):
+                for r in M:
+                    r[nz[0]], r[col] = r[col], r[nz[0]]
+            col += 1
+    return [[V[r][c] for r in range(n)] for c in range(n) if all(A[r][c] == 0 for r in range(m))]
+
+
 class TestIntegerKernel:
+    def test_matches_the_row_reference(self):
+        rng = np.random.default_rng(5)
+        for _ in range(400):
+            m = int(rng.integers(0, 4))
+            mat = rng.integers(-40, 41, size=(m, int(rng.integers(m, 9)))).tolist()
+            assert _integer_kernel(mat) == integer_kernel_by_rows(mat)
+
     def test_simple_congruence(self):
         # x - y = 0 mod 4: kernel of [1, -1, 4]
         basis = _integer_kernel([[1, -1, 4]])
@@ -425,8 +496,9 @@ class TestBallMatchesBox:
     order, so chi and the tail bound are bitwise equal."""
 
     BOX_LIMIT = 400_000  # largest box the reference enumerates
+    FAMILIES = ["Z12", "Z64", "Z2xZ2xZ16", "integers", "skewed", "long"]
 
-    @pytest.mark.parametrize("family", ["Z12", "Z64", "Z2xZ2xZ16", "integers", "skewed", "long"])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_bitwise_equal(self, family):
         compared = 0
         for hom in oracle_corpus(family):
@@ -439,6 +511,21 @@ class TestBallMatchesBox:
             assert np.array_equal(ball_coefficients(hom), coeffs)
             compared += 1
         assert compared >= 6
+
+    def test_corpus_holds_each_branch_of_the_route(self):
+        # _ball_candidates returns the first level at d = 1, and pushforward
+        # copies the candidates only where its float test rejects one: the
+        # bitwise comparison above covers both
+        dims, rejects = set(), set()
+        for family in self.FAMILIES:
+            for hom in oracle_corpus(family):
+                if _box_size(hom) > self.BOX_LIMIT:
+                    continue
+                R, m, _ = _enumeration_box(hom.lattice, 1e-12)
+                held = len(_ball_candidates(hom.lattice, R, m, 10**7))
+                dims.add(hom.lattice.dim)
+                rejects.add(held > len(ball_coefficients(hom)))
+        assert 1 in dims and rejects == {True, False}
 
     def test_answers_where_the_box_is_over_the_cap(self):
         # the fifth pair that `pushforward --group Z12 --seed 17` draws: its
