@@ -168,13 +168,15 @@ def check_convolve_even(
     """With omega = chi * upsilon: chi(g)/chi(0) <= omega(g)/omega(0) for all g.
 
     chi(0) <= 0 is refused (DomainError), as in the sweeps, and so is a
-    convolution or a margin that is not finite (NumericalConsistencyError)."""
+    convolution that is not finite (DomainError, or NumericalConsistencyError
+    if its spectrum is) or a margin that is not finite
+    (NumericalConsistencyError)."""
     v0 = _center(chi)
     if (upsilon.values < 0).any() or not upsilon.is_even():
         raise DomainError("upsilon must be even and nonnegative")
     G = chi.group
-    # idft_stack's norm guard refuses a transform that overflows, and
-    # worst_report a margin that does
+    # convolve refuses a transform that overflows (idft_stack's norm guard,
+    # or idft's finiteness check), and worst_report a margin that does
     with np.errstate(all="ignore"):
         omega = convolve(chi, upsilon)
         if omega.at_index(0) == 0:

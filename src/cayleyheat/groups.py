@@ -256,10 +256,9 @@ class GroupFunction:
     """Dense real-valued function on a finite Abelian group.
 
     Every public construction checks the values: real, one per element and
-    finite.  Two library routes build it with ``_trusted``, which skips those
-    checks, because their values are finite by a stated argument:
-    ``lattices.pushforward``'s ``bincount`` of weights in [0, 1], and
-    ``idft``'s row, which ``idft_stack``'s norm guard bounds.
+    finite.  Only ``lattices.pushforward`` builds it with ``_trusted``, which
+    skips those checks: its values are a ``bincount`` of at most point-cap
+    weights in [0, 1], so finite.
     """
 
     group: FiniteAbelianGroup
@@ -519,9 +518,11 @@ def idft_stack(group: FiniteAbelianGroup, spectra: np.ndarray) -> np.ndarray:
     row that fails it.  A smaller residue is discarded.  A row whose squares
     overflow is scaled by its largest |s| before squaring, so a finite row
     with a finite norm gets it.
-    A finite norm bounds every value of the row's transform, so the values
-    returned are finite.  A real stack runs at half width (see the module
-    docstring), and its rows come out exactly even.
+    A finite norm does not make the values finite: an FFT factor scales by
+    1/n after summing, so a sum can overflow (on Z64, a constant spectrum of
+    1e307 gives inf at 0 with no residue).  ``idft`` refuses such a row.
+    A real stack runs at half width (see the module docstring), and its rows
+    come out exactly even.
     """
     if spectra.ndim != 2 or spectra.shape[1] != group.order:
         raise DomainError(f"spectra of shape {spectra.shape} are not rows of length {group.order}")
@@ -553,12 +554,8 @@ def idft_stack(group: FiniteAbelianGroup, spectra: np.ndarray) -> np.ndarray:
 
 def idft(group: FiniteAbelianGroup, spectrum: np.ndarray) -> GroupFunction:
     """Inverse transform carrying the 1/|G| factor: the one-row idft_stack.
-    A spectrum of another dtype is first cast to float64 or complex128."""
-    s = np.asarray(spectrum)
-    s = s.astype(complex if s.dtype.kind == "c" else float, copy=False)
-    row = idft_stack(group, s[None])[0]
-    # finite: idft_stack's norm guard bounds every value of the row
-    return GroupFunction._trusted(group, row)
+    A row that overflows in the transform's sums is refused as not finite."""
+    return GroupFunction(group, idft_stack(group, np.asarray(spectrum)[None])[0])
 
 
 def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:

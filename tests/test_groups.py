@@ -401,14 +401,26 @@ class TestDFT:
         out = idft(G, np.array([3.0, 0, 0], dtype=complex))
         assert np.allclose(out.values, 1.0)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int64, np.float64, complex])
-    def test_idft_values_are_read_only_float64(self, dtype):
-        # the row skips GroupFunction's checks, so idft owns its dtype and flags
-        for sizes in [(3,), (16,), (2, 2)]:
-            G = FiniteAbelianGroup(sizes)
-            out = idft(G, np.full(G.order, 3).astype(dtype))
-            assert out.values.dtype == np.float64 and not out.values.flags.writeable
-            assert out.values[0] == 3.0
+    @pytest.mark.parametrize("route", ["idft", "idft_complex", "convolve", "cexp_spectral"])
+    def test_inverse_whose_sum_overflows_is_refused(self, route):
+        # Z64's FFT scales after summing: each spectrum has a finite norm and
+        # an answer of at most 1e307 at 0, but bin 0's sum overflows
+        G = FiniteAbelianGroup((64,))
+        spike = np.zeros(64)
+        run = {
+            "idft": lambda: idft(G, np.full(64, 1e307)),
+            "idft_complex": lambda: idft(G, np.full(64, 1e307, dtype=complex)),
+            "convolve": lambda: convolve(GroupFunction(G, spike), GroupFunction(G, spike)),
+            "cexp_spectral": lambda: cexp_spectral(GroupFunction(G, spike)),
+        }[route]
+        spike[0] = 707.0 if route == "cexp_spectral" else 3.3e153
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError, match="values must be finite"):
+                run()
+
+    def test_idft_values_are_read_only(self):
+        out = idft(FiniteAbelianGroup((16,)), np.full(16, 3.0))
+        assert not out.values.flags.writeable and out.values[0] == 3.0
 
     def test_idft_rejects_large_imaginary(self):
         G = FiniteAbelianGroup((3,))
