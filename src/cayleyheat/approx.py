@@ -44,13 +44,6 @@ class RateReport:
     passed: bool
 
 
-def check_power_diff(a: float, b: float, C: float, n: int, slack: float = 1e-12) -> bool:
-    """|a^n - b^n| <= n C^{n-1} |a - b| for a, b in [0, C]."""
-    if not (0 <= a <= C and 0 <= b <= C) or n < 1:
-        raise DomainError("need 0 <= a,b <= C and n >= 1")
-    return abs(a**n - b**n) <= n * C ** (n - 1) * abs(a - b) + slack
-
-
 def build_chi_n(
     alpha: float, g0: GroupElement, n: int, epsilon: float = DEFAULT_EPSILON
 ) -> PushforwardResult:

@@ -14,7 +14,7 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -424,23 +424,3 @@ def heat_lemma_check_h3(
     """The mean form on hyperbolic 3-space (closed form)."""
     return _triple_check("heat_lemma", "H3", a, b, c, t, tol, DEFAULT_L_MAX)
 
-
-def sphere_monotone_check(
-    cos_theta: float, t_grid, l_max: int = DEFAULT_L_MAX, tol: float = 0.0
-) -> CheckReport:
-    """H_t(theta)/H_t(0) nondecreasing in t on the sphere, with the
-    tolerance widened by ten times the largest relative truncation bound."""
-    tails = []
-
-    def ratios(t):
-        out = []
-        for ti in t:
-            vals, tail = sphere_heat(np.array([cos_theta, 1.0]), float(ti), l_max)
-            out.append(float(vals[0] / vals[1]))
-            tails.append(tail / float(vals[1]))
-        return np.array(out)[:, None]
-
-    rep = _monotone_report(
-        ratios, _t_grid(t_grid), 1, tol, "sphere_monotone", lambda _: f"cos={cos_theta}"
-    )
-    return replace(rep, passed=rep.worst_margin >= -(tol + 10.0 * max(tails)))

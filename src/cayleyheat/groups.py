@@ -128,10 +128,6 @@ class FiniteAbelianGroup:
         name a witness."""
         return _residue_str(self.residues_of(index))
 
-    @property
-    def identity(self) -> "GroupElement":
-        return GroupElement(self, (0,) * self.rank)
-
     # index arithmetic on whole arrays, used by the pair sweeps, the evenness
     # check and orbit logic; every table comes from _kron_index
     @functools.cached_property
@@ -535,11 +531,12 @@ def idft_stack(group: FiniteAbelianGroup, spectra: np.ndarray) -> np.ndarray:
                 norm[i] = nrm = scale * math.sqrt(np.vecdot(row, row).real)
                 if not nrm < math.inf:  # a NaN norm fails too
                     raise NumericalConsistencyError(f"spectrum norm of row {i} is not finite")
-    plan = _plan(group.factor_sizes)
-    if np.iscomplexobj(spectra):
-        y, src = _transform(spectra, plan.inverse, group.order), None
-    else:  # y(-k) = conj y(k) completes each row
-        y, src = _transform(spectra, plan.half, plan.width), plan.src
+        # a sum that overflows gives inf or NaN values, which idft refuses
+        plan = _plan(group.factor_sizes)
+        if np.iscomplexobj(spectra):
+            y, src = _transform(spectra, plan.inverse, group.order), None
+        else:  # y(-k) = conj y(k) completes each row
+            y, src = _transform(spectra, plan.half, plan.width), plan.src
     # real rows (Z_2 blocks only) have no residue; their .imag is a new zero array
     imag = np.abs(y.imag).max(axis=1) if np.iscomplexobj(y) else np.zeros(len(y))
     # take gives C order, as fancy indexing does not

@@ -160,24 +160,29 @@ def _enumeration_box(lattice: Lattice, epsilon: float, point_cap: int | None = N
     if target == 0.0:
         raise DomainError(f"epsilon {epsilon} is too small: epsilon/2 underflows to 0")
     R = math.sqrt(math.log(1.0 / target) / math.pi)
-    for _ in range(64):
-        nb = (2.0 * R / smin + 1.0) ** d
-        new_r = math.sqrt(math.log(nb / target) / math.pi)
-        if abs(new_r - R) < 1e-12:
-            R = new_r
-            break
-        R = new_r
-    if not R < math.inf:  # 1/target or nb/target overflowed
-        raise DomainError(f"epsilon {epsilon} is too small: the enumeration radius overflows")
-    R = max(R, lattice.shortest_basis_norm)
-    m = math.ceil(R / smin) if d > 0 else 0
+    # a count bound that overflows, in the solve or at the clamped R (a long
+    # shortest column against a small smin), refuses the basis
     try:
+        for _ in range(64):
+            nb = (2.0 * R / smin + 1.0) ** d
+            new_r = math.sqrt(math.log(nb / target) / math.pi)
+            if abs(new_r - R) < 1e-12:
+                R = new_r
+                break
+            R = new_r
+        if not R < math.inf:  # 1/target or nb/target overflowed
+            raise DomainError(
+                f"epsilon {epsilon} is too small for this basis (d = {d}, "
+                f"smin = {smin:.2e}): the enumeration radius overflows"
+            )
+        R = max(R, lattice.shortest_basis_norm)
         nb = (2.0 * R / smin + 1.0) ** d if d > 0 else 1.0
-    except OverflowError:  # a long shortest column against a small smin
+    except OverflowError:
         raise NumericalConsistencyError(
             f"basis too ill-conditioned to enumerate: (2R/smin + 1)^d overflows "
             f"(R = {R:.2e}, smin = {smin:.2e}, d = {d})"
         ) from None
+    m = math.ceil(R / smin) if d > 0 else 0
     tail = nb * math.exp(-math.pi * R * R)
     return R, m, tail
 

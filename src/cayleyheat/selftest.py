@@ -15,11 +15,10 @@ from . import checks
 from .checks import CheckReport
 from .approx import (
     cexp_pushforward_factorized,
-    check_power_diff,
     convergence_check_lemma37,
     rate_check_lemma35,
 )
-from .continuum import h3_abc, h3_monotone_check, h3_reduced_check, sphere_monotone_check
+from .continuum import h3_abc, h3_monotone_check, h3_reduced_check
 from .continuum import heat_lemma_check_h3, symmetric_ineq_check_h3
 from .groups import (
     FiniteAbelianGroup,
@@ -64,6 +63,14 @@ def _random_even_nonneg(G, rng):
     return GroupFunction(G, v)
 
 
+def _cexp_by_eigh(u: GroupFunction) -> GroupFunction:
+    """cexp(u) by a route that shares no transform: exp of the symmetric
+    circulant C[x, y] = u(x - y) through eigh; C is convolution with u, so
+    column 0 of exp(C) is cexp(u) applied to delta."""
+    evals, Q = np.linalg.eigh(u.values[u.group.sub_index_table()])
+    return GroupFunction(u.group, (Q * np.exp(evals)) @ Q[0])
+
+
 def _check_group_core():
     G = FiniteAbelianGroup((2, 3, 4))
     rng = _rng()
@@ -76,11 +83,7 @@ def _check_group_core():
     )
     _require(np.allclose(idft(G, dft(f)).values, f.values, atol=1e-12), "idft(dft(f)) != f")
     u = _random_even_nonneg(G, rng)
-    # a route that shares no transform: exp of the symmetric circulant
-    # C[x, y] = u(x - y) through eigh; C is convolution with u, so column 0
-    # of exp(C) is cexp(u) applied to delta
-    evals, Q = np.linalg.eigh(u.values[G.sub_index_table()])
-    by_eigh = (Q * np.exp(evals)) @ Q[0]
+    by_eigh = _cexp_by_eigh(u).values
     for name, cexp in (("spectral", cexp_spectral(u)), ("series", cexp_series(u, 1e-14))):
         _require(
             np.allclose(cexp.values, by_eigh, rtol=1e-9, atol=1e-12),
@@ -138,21 +141,14 @@ def _check_convergence_lemma37():
 
 def _check_factorized_cexp():
     """The paper's construction: cexp(upsilon) as the limit of products of
-    Gaussian pushforward powers, whose error falls as n grows."""
+    Gaussian pushforward powers, whose error falls as n grows.  The limit is
+    taken by the eigh route, so a fault in the shared inverse transform
+    cannot cancel."""
     G = FiniteAbelianGroup((8,))
     u = _random_even_nonneg(G, _rng())
-    exact = cexp_spectral(u)
+    exact = _cexp_by_eigh(u)
     errors = [(cexp_pushforward_factorized(u, n) - exact).sup_norm() for n in (16, 64, 256)]
     _require(errors[0] > errors[1] > errors[2], f"errors {errors} do not fall with n")
-
-
-def _check_power_diff_samples():
-    rng = _rng()
-    for _ in range(500):
-        C = rng.uniform(0.1, 2.0)
-        a, b = rng.uniform(0, C, 2)
-        n = int(rng.integers(1, 60))
-        _require(check_power_diff(a, b, C, n), (a, b, C, n))
 
 
 def _check_heat_cayley():
@@ -187,8 +183,6 @@ def _check_continuum():
         _require(not rep.passed, rep)
     rep = h3_monotone_check(2.0, np.geomspace(0.1, 10, 15))
     _require(rep.passed, rep)
-    rep = sphere_monotone_check(0.0, np.geomspace(0.1, 5, 10))
-    _require(rep.passed, rep)
 
 
 INVARIANTS = [
@@ -197,7 +191,6 @@ INVARIANTS = [
     ("lemma35_rate", _check_rate_lemma35),
     ("lemma37_convergence", _check_convergence_lemma37),
     ("factorized_cexp_convergence", _check_factorized_cexp),
-    ("power_diff_bound", _check_power_diff_samples),
     ("cayley_heat", _check_heat_cayley),
     ("continuum", _check_continuum),
 ]

@@ -7,7 +7,6 @@ from cayleyheat import approx
 from cayleyheat.approx import (
     build_chi_n,
     cexp_pushforward_factorized,
-    check_power_diff,
     convergence_check_lemma37,
     rate_check_lemma35,
 )
@@ -22,26 +21,6 @@ from cayleyheat.groups import (
     idft,
     phi,
 )
-
-
-class TestPowerDiff:
-    def test_equal_inputs(self):
-        assert check_power_diff(0.7, 0.7, 1.0, 5)
-
-    def test_extreme_case(self):
-        assert check_power_diff(2.0, 0.0, 2.0, 2)
-
-    def test_random_bulk(self):
-        rng = np.random.default_rng(42)
-        for _ in range(10_000):
-            C = rng.uniform(1e-3, 2.0)
-            a, b = rng.uniform(0, C, 2)
-            n = int(rng.integers(1, 61))
-            assert check_power_diff(a, b, C, n)
-
-    def test_precondition(self):
-        with pytest.raises(DomainError):
-            check_power_diff(3.0, 0.0, 2.0, 2)
 
 
 class TestBuildChiN:
@@ -89,7 +68,7 @@ class TestLemma35Rate:
 
     def test_degenerate_g0_zero(self):
         G = FiniteAbelianGroup((12,))
-        rr = rate_check_lemma35(1.0, G.identity, ns=(16, 32, 64, 128))
+        rr = rate_check_lemma35(1.0, G.from_index(0), ns=(16, 32, 64, 128))
         assert rr.passed
 
 

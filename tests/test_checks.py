@@ -58,7 +58,7 @@ class TestRSD:
     def test_equality_at_origin(self):
         G = FiniteAbelianGroup((12,))
         chi = pushed_chi(G, np.random.default_rng(1))
-        rep = check_rsd(chi, G.identity, G.identity, 0.0)
+        rep = check_rsd(chi, G.from_index(0), G.from_index(0), 0.0)
         assert rep.passed and rep.worst_margin == 0.0
 
     def test_equality_when_g2_zero(self):
@@ -66,7 +66,7 @@ class TestRSD:
         chi = pushed_chi(G, np.random.default_rng(2))
         g1 = G.element((5,))
         # both sides are chi(g1)^2 chi(0)^2, multiplied in the same order
-        rep = check_rsd(chi, g1, G.identity, 0.0)
+        rep = check_rsd(chi, g1, G.from_index(0), 0.0)
         assert rep.passed and rep.worst_margin == 0.0
 
     def test_exhaustive_on_pushforwards_z12(self):
@@ -92,14 +92,14 @@ class TestRSD:
     def test_requires_positive_center(self):
         G = FiniteAbelianGroup((3,))
         with pytest.raises(DomainError):
-            check_rsd(GroupFunction(G, np.zeros(3)), G.identity, G.identity, 0.0)
+            check_rsd(GroupFunction(G, np.zeros(3)), G.from_index(0), G.from_index(0), 0.0)
 
 
 class TestMeanIneq:
     def test_equality_at_origin(self):
         G = FiniteAbelianGroup((8,))
         chi = pushed_chi(G, np.random.default_rng(5))
-        rep = check_mean_ineq(chi, G.identity, G.identity, 0.0)
+        rep = check_mean_ineq(chi, G.from_index(0), G.from_index(0), 0.0)
         assert rep.passed and rep.worst_margin == 0.0
 
     def test_exhaustive_on_pushforwards_z2xz4(self):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import cayleyheat
-from cayleyheat import checks, cli, selftest
+from cayleyheat import checks, cli, groups, heat, selftest
 from cayleyheat.checks import CheckReport
 from cayleyheat.cli import COMMANDS, main
 from cayleyheat.continuum import (
@@ -69,6 +69,24 @@ class TestSelftest:
         assert code == 1
         assert reports["pushforward_closure_and_inequalities"]["passed"] is False
         assert sum(not r["passed"] for r in reports.values()) == 1
+
+    @pytest.mark.parametrize("name", [
+        "group_core", "pushforward_closure_and_inequalities", "factorized_cexp_convergence",
+        "cayley_heat",
+    ])
+    def test_lost_inverse_normalization_is_caught(self, name, monkeypatch):
+        # an inverse transform that drops its 1/|G|: each invariant that
+        # compares a transform route with one that shares no inverse
+        # transform fails on its own (heat binds its own idft_stack)
+        orig = groups.idft_stack
+
+        def times_order(group, spectra):
+            return orig(group, spectra) * group.order
+
+        monkeypatch.setattr(groups, "idft_stack", times_order)
+        monkeypatch.setattr(heat, "idft_stack", times_order)
+        with pytest.raises(selftest.InvariantFailure):
+            dict(selftest.INVARIANTS)[name]()
 
     def test_mutation_is_caught_under_optimize(self):
         # python -O strips assert statements; the invariants must not be them

@@ -22,7 +22,6 @@ from cayleyheat.continuum import (
     random_sphere_point,
     rp2_heat,
     sphere_heat,
-    sphere_monotone_check,
     sphere_point_symmetry,
     symmetric_ineq_check_h3,
     symmetric_ineq_check_sphere,
@@ -531,15 +530,6 @@ class TestSymmetricInequality:
 
 
 class TestSphereMonotone:
-    def test_theta_zero_constant(self):
-        rep = sphere_monotone_check(1.0, np.geomspace(0.1, 5, 10))
-        assert rep.passed
-
-    def test_equator_nondecreasing(self):
-        rep = sphere_monotone_check(0.0, np.geomspace(0.1, 5, 15))
-        assert rep.passed
-        assert rep.worst_margin > 0
-
     def test_ratio_approaches_one_from_below(self):
         vals, _ = sphere_heat(np.array([0.0, 1.0]), 5.0)
         ratio = float(vals[0] / vals[1])
@@ -852,20 +842,6 @@ def old_h3_monotone(d, t_grid, tol=1e-12):
     return worst >= -tol, worst, witness, unique, scale
 
 
-def old_sphere_monotone(cos_theta, t_grid, l_max=200, tol=0.0):
-    # the witness now also names the cosine
-    ratios, tails = [], []
-    for t in t_grid:
-        vals, tail = sphere_heat(np.array([cos_theta, 1.0]), float(t), l_max)
-        ratios.append(float(vals[0] / vals[1]))
-        tails.append(tail / float(vals[1]))
-    margins = np.diff(ratios)
-    worst_i = int(np.argmin(margins))
-    worst = float(margins[worst_i])
-    witness = f"cos={cos_theta}, t={t_grid[worst_i]:.6g}, t'={t_grid[worst_i + 1]:.6g}"
-    return worst >= -(tol + 10.0 * max(tails)), worst, witness
-
-
 def random_h3_point(rng, max_radius=3.0):
     r = rng.uniform(0.0, max_radius)
     v = rng.normal(size=3)
@@ -955,20 +931,11 @@ class TestMergedContinuumChecks:
                         rep, (passed, margin, scale), "h3_monotone", witness, len(grid) - 1
                     )
 
-    def test_sphere_monotone(self):
-        grid = np.geomspace(0.1, 5, 10)
-        for i, x in enumerate([*np.linspace(-1.0, 1.0, 101), 1.0 - 1e-15]):
-            tol = (0.0, -1e-3)[i % 2]
-            rep = sphere_monotone_check(float(x), grid, tol=tol)
-            passed, margin, witness = old_sphere_monotone(float(x), grid, tol=tol)
-            assert_same_report(rep, (passed, margin), "sphere_monotone", witness, len(grid) - 1)
-
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_monotone_checks_refuse_a_bad_t(self, bad):
         # without the grid check, h3 at t = -1 reported a made-up failure (margin -1.30)
-        for check in (h3_monotone_check, sphere_monotone_check):
-            with pytest.raises(DomainError, match="t must be positive and finite"):
-                check(0.5, [bad, 1.0, 2.0])
+        with pytest.raises(DomainError, match="t must be positive and finite"):
+            h3_monotone_check(0.5, [bad, 1.0, 2.0])
 
     def test_h3_monotone_refuses_a_negative_distance(self):
         # d/sinh d took its Taylor branch at d = -5 and answered 8.99

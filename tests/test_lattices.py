@@ -30,7 +30,7 @@ def gaussian_mass(lattice, epsilon=1e-12):
     """Total Gaussian weight of the lattice, with its tail bound: the
     pushforward into the trivial group."""
     Z1 = FiniteAbelianGroup((1,))
-    res = pushforward(LatticeHom(lattice, Z1, (Z1.identity,) * lattice.dim), epsilon)
+    res = pushforward(LatticeHom(lattice, Z1, (Z1.from_index(0),) * lattice.dim), epsilon)
     return res.chi.values[0], res.tail_bound
 
 
@@ -67,6 +67,23 @@ class TestLattice:
         G = FiniteAbelianGroup((4,))
         h = LatticeHom(Lattice(np.array([[1e149, 1e149], [0.0, 1e-5]])), G, (G.from_index(1),) * 2)
         with pytest.raises(NumericalConsistencyError, match="overflows"):
+            pushforward(h)
+
+    def test_radius_that_overflows_names_the_basis(self):
+        # at d = 30 the count bound over epsilon overflows, so the radius
+        # does; the refusal blamed epsilon alone
+        G = FiniteAbelianGroup((2,))
+        h = LatticeHom(Lattice(2e-9 * np.eye(30)), G, (G.from_index(1),) * 30)
+        with pytest.raises(DomainError, match=r"^epsilon 1e-12 .*d = 30, smin = 2\.00e-09"):
+            pushforward(h)
+
+    def test_count_bound_that_overflows_in_the_solve_is_refused(self):
+        # at d = 40 the solve's own (2R/smin + 1)^d raised a bare OverflowError
+        G = FiniteAbelianGroup((2,))
+        h = LatticeHom(Lattice(2e-9 * np.eye(40)), G, (G.from_index(1),) * 40)
+        with pytest.raises(
+            NumericalConsistencyError, match=r"overflows \(R = .*, smin = 2\.00e-09, d = 40\)"
+        ):
             pushforward(h)
 
     def test_gram_spd(self):
@@ -116,7 +133,7 @@ class TestGaussianMass:
 class TestPushforward:
     def test_trivial_target_collects_mass(self):
         G1 = FiniteAbelianGroup((1,))
-        h = LatticeHom(Lattice.integers(1.0), G1, (G1.identity,))
+        h = LatticeHom(Lattice.integers(1.0), G1, (G1.from_index(0),))
         res = pushforward(h)
         assert abs(res.chi.values[0] - MASS_Z) < 1e-10
 
