@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import DomainError, NumericalConsistencyError
 from .groups import (
-    GroupElement,
+    _EXP_ARG_MAX,
+    FiniteAbelianGroup,
     GroupFunction,
-    cexp_spectral,
     delta,
     dft,
     idft,
@@ -45,17 +45,18 @@ class RateReport:
 
 
 def build_chi_n(
-    alpha: float, g0: GroupElement, n: int, epsilon: float = DEFAULT_EPSILON
+    alpha: float, G: FiniteAbelianGroup, g0: int, n: int, epsilon: float = DEFAULT_EPSILON
 ) -> PushforwardResult:
-    """Pushforward of r_n*Z onto g0's group, with r_n chosen so
-    rho(r_n) = alpha/n; needs alpha > 0, n >= 2 and n > alpha.  At
-    alpha = 0, chi_n would be delta exactly, with no rate to fit."""
+    """Pushforward of r_n*Z onto G, the generator mapped to the element of
+    flat index g0, with r_n chosen so rho(r_n) = alpha/n; needs alpha > 0,
+    n >= 2 and n > alpha.  At alpha = 0, chi_n would be delta exactly, with
+    no rate to fit."""
     if not alpha > 0:  # NaN too
         raise DomainError(f"need alpha > 0 (alpha = 0 makes chi_n = delta exactly), got {alpha}")
     if n < 2 or n <= alpha:
         raise DomainError(f"need n > alpha and n >= 2, got n={n}")
     r_n = math.sqrt(math.log(n / alpha) / math.pi)
-    hom = LatticeHom(Lattice.integers(r_n), g0.group, (g0,))
+    hom = LatticeHom(Lattice.integers(r_n), G, (G.from_index(g0),))
     return pushforward(hom, epsilon)
 
 
@@ -105,7 +106,8 @@ def _fit_slope(ns, errors, floors) -> float:
 
 def rate_check_lemma35(
     alpha: float,
-    g0: GroupElement,
+    G: FiniteAbelianGroup,
+    g0: int,
     ns=DEFAULT_NS,
     epsilon: float = DEFAULT_EPSILON,
 ) -> RateReport:
@@ -113,11 +115,10 @@ def rate_check_lemma35(
     decay.  Refuses alpha = 0 (build_chi_n), and an error at or below its
     ``_floor``."""
     ns = tuple(sorted(int(n) for n in ns))
-    G = g0.group
     bump = phi(G, g0)
     errors, floors = [], []
     for n in ns:
-        res = build_chi_n(alpha, g0, n, epsilon)
+        res = build_chi_n(alpha, G, g0, n, epsilon)
         target = delta(G) + (alpha / n) * bump
         errors.append((target - res.chi).sup_norm())
         floors.append(_floor(alpha, n, res))
@@ -125,9 +126,45 @@ def rate_check_lemma35(
     return RateReport(ns, tuple(errors), slope, passed=slope <= -3.5)
 
 
+def _cexp_bump(alpha: float, G: FiniteAbelianGroup, g0: int) -> tuple[GroupFunction, float]:
+    """cexp(alpha phi(g0)) by its series on the values, with no transform,
+    and a bound on the sup-norm error of what it returns.
+
+    Convolving with phi(g0) is two shifts: (f * phi(g0))(x) = f(x - g0) +
+    f(x + g0).  So term k = (alpha/k) (term k-1) * phi(g0) has l1 norm
+    exactly a^k/k!, a = 2|alpha|, as ||phi(g0)||_1 = 2 and the shifts of a
+    one-signed term cannot cancel.  The terms after k then have l1 norm at
+    most a^(k+1)/(k+1)! / (1 - a/(k+2)) once k + 2 > a (a geometric series
+    of ratio a/(k+2) bounds the later terms' ratios), and the series stops
+    at the first k where that is at most u e^a, u = 2^-53; the l1 norm
+    bounds the sup norm.  Each entry of term k is a sum of two entries of
+    one sign, then scaled: 3 roundings a term, so relative error 3k u; the
+    k + 1 terms then sum with error at most k u times the sum of their
+    absolute values (Higham, "Accuracy and Stability of Numerical
+    Algorithms", ch. 4), which is at most sum_k a^k/k! = e^a everywhere.
+    So, to first order in u, the sup-norm error is at most (4k + 1) u e^a,
+    the bound returned.  A 2|alpha| above _EXP_ARG_MAX, where e^a
+    overflows, is refused.
+    """
+    a = 2 * abs(alpha)
+    if not a <= _EXP_ARG_MAX:  # a NaN fails too
+        raise NumericalConsistencyError(f"cexp(alpha phi) overflows: 2|alpha| = {a:.6g}")
+    r0 = np.array(G.residues_of(g0))[:, None]  # refuses g0 out of range
+    minus, plus = G.flat(G.residues - r0), G.flat(G.residues + r0)
+    bound = _U * math.exp(a)
+    term = acc = delta(G).values
+    b, k = 1.0, 0  # b = a^k/k!, the l1 norm of term k
+    while k + 2 <= a or b * (a / (k + 1)) / (1 - a / (k + 2)) > bound:
+        k += 1
+        term = alpha / k * (term[minus] + term[plus])
+        acc, b = acc + term, b * (a / k)
+    return GroupFunction(G, acc), (4 * k + 1) * bound
+
+
 def convergence_check_lemma37(
     alpha: float,
-    g0: GroupElement,
+    G: FiniteAbelianGroup,
+    g0: int,
     ns=(16, 64, 256),
     epsilon: float = DEFAULT_EPSILON,
 ) -> RateReport:
@@ -139,18 +176,20 @@ def convergence_check_lemma37(
     the default 16 to 256), not a specific slope.  The Euler error falls as
     1/n, so at a small alpha the errors meet an order-1 threshold exactly
     and rounding would decide; they clear order 1/2 by a factor
-    sqrt(ns[-1] / ns[0]).  Refuses alpha = 0 (build_chi_n), and a distance
-    at or below n ||chi_n||_1^{n-1} times its ``_floor``.
+    sqrt(ns[-1] / ns[0]).  The target comes from ``_cexp_bump``, which runs
+    no transform, so a fault in the inverse transform that chi_n^{*n} goes
+    through cannot cancel.  Refuses alpha = 0 (build_chi_n), and a distance
+    at or below n ||chi_n||_1^{n-1} times its ``_floor`` plus the target's
+    own error bound.
     """
     ns = tuple(sorted(int(n) for n in ns))
-    G = g0.group
-    target = cexp_spectral(alpha * phi(G, g0))
+    target, target_err = _cexp_bump(alpha, G, g0)
     errors, floors = [], []
     for n in ns:
-        res = build_chi_n(alpha, g0, n, epsilon)
+        res = build_chi_n(alpha, G, g0, n, epsilon)
         errors.append((idft(G, dft(res.chi) ** n) - target).sup_norm())
         mass = float(np.sum(res.chi.values))
-        floors.append(n * mass ** (n - 1) * _floor(alpha, n, res, G.transform_error))
+        floors.append(n * mass ** (n - 1) * _floor(alpha, n, res, G.transform_error) + target_err)
     slope = _fit_slope(ns, errors, floors)
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
     drop = math.sqrt(ns[0] / ns[-1])
@@ -169,6 +208,6 @@ def cexp_pushforward_factorized(
     terms = phi_basis_decompose(upsilon)
     acc = dft(delta(G))
     for alpha, g0 in terms:
-        chi = build_chi_n(alpha, g0, n, epsilon).chi
+        chi = build_chi_n(alpha, G, g0, n, epsilon).chi
         acc = acc * dft(chi) ** n
     return idft(G, acc)

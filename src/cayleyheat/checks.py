@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalConsistencyError
-from .groups import PAIR_TABLE_MAX, GroupElement, GroupFunction, convolve
+from .groups import PAIR_TABLE_MAX, GroupFunction, convolve
 
 
 @dataclass(frozen=True)
@@ -78,22 +78,26 @@ def scalar_report(margin: float, tol: float, witness: str, name: str) -> CheckRe
     return CheckReport(bool(margin >= -tol), float(margin), witness, 1, name)
 
 
-def _pair_check(chi: GroupFunction, g1, g2, tol: float, sides, name: str) -> CheckReport:
-    """RHS - LHS of the sides formula (rsd_sides or mean_sides) at one pair."""
-    c = _center(chi)
-    lhs, rhs = sides(chi(g1), chi(g2), chi(g1 + g2), chi(g1 - g2), c)
-    return scalar_report(rhs - lhs, tol, f"g1={g1}, g2={g2}", name)
+def _pair_check(chi: GroupFunction, g1: int, g2: int, tol: float, sides, name: str) -> CheckReport:
+    """RHS - LHS of the sides formula (rsd_sides or mean_sides) at the pair
+    of flat indices g1, g2.  g1 + g2 and g1 - g2 come from ``flat`` on
+    residue sums, not the sweeps' index tables, so the sweeps have a check
+    of their own; the five values are Python floats, whose overflow gives
+    inf (refused by scalar_report), not a NumPy warning."""
+    c, G = _center(chi), chi.group
+    r1, r2 = G.residues_of(g1), G.residues_of(g2)  # refuse an index out of range
+    at = [g1, g2, G.flat(np.add(r1, r2)), G.flat(np.subtract(r1, r2))]
+    lhs, rhs = sides(*chi.values[at].tolist(), c)
+    return scalar_report(rhs - lhs, tol, f"g1={G.name_of(g1)}, g2={G.name_of(g2)}", name)
 
 
-def check_rsd(chi: GroupFunction, g1: GroupElement, g2: GroupElement, tol: float) -> CheckReport:
-    """chi(g1)^2 chi(g2)^2 <= chi(g1+g2) chi(g1-g2) chi(0)^2."""
+def check_rsd(chi: GroupFunction, g1: int, g2: int, tol: float) -> CheckReport:
+    """chi(g1)^2 chi(g2)^2 <= chi(g1+g2) chi(g1-g2) chi(0)^2, at flat indices."""
     return _pair_check(chi, g1, g2, tol, rsd_sides, "rsd")
 
 
-def check_mean_ineq(
-    chi: GroupFunction, g1: GroupElement, g2: GroupElement, tol: float
-) -> CheckReport:
-    """chi(g1)chi(g2)/chi(0) <= (chi(g1+g2) + chi(g1-g2))/2."""
+def check_mean_ineq(chi: GroupFunction, g1: int, g2: int, tol: float) -> CheckReport:
+    """chi(g1)chi(g2)/chi(0) <= (chi(g1+g2) + chi(g1-g2))/2, at flat indices."""
     return _pair_check(chi, g1, g2, tol, mean_sides, "mean_ineq")
 
 

@@ -180,7 +180,7 @@ def _rate_check(lemma, alpha, group, g0, ns, epsilon) -> list[CheckReport]:
     if not 0 <= g0 < G.order:
         raise DomainError(f"--g0 must index an element of {G}, got {g0}")
     check = rate_check_lemma35 if lemma == 35 else convergence_check_lemma37
-    rr = check(alpha, G.from_index(g0), ns, epsilon)
+    rr = check(alpha, G, g0, ns, epsilon)
     return [
         CheckReport(
             passed=rr.passed,

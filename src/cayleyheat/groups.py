@@ -1,15 +1,16 @@
 """Finite Abelian groups, function spaces on them, convolution, DFT and the
 convolutional exponential.
 
-Groups are products of cyclic factors Z_{n1} x ... x Z_{nk}.  Elements are
-residue vectors; the flat index of an element is the lexicographic index with
-the last factor varying fastest (numpy C order), so reshaping a value vector
-to shape ``factor_sizes`` lines the axes up with the factors.  That layout
-lives in one place: ``FiniteAbelianGroup.residues`` (index to residues) and
-``FiniteAbelianGroup.flat`` (residues to index).  The index tables of the
-group law (g_i + g_j over pairs, and -g_i) are built from per-factor tables
-by Kronecker sum (``_kron_index``), which gives the integers ``flat`` gives
-at one numpy pass per table, whatever the number of factors.
+Groups are products of cyclic factors Z_{n1} x ... x Z_{nk}.  Library code
+names an element by its flat index: the lexicographic index of its residue
+vector with the last factor varying fastest (numpy C order), so reshaping a
+value vector to shape ``factor_sizes`` lines the axes up with the factors.
+That layout lives in one place: ``FiniteAbelianGroup.residues`` (index to
+residues) and ``FiniteAbelianGroup.flat`` (residues to index).  The group
+law is a sum of residues taken back through ``flat``, or one of the index
+tables (g_i + g_j over pairs, and -g_i), built from per-factor tables by
+Kronecker sum (``_kron_index``), which gives the integers ``flat`` gives at
+one numpy pass per table, whatever the number of factors.
 
 The transforms run on a fixed plan per group (``_plan``).  Each run of
 consecutive factors below 16 is merged into dense DFT blocks of at most 64
@@ -38,7 +39,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -113,20 +114,14 @@ class FiniteAbelianGroup:
             raise DomainError(f"index {index} out of range for {self}")
         return tuple(self.residues[:, index].tolist())
 
-    def element(self, residues: Sequence[int]) -> "GroupElement":
-        """The element with these residues, each reduced mod its factor."""
-        res = tuple(int(r) for r in residues)
-        # residues past the rank are kept, so GroupElement refuses the length
-        reduced = tuple(r % n for r, n in zip(res, self.factor_sizes))
-        return GroupElement(self, reduced + res[self.rank:])
-
     def from_index(self, index: int) -> "GroupElement":
+        """The record of element ``index`` that ``LatticeHom`` accepts as
+        an image."""
         return GroupElement(self, self.residues_of(index))
 
     def name_of(self, index: int) -> str:
-        """str(self.from_index(index)) with no element built: how reports
-        name a witness."""
-        return _residue_str(self.residues_of(index))
+        """How reports name element ``index``: its residues, as (1,3)."""
+        return "(" + ",".join(map(str, self.residues_of(index))) + ")"
 
     # index arithmetic on whole arrays, used by the pair sweeps, the evenness
     # check and orbit logic; every table comes from _kron_index
@@ -212,6 +207,9 @@ def _kron_index(sizes: tuple[int, ...], rows: np.ndarray, table) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GroupElement:
+    """An element of ``group`` by its residues, with no arithmetic: only the
+    image record that ``LatticeHom`` accepts, built by ``from_index``."""
+
     group: FiniteAbelianGroup
     residues: tuple[int, ...]
 
@@ -221,30 +219,6 @@ class GroupElement:
         for r, n in zip(self.residues, self.group.factor_sizes):
             if not 0 <= r < n:
                 raise DomainError(f"residue {r} out of range for factor Z{n}")
-
-    @property
-    def index(self) -> int:
-        return int(self.group.flat(self.residues))
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        if other.group != self.group:
-            raise GroupMismatchError("elements belong to different groups")
-        return self.group.element(
-            tuple(a + b for a, b in zip(self.residues, other.residues))
-        )
-
-    def __neg__(self) -> "GroupElement":
-        return self.group.element(tuple(-r for r in self.residues))
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self + (-other)
-
-    def __str__(self):
-        return _residue_str(self.residues)
-
-
-def _residue_str(residues) -> str:
-    return "(" + ",".join(str(r) for r in residues) + ")"
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,9 +260,6 @@ class GroupFunction:
         object.__setattr__(f, "values", values)
         return f
 
-    def __call__(self, g: GroupElement) -> float:
-        return float(self.values[g.index])
-
     def at_index(self, i: int) -> float:
         return float(self.values[i])
 
@@ -327,11 +298,13 @@ def delta(group: FiniteAbelianGroup) -> GroupFunction:
     return GroupFunction(group, v)
 
 
-def phi(group: FiniteAbelianGroup, g0: GroupElement) -> GroupFunction:
-    """delta(.-g0) + delta(.+g0); value 2 at g0 when 2*g0 = 0."""
+def phi(group: FiniteAbelianGroup, g0: int) -> GroupFunction:
+    """delta(.-g0) + delta(.+g0) for the element of flat index g0; value 2
+    at g0 when 2*g0 = 0."""
+    neg = group.flat(np.negative(group.residues_of(g0)))  # refuses g0 out of range
     v = np.zeros(group.order)
-    v[g0.index] += 1.0
-    v[(-g0).index] += 1.0
+    v[g0] += 1.0
+    v[neg] += 1.0
     return GroupFunction(group, v)
 
 
@@ -625,8 +598,9 @@ def cexp_series(upsilon: GroupFunction, tol: float = 1e-14) -> GroupFunction:
     raise DivergenceError(f"cexp series did not converge in {cap} terms")
 
 
-def phi_basis_decompose(upsilon: GroupFunction) -> list[tuple[float, GroupElement]]:
-    """Write an even nonnegative function as sum alpha_i * phi(g0_i).
+def phi_basis_decompose(upsilon: GroupFunction) -> list[tuple[float, int]]:
+    """Write an even nonnegative function as sum alpha_i * phi(g0_i), as
+    (alpha_i, flat index of g0_i) pairs.
 
     One representative per {g0, -g0} orbit; the identity orbit contributes
     upsilon(0)/2 since phi(0) = 2*delta.  Zero-weight orbits are skipped.
@@ -641,7 +615,7 @@ def phi_basis_decompose(upsilon: GroupFunction) -> list[tuple[float, GroupElemen
     # each orbit's smaller index where upsilon > 0; phi doubles on self-inverse orbits
     idx = np.flatnonzero((np.arange(G.order) <= neg) & (vals > 0.0))
     alphas = np.where(idx == neg[idx], vals[idx] / 2.0, vals[idx])
-    return [(a, G.from_index(i)) for a, i in zip(alphas.tolist(), idx.tolist())]
+    return list(zip(alphas.tolist(), idx.tolist()))
 
 
 _GROUP_RE = re.compile(r"^z(\d+)$", re.IGNORECASE)

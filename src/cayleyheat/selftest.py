@@ -120,7 +120,7 @@ def _require_sweep_replays(chi, sweep, single, tol):
     rep = sweep(chi, tol)
     _require(rep.passed, rep)
     g1, g2 = (
-        chi.group.element(tuple(int(r) for r in res.split(",")))
+        chi.group.flat([int(r) for r in res.split(",")])
         for res in re.findall(r"\(([^)]*)\)", rep.witness)
     )
     again = single(chi, g1, g2, tol).worst_margin
@@ -129,13 +129,13 @@ def _require_sweep_replays(chi, sweep, single, tol):
 
 def _check_rate_lemma35():
     G = FiniteAbelianGroup((12,))
-    rr = rate_check_lemma35(1.0, G.from_index(1), ns=(16, 32, 64, 128))
+    rr = rate_check_lemma35(1.0, G, 1, ns=(16, 32, 64, 128))
     _require(rr.passed, f"fitted order {rr.fitted_order}")
 
 
 def _check_convergence_lemma37():
     G = FiniteAbelianGroup((8,))
-    rr = convergence_check_lemma37(1.0, G.from_index(1), ns=(16, 64, 256))
+    rr = convergence_check_lemma37(1.0, G, 1, ns=(16, 64, 256))
     _require(rr.passed, rr)
 
 

@@ -136,7 +136,7 @@ def test_criterion_04_inequality_sweeps(pushforward_corpus):
 
 def test_criterion_05_lemma35_rate():
     G = FiniteAbelianGroup((12,))
-    rr = rate_check_lemma35(1.0, G.element((1,)), ns=(16, 32, 64, 128, 256))
+    rr = rate_check_lemma35(1.0, G, 1, ns=(16, 32, 64, 128, 256))
     ratios_ok = all(
         2**-5 <= e2 / e1 <= 2**-3 for e1, e2 in zip(rr.errors, rr.errors[1:])
     )
@@ -152,7 +152,7 @@ def test_criterion_06_lemma37_convergence():
     ok = True
     details = []
     for alpha in (0.5, 1.0, 2.0):
-        rr = convergence_check_lemma37(alpha, G.element((1,)), ns=(16, 64, 256))
+        rr = convergence_check_lemma37(alpha, G, 1, ns=(16, 64, 256))
         decreasing = all(b < a for a, b in zip(rr.errors, rr.errors[1:]))
         drop = rr.errors[0] / rr.errors[-1]
         ok = ok and decreasing and drop >= 4

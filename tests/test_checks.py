@@ -23,9 +23,8 @@ def loop_sweep(chi, tol, single, name):
     """Reference sweep: the single-pair check on every (g1, g2), keeping the
     first strictly smaller margin."""
     worst, witness = np.inf, ""
-    elements = [chi.group.from_index(i) for i in range(chi.group.order)]
-    for g1 in elements:
-        for g2 in elements:
+    for g1 in range(chi.group.order):
+        for g2 in range(chi.group.order):
             rep = single(chi, g1, g2, tol)
             if rep.worst_margin < worst:
                 worst, witness = rep.worst_margin, rep.witness
@@ -58,15 +57,14 @@ class TestRSD:
     def test_equality_at_origin(self):
         G = FiniteAbelianGroup((12,))
         chi = pushed_chi(G, np.random.default_rng(1))
-        rep = check_rsd(chi, G.from_index(0), G.from_index(0), 0.0)
+        rep = check_rsd(chi, 0, 0, 0.0)
         assert rep.passed and rep.worst_margin == 0.0
 
     def test_equality_when_g2_zero(self):
         G = FiniteAbelianGroup((12,))
         chi = pushed_chi(G, np.random.default_rng(2))
-        g1 = G.element((5,))
         # both sides are chi(g1)^2 chi(0)^2, multiplied in the same order
-        rep = check_rsd(chi, g1, G.from_index(0), 0.0)
+        rep = check_rsd(chi, 5, 0, 0.0)
         assert rep.passed and rep.worst_margin == 0.0
 
     def test_exhaustive_on_pushforwards_z12(self):
@@ -92,14 +90,33 @@ class TestRSD:
     def test_requires_positive_center(self):
         G = FiniteAbelianGroup((3,))
         with pytest.raises(DomainError):
-            check_rsd(GroupFunction(G, np.zeros(3)), G.from_index(0), G.from_index(0), 0.0)
+            check_rsd(GroupFunction(G, np.zeros(3)), 0, 0, 0.0)
+
+    @pytest.mark.parametrize("check", [check_rsd, check_mean_ineq])
+    def test_refuses_an_index_out_of_range(self, check):
+        # NumPy would wrap -1 to the last element
+        G = FiniteAbelianGroup((2, 3))
+        chi = GroupFunction(G, np.ones(G.order))
+        for g in (-1, G.order):
+            for g1, g2 in ((g, 0), (0, g)):
+                with pytest.raises(DomainError, match=f"index {g} out of range"):
+                    check(chi, g1, g2, 0.0)
+
+    def test_sum_and_difference_on_a_product_group(self):
+        # on Z2 x Z3, g1 = (1, 2) and g2 = (1, 2): g1 + g2 = (0, 1), index 1,
+        # and g1 - g2 = (0, 0); chi holds its index, so the sides are known
+        G = FiniteAbelianGroup((2, 3))
+        chi = GroupFunction(G, np.arange(1.0, 7.0))
+        rep = check_mean_ineq(chi, 5, 5, 0.0)
+        assert rep.worst_margin == 0.5 * (2.0 + 1.0) - 6.0 * 6.0 / 1.0
+        assert rep.witness == "g1=(1,2), g2=(1,2)"
 
 
 class TestMeanIneq:
     def test_equality_at_origin(self):
         G = FiniteAbelianGroup((8,))
         chi = pushed_chi(G, np.random.default_rng(5))
-        rep = check_mean_ineq(chi, G.from_index(0), G.from_index(0), 0.0)
+        rep = check_mean_ineq(chi, 0, 0, 0.0)
         assert rep.passed and rep.worst_margin == 0.0
 
     def test_exhaustive_on_pushforwards_z2xz4(self):
@@ -189,7 +206,7 @@ class TestPairSweep:
         G = FiniteAbelianGroup((4,))
         chi = GroupFunction(G, np.array(values))
         with pytest.raises(NumericalConsistencyError):
-            check(chi, G.from_index(g), G.from_index(g), 0.0)
+            check(chi, g, g, 0.0)
 
     def test_overflow_in_one_block_is_refused(self, monkeypatch):
         # only the last row block overflows; the finite blocks before it
@@ -219,10 +236,12 @@ def test_triple_check_is_the_pair_check(monkeypatch):
     values = None
     monkeypatch.setattr(continuum, "_triple_kernels", lambda *args: values)
     for chi, tol_rsd, tol_mean in sweep_cases():
-        elements = [chi.group.from_index(i) for i in range(chi.group.order)]
-        for g1 in elements:
-            for g2 in elements:
-                values = (chi(g1), chi(g2), chi(g1 + g2), chi(g1 - g2), chi.at_index(0), 0.0)
+        G = chi.group
+        add, sub = G.add_index_table(), G.sub_index_table()
+        for g1 in range(G.order):
+            for g2 in range(G.order):
+                at = (g1, g2, add[g1, g2], sub[g1, g2], 0)
+                values = (*(chi.at_index(i) for i in at), 0.0)
                 for kind, single, tol in (
                     ("symmetric_ineq", check_rsd, tol_rsd),
                     ("heat_lemma", check_mean_ineq, tol_mean),
@@ -245,9 +264,9 @@ class TestConvolveEven:
     def test_phi_bump_on_z8(self):
         # a generator image keeps chi strictly positive, so every ratio exists
         G = FiniteAbelianGroup((8,))
-        h = LatticeHom(Lattice.integers(0.9), G, (G.element((1,)),))
+        h = LatticeHom(Lattice.integers(0.9), G, (G.from_index(1),))
         chi = pushforward(h).chi
-        upsilon = phi(G, G.element((3,)))
+        upsilon = phi(G, 3)
         rep = check_convolve_even(chi, upsilon, 1e-12)
         assert rep.passed, rep
 
@@ -263,7 +282,7 @@ class TestConvolveEven:
         G = FiniteAbelianGroup((4,))
         chi = GroupFunction(G, np.array([0.0, 1.0, 0.5, 1.0]))
         with pytest.raises(DomainError, match=r"chi\(0\) > 0"):
-            check_convolve_even(chi, phi(G, G.element((1,))), 0.0)
+            check_convolve_even(chi, phi(G, 1), 0.0)
 
     def test_overflowing_convolution_is_refused(self):
         # chi's forward transform overflows; under the suite's warning filter

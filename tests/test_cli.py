@@ -71,8 +71,8 @@ class TestSelftest:
         assert sum(not r["passed"] for r in reports.values()) == 1
 
     @pytest.mark.parametrize("name", [
-        "group_core", "pushforward_closure_and_inequalities", "factorized_cexp_convergence",
-        "cayley_heat",
+        "group_core", "pushforward_closure_and_inequalities", "lemma37_convergence",
+        "factorized_cexp_convergence", "cayley_heat",
     ])
     def test_lost_inverse_normalization_is_caught(self, name, monkeypatch):
         # an inverse transform that drops its 1/|G|: each invariant that
@@ -254,6 +254,15 @@ class TestOtherCommands:
     def test_rate_check_lemma37(self, capsys):
         code, _ = run_cli(capsys, "rate-check", "--lemma", "37", "--group", "Z8", "--ns", "16,64,256")
         assert code == 0
+
+    @pytest.mark.parametrize("lemma", ["35", "37"])
+    @pytest.mark.parametrize("g0", ["-1", "12"])
+    def test_rate_check_refuses_g0_out_of_range_by_flag(self, capsys, lemma, g0):
+        # --g0 is a flat index into the default Z12
+        code = main(["rate-check", "--lemma", lemma, "--g0", g0])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and f"--g0 must index an element of Z12, got {g0}" in err
 
     def test_search_counterexample(self, capsys):
         code, out = run_cli(capsys, "search-counterexample", "--trials", "200", "--seed", "7")
@@ -497,7 +506,7 @@ ARGV_CASES = {
     "rate_check_squares_overflow_37": (
         ["rate-check", "--lemma", "37", "--alpha", "300", "--ns", "1000,2000"], {}, {}, 1
     ),
-    # exp(1000) overflows: cexp_spectral refuses the spectrum
+    # exp(1000) overflows: the lemma-37 target refuses 2|alpha| = 1000
     "rate_check_exp_overflow_37": (
         ["rate-check", "--lemma", "37", "--alpha", "500", "--ns", "1000,2000"], {}, {}, 3
     ),

@@ -78,7 +78,7 @@ def phi_basis_decompose_by_loop(upsilon):
         j = int(neg[i])
         v = float(vals[i])
         if j >= i and v > 0.0:
-            out.append((v / 2.0 if i == j else v, G.from_index(i)))
+            out.append((v / 2.0 if i == j else v, i))
     return out
 
 
@@ -167,28 +167,10 @@ def random_even_nonneg(G, rng=RNG):
 
 
 class TestGroupArithmetic:
-    def test_add_z6(self):
-        G = FiniteAbelianGroup((6,))
-        assert (G.element((4,)) + G.element((5,))).residues == (3,)
-
-    def test_add_product(self):
-        G = FiniteAbelianGroup((2, 3))
-        g = G.element((1, 2))
-        assert (g + g).residues == (0, 1)
-
-    def test_identity_law(self):
-        G = FiniteAbelianGroup((3, 4))
-        for g in map(G.from_index, range(G.order)):
-            assert (g + G.from_index(0)).residues == g.residues
-
-    def test_mismatched_groups_raise(self):
-        with pytest.raises(GroupMismatchError):
-            FiniteAbelianGroup((2,)).from_index(0) + FiniteAbelianGroup((3,)).from_index(0)
-
     def test_index_bijection_round_trip(self):
         G = FiniteAbelianGroup((2, 3, 4))
         for i in range(G.order):
-            assert G.from_index(i).index == i
+            assert G.flat(G.residues_of(i)) == i
 
     def test_last_factor_fastest(self):
         G = FiniteAbelianGroup((2, 3))
@@ -205,14 +187,8 @@ class TestGroupArithmetic:
         with pytest.raises(DomainError):
             FiniteAbelianGroup((5000,))
 
-    def test_element_refuses_wrong_length(self):
-        # a long vector is refused, not cut short
-        for sizes, res in [((12,), (1, 2)), ((2, 3), (1, 2, 5)), ((2, 3), (1,)), ((2, 3), ())]:
-            with pytest.raises(DomainError, match=f"expected {len(sizes)} residues, got {len(res)}"):
-                FiniteAbelianGroup(sizes).element(res)
-
     def test_group_element_refuses_wrong_length(self):
-        # refused here, not by a bare ValueError from .index
+        # a long vector is refused, not cut short
         G = FiniteAbelianGroup((12,))
         for res in [(1, 2), ()]:
             with pytest.raises(DomainError, match=f"expected 1 residues, got {len(res)}"):
@@ -363,17 +339,29 @@ class TestDeltaPhi:
 
     def test_phi_z5(self):
         G = FiniteAbelianGroup((5,))
-        assert phi(G, G.element((1,))).values.tolist() == [0, 1, 0, 0, 1]
+        assert phi(G, 1).values.tolist() == [0, 1, 0, 0, 1]
 
     def test_phi_doubles_on_self_inverse(self):
         G = FiniteAbelianGroup((4,))
-        assert phi(G, G.element((2,))).values.tolist() == [0, 0, 2, 0]
+        assert phi(G, 2).values.tolist() == [0, 0, 2, 0]
 
     def test_phi_klein_group(self):
         G = FiniteAbelianGroup((2, 2))
-        v = phi(G, G.element((1, 0))).values
-        assert v[G.element((1, 0)).index] == 2
+        g0 = G.flat((1, 0))
+        v = phi(G, g0).values
+        assert v[g0] == 2
         assert v.sum() == 2
+
+    def test_phi_product_group(self):
+        # -(1, 2) = (1, 1) in Z2 x Z3: flat indices 5 and 4
+        G = FiniteAbelianGroup((2, 3))
+        assert phi(G, 5).values.tolist() == [0, 0, 0, 0, 1, 1]
+
+    def test_phi_refuses_an_index_out_of_range(self):
+        G = FiniteAbelianGroup((2, 3))
+        for g0 in (-1, G.order):
+            with pytest.raises(DomainError, match=f"index {g0} out of range"):
+                phi(G, g0)
 
 
 class TestDFT:
@@ -737,7 +725,7 @@ class TestCexp:
 
     def test_cexp_even_and_positive(self):
         G = FiniteAbelianGroup((12,))
-        u = 0.5 * phi(G, G.element((1,)))
+        u = 0.5 * phi(G, 1)
         out = cexp_spectral(u)
         assert out.is_even()
         assert np.all(out.values > 0)
@@ -801,18 +789,13 @@ class TestCexp:
 class TestPhiBasis:
     def test_single_bump(self):
         G = FiniteAbelianGroup((7,))
-        g0 = G.element((2,))
-        terms = phi_basis_decompose(phi(G, g0))
-        assert len(terms) == 1
-        alpha, rep = terms[0]
-        assert alpha == 1.0
-        assert rep.residues in ((2,), (5,))
+        terms = phi_basis_decompose(phi(G, 2))
+        assert terms == [(1.0, 2)]
 
     def test_z4_read_off(self):
         G = FiniteAbelianGroup((4,))
         u = GroupFunction(G, np.array([0.0, 3.0, 5.0, 3.0]))
-        terms = sorted(phi_basis_decompose(u), key=lambda p: p[1].index)
-        assert [(a, g.index) for a, g in terms] == [(3.0, 1), (2.5, 2)]
+        assert phi_basis_decompose(u) == [(3.0, 1), (2.5, 2)]
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(3)
@@ -837,7 +820,7 @@ class TestPhiBasis:
         G = FiniteAbelianGroup((5,))
         u = GroupFunction(G, np.array([4.0, 0, 0, 0, 0]))
         terms = phi_basis_decompose(u)
-        assert terms == [(2.0, G.from_index(0))]
+        assert terms == [(2.0, 0)]
 
     def test_rejects_odd_or_negative(self):
         G = FiniteAbelianGroup((4,))

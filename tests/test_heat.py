@@ -84,7 +84,7 @@ def loop_monotone_cayley(cw, t_grid, tol=1e-10):
             count += len(margins)
             if margins[v] < worst:
                 worst = float(margins[v])
-                witness = f"v={cw.group.from_index(v)}, t={prev_t:.6g}, t'={t:.6g}"
+                witness = f"v={cw.group.name_of(v)}, t={prev_t:.6g}, t'={t:.6g}"
         prev, prev_t = ratio, t
     return CheckReport(worst >= -tol, worst, witness, count, "monotone_cayley")
 

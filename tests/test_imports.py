@@ -1,10 +1,11 @@
-"""Two checks on the library, since CI installs no linter and no coverage
-tool.  No library module imports a name it does not use.  And the library
-keeps only what a command runs: in a fresh interpreter, under a profile
-hook, importing the CLI and running the README's commands, an S2
-sphere-check and one refused command calls every function the library
-defines, methods, properties and nested functions included, but for the
-commented entries of UNREACHED."""
+"""Three checks on the library, since CI installs no linter and no coverage
+tool.  No library module imports a name it does not use.  Every parameter
+of every function and lambda is read in its body, but for the commented
+entries of UNREAD.  And the library keeps only what a command runs: in a
+fresh interpreter, under a profile hook, importing the CLI and running the
+README's commands, an S2 sphere-check and one refused command calls every
+function the library defines, methods, properties and nested functions
+included, but for the commented entries of UNREACHED."""
 
 import ast
 import json
@@ -73,6 +74,70 @@ def test_lists_every_def():
         "    def m(self):\n        return lambda: 0\n"
     )
     assert defs(source, "a") == {1: "a.f", 2: "a.f.inner", 5: "a.A.p", 9: "a.A.m"}
+
+
+def unread_parameters(source: str, module: str) -> set[tuple[str, str]]:
+    """(function, parameter) for each parameter of a def or lambda that its
+    body never reads as a name; parameters named with a leading underscore
+    are exempt.  Functions are named as ``defs`` names them, a lambda as
+    "<lambda>" in its enclosing scope.  A read in a nested function or
+    lambda counts, as its closure reads the parameter."""
+    out = set()
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, functions):
+                a = child.args
+                params = [
+                    p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p
+                ]
+                body = child.body if isinstance(child, ast.Lambda) else ast.Module(child.body, [])
+                read = {
+                    n.id
+                    for n in ast.walk(body)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                }
+                name = prefix + getattr(child, "name", "<lambda>")
+                out.update((name, p) for p in params if not p.startswith("_") and p not in read)
+            scope = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{prefix}{child.name}." if scope else prefix)
+
+    visit(ast.parse(source), f"{module}.")
+    return out
+
+
+def test_finds_an_unread_parameter():
+    source = (
+        "def f(a, b, *args, c=1, _d=2, **kw):\n    return a + kw['x']\n"
+        "class A:\n    def m(self, x):\n        return lambda y, z: x + z\n"
+        "def g(p, q):\n    def inner(r=p):\n        q = 1\n        return r\n"
+    )
+    assert unread_parameters(source, "a") == {
+        ("a.f", "b"), ("a.f", "args"), ("a.f", "c"), ("a.A.m", "self"),
+        ("a.A.m.<lambda>", "y"), ("a.g", "q"),
+    }
+
+
+# Parameters that are accepted and not read, each with its reason.
+UNREAD = {
+    # mean_gradient_l1 shares rsd_gradient_l1's signature (x, y, s, d, c),
+    # and the mean margin's gradient in s and d is constant
+    ("checks.mean_gradient_l1", "s"),
+    ("checks.mean_gradient_l1", "d"),
+    # perfbench's workloads pass it; ROADMAP item 7 (a) removes it there,
+    # and then here
+    ("lattices._enumeration_box", "point_cap"),
+}
+
+
+def test_every_parameter_is_read():
+    """The ROADMAP rule "no flag may be accepted and then ignored", for
+    every function of the library: each parameter is read in its body."""
+    unread = set()
+    for module in MODULES:
+        unread |= unread_parameters((PACKAGE / module).read_text(), Path(module).stem)
+    assert unread == UNREAD
 
 
 # Functions that no command runs, each with its reason.

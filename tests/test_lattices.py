@@ -34,6 +34,11 @@ def gaussian_mass(lattice, epsilon=1e-12):
     return res.chi.values[0], res.tail_bound
 
 
+
+def element(G, residues):
+    """The image record LatticeHom accepts for the element with these residues."""
+    return G.from_index(G.flat(residues))
+
 class TestLattice:
     def test_rank_deficient_rejected(self):
         with pytest.raises(DomainError):
@@ -139,7 +144,7 @@ class TestPushforward:
 
     def test_z2_parity_split(self):
         G = FiniteAbelianGroup((2,))
-        h = LatticeHom(Lattice.integers(1.0), G, (G.element((1,)),))
+        h = LatticeHom(Lattice.integers(1.0), G, (G.from_index(1),))
         res = pushforward(h)
         # frozen: split of the direct summation by parity of k
         assert abs(res.chi.values[0] - 1.0000069746847124) < 1e-10
@@ -151,7 +156,7 @@ class TestPushforward:
         G = FiniteAbelianGroup((12,))
         n, alpha = 100, 1.0
         r_n = math.sqrt(math.log(n / alpha) / math.pi)
-        h = LatticeHom(Lattice.integers(r_n), G, (G.element((1,)),))
+        h = LatticeHom(Lattice.integers(r_n), G, (G.from_index(1),))
         res = pushforward(h)
         assert abs(res.chi.values[1] - 0.01) < 1e-15
         assert abs(res.chi.values[2] - 1e-8) < 1e-16
@@ -191,7 +196,7 @@ class TestImages:
 
     def by_elements(self):
         G = self.G
-        return LatticeHom(self.lattice, G, (G.element((1, 5)), G.element((3, 0))))
+        return LatticeHom(self.lattice, G, (element(G, (1, 5)), element(G, (3, 0))))
 
     def test_elements_and_matrix_agree(self):
         h = self.by_elements()
@@ -226,12 +231,12 @@ class TestImages:
 
     def test_wrong_element_count_is_refused(self):
         with pytest.raises(DomainError):
-            LatticeHom(self.lattice, self.G, (self.G.element((1, 1)),))
+            LatticeHom(self.lattice, self.G, (element(self.G, (1, 1)),))
 
     def test_foreign_element_is_refused(self):
         H = FiniteAbelianGroup((24,))
         with pytest.raises(GroupMismatchError):
-            LatticeHom(self.lattice, self.G, (self.G.element((1, 1)), H.element((5,))))
+            LatticeHom(self.lattice, self.G, (element(self.G, (1, 1)), H.from_index(5)))
 
     def test_lattice_operations_build_no_element(self, monkeypatch):
         built = []
@@ -297,13 +302,13 @@ class TestDirectSum:
 
     def test_images_stack_h1_then_h2(self):
         G = FiniteAbelianGroup((3, 5))
-        h1 = LatticeHom(Lattice.integers(1.0), G, (G.element((1, 2)),))
-        h2 = LatticeHom(Lattice(np.eye(2)), G, (G.element((2, 0)), G.element((0, 4))))
+        h1 = LatticeHom(Lattice.integers(1.0), G, (element(G, (1, 2)),))
+        h2 = LatticeHom(Lattice(np.eye(2)), G, (element(G, (2, 0)), element(G, (0, 4))))
         assert direct_sum(h1, h2).images.tolist() == [[1, 2, 0], [2, 0, 4]]
 
     def test_trivial_summand_is_identity(self):
         G = FiniteAbelianGroup((5,))
-        h = LatticeHom(Lattice.integers(1.1), G, (G.element((2,)),))
+        h = LatticeHom(Lattice.integers(1.1), G, (G.from_index(2),))
         triv = LatticeHom(Lattice(np.zeros((0, 0))), G, ())
         out = direct_sum(h, triv)
         assert np.allclose(out.lattice.basis, h.lattice.basis)
@@ -319,9 +324,9 @@ class TestDirectSum:
 
     def test_target_mismatch(self):
         h1 = LatticeHom(Lattice.integers(1.0), FiniteAbelianGroup((2,)),
-                        (FiniteAbelianGroup((2,)).element((1,)),))
+                        (FiniteAbelianGroup((2,)).from_index(1),))
         h2 = LatticeHom(Lattice.integers(1.0), FiniteAbelianGroup((3,)),
-                        (FiniteAbelianGroup((3,)).element((1,)),))
+                        (FiniteAbelianGroup((3,)).from_index(1),))
         with pytest.raises(GroupMismatchError):
             direct_sum(h1, h2)
 
@@ -396,7 +401,7 @@ class TestFiberProduct:
 
     def test_z2_explicit(self):
         G = FiniteAbelianGroup((2,))
-        h = LatticeHom(Lattice.integers(1.0), G, (G.element((1,)),))
+        h = LatticeHom(Lattice.integers(1.0), G, (G.from_index(1),))
         chi = pushforward(h).chi.values
         fp = pushforward(fiber_product(h, h)).chi.values
         assert np.allclose(fp, chi**2, atol=1e-10)
@@ -425,8 +430,8 @@ class TestFiberProduct:
 
     def test_target_mismatch(self):
         Ga, Gb = FiniteAbelianGroup((2,)), FiniteAbelianGroup((3,))
-        h1 = LatticeHom(Lattice.integers(1.0), Ga, (Ga.element((1,)),))
-        h2 = LatticeHom(Lattice.integers(1.0), Gb, (Gb.element((1,)),))
+        h1 = LatticeHom(Lattice.integers(1.0), Ga, (Ga.from_index(1),))
+        h2 = LatticeHom(Lattice.integers(1.0), Gb, (Gb.from_index(1),))
         with pytest.raises(GroupMismatchError):
             fiber_product(h1, h2)
 
