@@ -49,14 +49,16 @@ def build_chi_n(
 ) -> PushforwardResult:
     """Pushforward of r_n*Z onto G, the generator mapped to the element of
     flat index g0, with r_n chosen so rho(r_n) = alpha/n; needs alpha > 0,
-    n >= 2 and n > alpha.  At alpha = 0, chi_n would be delta exactly, with
-    no rate to fit."""
+    n >= 2, n > alpha and n/alpha finite.  At alpha = 0, chi_n would be
+    delta exactly, with no rate to fit."""
     if not alpha > 0:  # NaN too
         raise DomainError(f"need alpha > 0 (alpha = 0 makes chi_n = delta exactly), got {alpha}")
     if n < 2 or n <= alpha:
         raise DomainError(f"need n > alpha and n >= 2, got n={n}")
+    if not n / alpha < math.inf:
+        raise DomainError(f"alpha = {alpha} is too small for n = {n}: n/alpha overflows")
     r_n = math.sqrt(math.log(n / alpha) / math.pi)
-    hom = LatticeHom(Lattice.integers(r_n), G, (G.from_index(g0),))
+    hom = LatticeHom(Lattice.integers(r_n), G, (G.residues_of(g0),))
     return pushforward(hom, epsilon)
 
 
@@ -88,6 +90,15 @@ def _floor(alpha: float, n: int, res: PushforwardResult, transform_error: float 
     return res.tail_bound + 8 * (1 + math.log(n / alpha) + transform_error) * _U * mass
 
 
+def _sizes(ns) -> tuple[int, ...]:
+    """The sizes n of a rate check, in increasing order; fewer than two, or
+    one given twice, are refused."""
+    ns = tuple(sorted(int(n) for n in ns))
+    if len(ns) < 2 or len(set(ns)) < len(ns):
+        raise DomainError(f"ns must hold at least two distinct sizes, got {ns}")
+    return ns
+
+
 def _fit_slope(ns, errors, floors) -> float:
     """Least-squares slope of log error against log n.  An error that does
     not exceed its floor (an error of 0 included) is refused: the fit would
@@ -112,9 +123,9 @@ def rate_check_lemma35(
     epsilon: float = DEFAULT_EPSILON,
 ) -> RateReport:
     """Sup-norm error of delta + alpha*phi/n - chi_n; expects fourth-order
-    decay.  Refuses alpha = 0 (build_chi_n), and an error at or below its
-    ``_floor``."""
-    ns = tuple(sorted(int(n) for n in ns))
+    decay.  Refuses fewer than two ns or a repeated one (``_sizes``), alpha = 0
+    (build_chi_n), and an error at or below its ``_floor``."""
+    ns = _sizes(ns)
     bump = phi(G, g0)
     errors, floors = [], []
     for n in ns:
@@ -178,11 +189,12 @@ def convergence_check_lemma37(
     and rounding would decide; they clear order 1/2 by a factor
     sqrt(ns[-1] / ns[0]).  The target comes from ``_cexp_bump``, which runs
     no transform, so a fault in the inverse transform that chi_n^{*n} goes
-    through cannot cancel.  Refuses alpha = 0 (build_chi_n), and a distance
+    through cannot cancel.  Refuses fewer than two ns or a repeated one
+    (``_sizes``), alpha = 0 (build_chi_n), and a distance
     at or below n ||chi_n||_1^{n-1} times its ``_floor`` plus the target's
     own error bound.
     """
-    ns = tuple(sorted(int(n) for n in ns))
+    ns = _sizes(ns)
     target, target_err = _cexp_bump(alpha, G, g0)
     errors, floors = [], []
     for n in ns:

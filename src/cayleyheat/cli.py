@@ -126,11 +126,8 @@ def _int_between(lo: int, hi: int) -> Callable[[str], int]:
 
 
 FINITE = _checked(float, math.isfinite, "a finite number")
-NS = _checked(
-    lambda text: tuple(int(n) for n in text.split(",")),
-    lambda ns: len(set(ns)) >= 2,
-    "at least two distinct comma-separated integers",
-)
+# integers only: the rate checks refuse fewer than two sizes or a repeated one
+NS = _checked(lambda text: tuple(int(n) for n in text.split(",")), bool, "comma-separated integers")
 
 
 def _cayley_weights(path: str, group: str | None) -> CayleyWeights:

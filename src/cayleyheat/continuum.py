@@ -159,7 +159,11 @@ def h3_monotone_check(d: float, t_grid, tol: float = 1e-12) -> CheckReport:
     """
 
     def ratios(t):
-        r = h3_log_ratio(d, t)
+        # d^2/4t may overflow in the array division: refused below, without
+        # NumPy's warning (here, not in h3_log_ratio, whose scalar callers
+        # on the checks' hot path would pay for the errstate)
+        with np.errstate(over="ignore"):
+            r = h3_log_ratio(d, t)
         if not np.isfinite(r).all():  # else two -inf would step by NaN, with a warning
             raise NumericalConsistencyError(f"h3_monotone: the log ratio is not finite at d={d}")
         return r[:, None]

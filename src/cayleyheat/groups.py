@@ -8,9 +8,10 @@ value vector to shape ``factor_sizes`` lines the axes up with the factors.
 That layout lives in one place: ``FiniteAbelianGroup.residues`` (index to
 residues) and ``FiniteAbelianGroup.flat`` (residues to index).  The group
 law is a sum of residues taken back through ``flat``, or one of the index
-tables (g_i + g_j over pairs, and -g_i), built from per-factor tables by
-Kronecker sum (``_kron_index``), which gives the integers ``flat`` gives at
-one numpy pass per table, whatever the number of factors.
+tables: -g_i is ``flat`` of the negated residues, and the add table
+(g_i + g_j over pairs) is built from per-factor tables by Kronecker sum
+(``_kron_index``), which gives the integers ``flat`` gives at one numpy pass
+per table, whatever the number of factors.
 
 The transforms run on a fixed plan per group (``_plan``).  Each run of
 consecutive factors below 16 is merged into dense DFT blocks of at most 64
@@ -110,24 +111,23 @@ class FiniteAbelianGroup:
         return out
 
     def residues_of(self, index: int) -> tuple[int, ...]:
+        """The residues of element ``index``, one per factor."""
         if not 0 <= index < self.order:  # a negative index would wrap
             raise DomainError(f"index {index} out of range for {self}")
         return tuple(self.residues[:, index].tolist())
 
-    def from_index(self, index: int) -> "GroupElement":
-        """The record of element ``index`` that ``LatticeHom`` accepts as
-        an image."""
-        return GroupElement(self, self.residues_of(index))
+    # perfbench's _hom is the only caller; ROADMAP item 7 (a) removes it
+    from_index = residues_of
 
     def name_of(self, index: int) -> str:
         """How reports name element ``index``: its residues, as (1,3)."""
         return "(" + ",".join(map(str, self.residues_of(index))) + ")"
 
     # index arithmetic on whole arrays, used by the pair sweeps, the evenness
-    # check and orbit logic; every table comes from _kron_index
+    # check, orbit logic and the transform plan's half route
     @functools.cached_property
     def _neg(self) -> np.ndarray:
-        neg = _kron_index(self.factor_sizes, np.arange(self.order), _cyclic_neg)
+        neg = self.flat(-self.residues)
         neg.setflags(write=False)
         return neg
 
@@ -138,7 +138,7 @@ class FiniteAbelianGroup:
     def add_index_rows(self, start: int, stop: int) -> np.ndarray:
         """Rows start to stop - 1 of the add table: [i, j] = flat index of
         g_(start + i) + g_j, built anew on each call."""
-        return _kron_index(self.factor_sizes, np.arange(start, stop), _cyclic_add)
+        return _kron_index(self.factor_sizes, np.arange(start, stop))
 
     def add_index_table(self) -> np.ndarray:
         """Read-only table[x, y] = flat index of g_x + g_y.  Built on first
@@ -169,14 +169,6 @@ class FiniteAbelianGroup:
 
 
 @functools.lru_cache(maxsize=None)
-def _cyclic_neg(n: int) -> np.ndarray:
-    """Read-only neg table of Z_n: entry r is -r mod n."""
-    neg = -np.arange(n) % n
-    neg.setflags(write=False)
-    return neg
-
-
-@functools.lru_cache(maxsize=None)
 def _cyclic_add(n: int) -> np.ndarray:
     """Read-only add table of Z_n, [r, j] = (r + j) mod n.  Row r is
     0, ..., n - 1 rotated left by r, so the table is the n windows of length
@@ -185,40 +177,20 @@ def _cyclic_add(n: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(np.concatenate([r, r[:-1]]), n)
 
 
-def _kron_index(sizes: tuple[int, ...], rows: np.ndarray, table) -> np.ndarray:
-    """Index table of Z_{n1} x ... x Z_{nk} at the elements ``rows`` (flat
-    indices), from the per-factor tables ``table(n)``, whose entry or row r
-    holds Z_n's indices for residue r.  Split G = P x Q: the element a|Q| + b
-    has P's entries for a times |Q| plus Q's entries for b, and for a row,
-    column c|Q| + d holds P's entry c times |Q| plus Q's entry d: the
-    Kronecker sum.  Each side is built the same way, halving the factors, so
-    the result is the Horner sum that ``flat`` computes, as the same
-    integers, and the full-size array is written once."""
+def _kron_index(sizes: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` (flat indices) of the add table of Z_{n1} x ... x Z_{nk},
+    from the per-factor tables ``_cyclic_add(n)``.  Split G = P x Q: row
+    a|Q| + b has at column c|Q| + d P's entry [a, c] times |Q| plus Q's entry
+    [b, d]: the Kronecker sum.  Each side is built the same way, halving the
+    factors, so the result is the Horner sum that ``flat`` computes, as the
+    same integers, and the full-size array is written once."""
     if len(sizes) == 1:
-        return table(sizes[0])[rows]
+        return _cyclic_add(sizes[0])[rows]
     k = len(sizes) // 2
     q = math.prod(sizes[k:])
     a, b = np.divmod(rows, q)
-    p, s = _kron_index(sizes[:k], a, table), _kron_index(sizes[k:], b, table)
-    if p.ndim == 1:
-        return p * q + s
+    p, s = _kron_index(sizes[:k], a), _kron_index(sizes[k:], b)
     return (p[:, :, None] * q + s[:, None, :]).reshape(len(rows), p.shape[1] * q)
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """An element of ``group`` by its residues, with no arithmetic: only the
-    image record that ``LatticeHom`` accepts, built by ``from_index``."""
-
-    group: FiniteAbelianGroup
-    residues: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.residues) != self.group.rank:
-            raise DomainError(f"expected {self.group.rank} residues, got {len(self.residues)}")
-        for r, n in zip(self.residues, self.group.factor_sizes):
-            if not 0 <= r < n:
-                raise DomainError(f"residue {r} out of range for factor Z{n}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,14 +363,14 @@ def _plan(sizes: tuple[int, ...]) -> _Plan:
                for p, n, q, f in steps]
     # the half route
     pre, m, _, factors = steps[0]
-    H = np.flatnonzero(np.arange(m) <= _kron_index(factors or (m,), np.arange(m), _cyclic_neg))
+    H = np.flatnonzero(np.arange(m) <= FiniteAbelianGroup(factors or (m,)).neg_index_table())
     if factors is not None:
         first = _readonly(inverse[0][3][:, H])
     else:
         first = np.fft.ihfft if len(steps) > 1 else functools.partial(np.fft.rfft, norm="forward")
     half = ((pre, m, 1, first),) + tuple((p, n, q // m * len(H), op) for p, n, q, op in inverse[1:])
     k = np.arange(total)
-    neg_k = _kron_index(sizes, k, _cyclic_neg)
+    neg_k = FiniteAbelianGroup(sizes).neg_index_table()
     src = None
     if np.any(neg_k != k):
         pos = np.full(m, -1)

@@ -24,7 +24,7 @@ from .errors import (
     GroupMismatchError,
     NumericalConsistencyError,
 )
-from .groups import FiniteAbelianGroup, GroupFunction, convolve, delta
+from .groups import FiniteAbelianGroup, GroupFunction, convolve
 
 MIN_SINGULAR_VALUE = 1e-9
 # largest singular value accepted.  It bounds every column norm, so also the
@@ -41,11 +41,11 @@ CLOSURE_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
-    """Full-rank lattice in R^d given by basis columns.
+    """Full-rank lattice in R^d, d >= 1, given by basis columns.
 
-    A basis that is not square, has an entry that is not finite, has a
-    singular value above MAX_SINGULAR_VALUE or is rank-deficient is refused
-    (DomainError), by one SVD.
+    A basis that is not square or is empty, has an entry that is not finite,
+    has a singular value above MAX_SINGULAR_VALUE or is rank-deficient is
+    refused (DomainError), by one SVD.
     """
 
     basis: np.ndarray  # (d, d), columns are basis vectors
@@ -54,25 +54,21 @@ class Lattice:
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise DomainError(f"basis must be square, got shape {b.shape}")
-        smin = math.inf
-        if b.shape[0] > 0:
-            try:
-                s = np.linalg.svd(b, compute_uv=False)
-            except np.linalg.LinAlgError:  # LAPACK's answer to a NaN entry
-                raise DomainError(f"basis {b.tolist()} is not finite") from None
-            # an infinite entry gives NaN singular values, which fail too
-            if not s[0] <= MAX_SINGULAR_VALUE:
-                raise DomainError(
-                    f"basis {b.tolist()} is not finite or too large (largest "
-                    f"singular value {s[0]:.2e}, limit {MAX_SINGULAR_VALUE:.0e})"
-                )
-            smin = float(s[-1])
-            if smin <= MIN_SINGULAR_VALUE:
-                raise DomainError(
-                    f"basis is rank-deficient (smallest singular value {smin:.2e})"
-                )
+        if b.ndim != 2 or b.shape[0] != b.shape[1] or b.size == 0:
+            raise DomainError(f"basis must be square and nonempty, got shape {b.shape}")
+        try:
+            s = np.linalg.svd(b, compute_uv=False)
+        except np.linalg.LinAlgError:  # LAPACK's answer to a NaN entry
+            raise DomainError(f"basis {b.tolist()} is not finite") from None
+        # an infinite entry gives NaN singular values, which fail too
+        if not s[0] <= MAX_SINGULAR_VALUE:
+            raise DomainError(
+                f"basis {b.tolist()} is not finite or too large (largest "
+                f"singular value {s[0]:.2e}, limit {MAX_SINGULAR_VALUE:.0e})"
+            )
+        smin = float(s[-1])
+        if smin <= MIN_SINGULAR_VALUE:
+            raise DomainError(f"basis is rank-deficient (smallest singular value {smin:.2e})")
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
         object.__setattr__(self, "min_singular_value", smin)
@@ -87,8 +83,6 @@ class Lattice:
 
     @property
     def shortest_basis_norm(self) -> float:
-        if self.dim == 0:
-            return 0.0
         # the column norms as np.linalg.norm(basis, axis=0) takes them
         return math.sqrt(min(np.add.reduce(self.basis * self.basis, axis=0).tolist()))
 
@@ -103,9 +97,10 @@ class LatticeHom:
 
     ``images`` is the read-only (rank, d) int64 residue matrix: column i
     holds the residues of basis vector i's image, each reduced mod its
-    factor.  It may be given as a signed integer matrix of that shape, with
-    entries of any size and sign, or as a sequence of d elements of the
-    target, and is converted once, here.
+    factor.  It may be given as a signed integer matrix of that shape, or
+    as a sequence of d residue vectors of length rank, one per basis vector
+    (as ``residues_of`` returns them), with entries of any size and sign in
+    either form; it is converted once, here.
     """
 
     lattice: Lattice
@@ -116,11 +111,13 @@ class LatticeHom:
         G, d = self.target, self.lattice.dim
         images = self.images
         if not isinstance(images, np.ndarray):
-            if len(images) != d:
-                raise DomainError("one image per basis vector required")
-            if any(g.group != G for g in images):
-                raise GroupMismatchError("image outside the target group")
-            images = np.array([g.residues for g in images], dtype=np.int64).reshape(d, G.rank).T
+            try:
+                rows = np.array(images)
+            except ValueError:  # numpy's answer to a ragged sequence
+                rows = None
+            if rows is None or rows.shape != (d, G.rank) or rows.dtype.kind != "i":
+                raise DomainError(f"images must be {d} integer residue vectors of length {G.rank}")
+            images = rows.T
         if images.shape != (G.rank, d) or images.dtype.kind != "i":
             raise DomainError(
                 f"images must be a ({G.rank}, {d}) integer matrix, got "
@@ -176,13 +173,13 @@ def _enumeration_box(lattice: Lattice, epsilon: float, point_cap: int | None = N
                 f"smin = {smin:.2e}): the enumeration radius overflows"
             )
         R = max(R, lattice.shortest_basis_norm)
-        nb = (2.0 * R / smin + 1.0) ** d if d > 0 else 1.0
+        nb = (2.0 * R / smin + 1.0) ** d
     except OverflowError:
         raise NumericalConsistencyError(
             f"basis too ill-conditioned to enumerate: (2R/smin + 1)^d overflows "
             f"(R = {R:.2e}, smin = {smin:.2e}, d = {d})"
         ) from None
-    m = math.ceil(R / smin) if d > 0 else 0
+    m = math.ceil(R / smin)
     tail = nb * math.exp(-math.pi * R * R)
     return R, m, tail
 
@@ -319,9 +316,6 @@ def pushforward(
     if not 0 < epsilon < 1:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
     G = hom.target
-    d = hom.lattice.dim
-    if d == 0:
-        return PushforwardResult(delta(G), 0.0)
     R, m, tail = _enumeration_box(hom.lattice, epsilon)
     coeffs = _ball_candidates(hom.lattice, R, m, point_cap)
     pts = coeffs.astype(float) @ hom.lattice.basis.T

@@ -99,7 +99,7 @@ def _check_pushforward_closure():
     for _ in range(5):
         h1 = random_hom(G, rng, 2)
         h2 = LatticeHom(
-            Lattice.integers(rng.uniform(0.7, 1.5)), G, (G.from_index(int(rng.integers(6))),)
+            Lattice.integers(rng.uniform(0.7, 1.5)), G, (G.residues_of(int(rng.integers(6))),)
         )
         c = pushforward_closure(h1, h2)
         _require(

@@ -29,6 +29,12 @@ class TestBuildChiN:
         with pytest.raises(DomainError):
             build_chi_n(5.0, G, 1, 4)
 
+    @pytest.mark.parametrize("alpha, n", [(1e-308, 16), (5e-324, 2), (1e-300, 10**9)])
+    def test_refuses_alpha_whose_ratio_overflows_by_name(self, alpha, n):
+        # n/alpha is inf, so r_n would be: refused as alpha, not as a basis
+        with pytest.raises(DomainError, match=rf"^alpha = {alpha} is too small for n = {n}"):
+            build_chi_n(alpha, FiniteAbelianGroup((12,)), 1, n)
+
     def test_first_shell_value(self):
         G = FiniteAbelianGroup((12,))
         res = build_chi_n(1.0, G, 1, 100)
@@ -118,6 +124,23 @@ class TestLemma37Convergence:
         for n in (16, 1):
             with pytest.raises(DomainError, match="alpha = 0"):
                 build_chi_n(0.0, G, 1, n)
+
+
+@pytest.mark.parametrize("check", [rate_check_lemma35, convergence_check_lemma37])
+class TestSizes:
+    @pytest.mark.parametrize(
+        "ns", [(16,), (), (16, 16), (16, 16, 256), (256, 16, 256)],
+        ids=["16", "none", "16,16", "16,16,256", "256,16,256"],
+    )
+    def test_fewer_than_two_or_repeated_sizes_are_refused(self, check, ns):
+        with pytest.raises(DomainError, match="ns must hold at least two distinct sizes"):
+            check(1.0, FiniteAbelianGroup((8,)), 1, ns)
+
+    def test_sizes_are_sorted(self, check):
+        G = FiniteAbelianGroup((8,))
+        forward = check(1.0, G, 1, (16, 64, 256))
+        assert check(1.0, G, 1, (256, 16, 64)) == forward
+        assert forward.ns == (16, 64, 256)
 
 
 class TestIndexArguments:

@@ -264,7 +264,7 @@ class TestConvolveEven:
     def test_phi_bump_on_z8(self):
         # a generator image keeps chi strictly positive, so every ratio exists
         G = FiniteAbelianGroup((8,))
-        h = LatticeHom(Lattice.integers(0.9), G, (G.from_index(1),))
+        h = LatticeHom(Lattice.integers(0.9), G, (G.residues_of(1),))
         chi = pushforward(h).chi
         upsilon = phi(G, 3)
         rep = check_convolve_even(chi, upsilon, 1e-12)

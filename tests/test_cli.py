@@ -264,6 +264,14 @@ class TestOtherCommands:
         assert code == 2
         assert out == "" and f"--g0 must index an element of Z12, got {g0}" in err
 
+    @pytest.mark.parametrize("lemma", ["35", "37"])
+    def test_rate_check_refuses_a_tiny_alpha_by_name(self, capsys, lemma):
+        # n/alpha overflows; the refusal named a basis [[inf]] the user never gave
+        code = main(["rate-check", "--lemma", lemma, "--alpha", "1e-308"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and "alpha = 1e-308 is too small for n = 16" in err
+
     def test_search_counterexample(self, capsys):
         code, out = run_cli(capsys, "search-counterexample", "--trials", "200", "--seed", "7")
         assert code == 0
@@ -429,6 +437,9 @@ ARGV_CASES = {
     "ns_not_integers": (["rate-check", "--lemma", "35", "--ns", "16,abc"], {}, {}, 2),
     "ns_single_point": (["rate-check", "--lemma", "35", "--ns", "16"], {}, {}, 2),
     "ns_repeated_point": (["rate-check", "--lemma", "35", "--ns", "16,16"], {}, {}, 2),
+    # the errors fell, 0.165, 0.165 and 0.0115, but not strictly: the check
+    # failed (exit 1), and lemma 35 fitted the repeated point twice
+    "ns_repeated_among_three": (["rate-check", "--lemma", "37", "--ns", "16,16,256"], {}, {}, 2),
     "g0_out_of_range": (["rate-check", "--lemma", "35", "--g0", "99"], {}, {}, 2),
     "dim_zero": (["pushforward", "--dim", "0"], {}, {}, 2),
     "instances_zero": (["pushforward", "--instances", "0"], {}, {}, 2),
@@ -473,6 +484,9 @@ ARGV_CASES = {
     # d^2/4t overflows, so every log ratio is -inf: refused (the linear
     # steps of exp(r) passed with worst margin 0.0)
     "h3_monotone_log_ratio_overflow": (["h3-monotone", "--d", "1e300"], {}, {}, 3),
+    # d^2 is finite but d^2/4t overflows in the array division: a NumPy
+    # warning, made an error by the test settings, exited 4
+    "h3_monotone_square_over_t_overflows": (["h3-monotone", "--d", "1e154"], {}, {}, 3),
     # the log sides are finite while 2 r(a,b) + 2 r(b,c) on the points of
     # h3_abc overflows to -inf; a per-call cross-check on that sum refused
     # it as a disagreement, and the violation is reproduced (exit 0)
@@ -558,14 +572,17 @@ FUZZ_VALUES = {
     "--eps": (["1e-12", "1e-30", "0.5"], ["0", "-1", "4", "nan"]),
     "--seed": (["0", "7"], ["-1", "1.5"]),
     "--lemma": (["35", "37"], ["36", "x"]),
-    "--alpha": (["1", "0", "0.5", "5", "300", "1e300"], ["-1", "inf"]),
+    "--alpha": (["1", "0", "0.5", "5", "300", "1e300", "1e-308"], ["-1", "inf"]),
     "--g0": (["0", "1", "3", "11"], ["99", "-1", "x"]),
-    "--ns": (["16,32", "16,64,256", "2,4", "1,2", "16,1000000"], ["16", "16,16", "a,b", ","]),
+    "--ns": (
+        ["16,32", "16,64,256", "2,4", "1,2", "16,1000000"],
+        ["16", "16,16", "16,16,256", "a,b", ","],
+    ),
     "--n": (["3", "8"], ["2", "1025", "x"]),
     "--trials": (["0", "1", "5"], ["-1", "100001", "1000000", "x"]),
     "--d1": (["3", "0", "30", "400", "1e300"], ["-1", "nan"]),
     "--t": (["1", "1e-300", "0", "-1", "1e300"], ["x"]),
-    "--d": (["2", "0", "1000", "1e300"], ["-5"]),
+    "--d": (["2", "0", "1000", "1e154", "1e300"], ["-5"]),
     "--space": (["S2", "RP2"], ["S3"]),
     "--lmax": (["200", "5", "1", "10000"], ["0", "-3", "10001", "x"]),
 }

@@ -12,7 +12,6 @@ from cayleyheat.errors import (
 from cayleyheat import groups
 from cayleyheat.groups import (
     FiniteAbelianGroup,
-    GroupElement,
     GroupFunction,
     cexp_series,
     cexp_spectral,
@@ -180,19 +179,18 @@ class TestGroupArithmetic:
     def test_index_out_of_range(self):
         G = FiniteAbelianGroup((2, 3))
         for i in (-1, 6):
-            with pytest.raises(DomainError):
-                G.from_index(i)
+            for method in (G.residues_of, G.from_index):
+                with pytest.raises(DomainError):
+                    method(i)
+
+    def test_from_index_is_residues_of(self):
+        G = FiniteAbelianGroup((2, 3, 4))
+        for i in range(G.order):
+            assert G.from_index(i) == G.residues_of(i)
 
     def test_order_cap(self):
         with pytest.raises(DomainError):
             FiniteAbelianGroup((5000,))
-
-    def test_group_element_refuses_wrong_length(self):
-        # a long vector is refused, not cut short
-        G = FiniteAbelianGroup((12,))
-        for res in [(1, 2), ()]:
-            with pytest.raises(DomainError, match=f"expected 1 residues, got {len(res)}"):
-                GroupElement(G, res)
 
     def test_function_refuses_complex_values(self):
         # a cast to float would keep the real parts and drop the rest

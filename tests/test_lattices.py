@@ -9,7 +9,7 @@ from cayleyheat.errors import (
     GroupMismatchError,
     NumericalConsistencyError,
 )
-from cayleyheat.groups import FiniteAbelianGroup, GroupElement, convolve, parse_group
+from cayleyheat.groups import FiniteAbelianGroup, convolve, parse_group
 from cayleyheat.lattices import (
     Lattice,
     LatticeHom,
@@ -30,19 +30,19 @@ def gaussian_mass(lattice, epsilon=1e-12):
     """Total Gaussian weight of the lattice, with its tail bound: the
     pushforward into the trivial group."""
     Z1 = FiniteAbelianGroup((1,))
-    res = pushforward(LatticeHom(lattice, Z1, (Z1.from_index(0),) * lattice.dim), epsilon)
+    res = pushforward(LatticeHom(lattice, Z1, (Z1.residues_of(0),) * lattice.dim), epsilon)
     return res.chi.values[0], res.tail_bound
 
-
-
-def element(G, residues):
-    """The image record LatticeHom accepts for the element with these residues."""
-    return G.from_index(G.flat(residues))
 
 class TestLattice:
     def test_rank_deficient_rejected(self):
         with pytest.raises(DomainError):
             Lattice(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (2,)], ids=["0x0", "2x3", "vector"])
+    def test_empty_or_non_square_basis_is_refused(self, shape):
+        with pytest.raises(DomainError, match=r"basis must be square and nonempty, got shape"):
+            Lattice(np.zeros(shape))
 
     @pytest.mark.parametrize("basis", [
         [[np.nan]],
@@ -63,14 +63,14 @@ class TestLattice:
         # every nonzero point is far outside the ball: chi is the delta, with
         # no overflow on the way (the suite turns RuntimeWarnings into errors)
         G = FiniteAbelianGroup((4,))
-        res = pushforward(LatticeHom(Lattice(np.array(basis)), G, (G.from_index(1),) * len(basis)))
+        res = pushforward(LatticeHom(Lattice(np.array(basis)), G, (G.residues_of(1),) * len(basis)))
         assert res.chi.values.tolist() == [1.0, 0.0, 0.0, 0.0] and res.tail_bound == 0.0
 
     def test_overflowing_box_count_is_refused(self):
         # accepted (largest singular value 1.4e149), but R is the long shortest
         # column and smin is 7e-6, so (2R/smin + 1)^2 overflows
         G = FiniteAbelianGroup((4,))
-        h = LatticeHom(Lattice(np.array([[1e149, 1e149], [0.0, 1e-5]])), G, (G.from_index(1),) * 2)
+        h = LatticeHom(Lattice(np.array([[1e149, 1e149], [0.0, 1e-5]])), G, (G.residues_of(1),) * 2)
         with pytest.raises(NumericalConsistencyError, match="overflows"):
             pushforward(h)
 
@@ -78,14 +78,14 @@ class TestLattice:
         # at d = 30 the count bound over epsilon overflows, so the radius
         # does; the refusal blamed epsilon alone
         G = FiniteAbelianGroup((2,))
-        h = LatticeHom(Lattice(2e-9 * np.eye(30)), G, (G.from_index(1),) * 30)
+        h = LatticeHom(Lattice(2e-9 * np.eye(30)), G, (G.residues_of(1),) * 30)
         with pytest.raises(DomainError, match=r"^epsilon 1e-12 .*d = 30, smin = 2\.00e-09"):
             pushforward(h)
 
     def test_count_bound_that_overflows_in_the_solve_is_refused(self):
         # at d = 40 the solve's own (2R/smin + 1)^d raised a bare OverflowError
         G = FiniteAbelianGroup((2,))
-        h = LatticeHom(Lattice(2e-9 * np.eye(40)), G, (G.from_index(1),) * 40)
+        h = LatticeHom(Lattice(2e-9 * np.eye(40)), G, (G.residues_of(1),) * 40)
         with pytest.raises(
             NumericalConsistencyError, match=r"overflows \(R = .*, smin = 2\.00e-09, d = 40\)"
         ):
@@ -120,7 +120,7 @@ class TestGaussianMass:
     def test_epsilon_below_one(self, epsilon):
         # past 2 the radius equation took the root of a negative number
         G = FiniteAbelianGroup((3,))
-        h = LatticeHom(Lattice.integers(1.0), G, (G.from_index(1),))
+        h = LatticeHom(Lattice.integers(1.0), G, (G.residues_of(1),))
         with pytest.raises(DomainError):
             gaussian_mass(h.lattice, epsilon=epsilon)
         with pytest.raises(DomainError):
@@ -138,13 +138,13 @@ class TestGaussianMass:
 class TestPushforward:
     def test_trivial_target_collects_mass(self):
         G1 = FiniteAbelianGroup((1,))
-        h = LatticeHom(Lattice.integers(1.0), G1, (G1.from_index(0),))
+        h = LatticeHom(Lattice.integers(1.0), G1, (G1.residues_of(0),))
         res = pushforward(h)
         assert abs(res.chi.values[0] - MASS_Z) < 1e-10
 
     def test_z2_parity_split(self):
         G = FiniteAbelianGroup((2,))
-        h = LatticeHom(Lattice.integers(1.0), G, (G.from_index(1),))
+        h = LatticeHom(Lattice.integers(1.0), G, (G.residues_of(1),))
         res = pushforward(h)
         # frozen: split of the direct summation by parity of k
         assert abs(res.chi.values[0] - 1.0000069746847124) < 1e-10
@@ -156,7 +156,7 @@ class TestPushforward:
         G = FiniteAbelianGroup((12,))
         n, alpha = 100, 1.0
         r_n = math.sqrt(math.log(n / alpha) / math.pi)
-        h = LatticeHom(Lattice.integers(r_n), G, (G.from_index(1),))
+        h = LatticeHom(Lattice.integers(r_n), G, (G.residues_of(1),))
         res = pushforward(h)
         assert abs(res.chi.values[1] - 0.01) < 1e-15
         assert abs(res.chi.values[2] - 1e-8) < 1e-16
@@ -194,22 +194,23 @@ class TestImages:
     G = FiniteAbelianGroup((4, 6))
     lattice = Lattice(np.array([[1.0, 0.3], [-0.2, 0.8]]))
 
-    def by_elements(self):
-        G = self.G
-        return LatticeHom(self.lattice, G, (element(G, (1, 5)), element(G, (3, 0))))
+    def by_vectors(self):
+        return LatticeHom(self.lattice, self.G, ((1, 5), (3, 0)))
 
     def test_elements_and_matrix_agree(self):
-        h = self.by_elements()
+        h = self.by_vectors()
         assert h.images.dtype == np.int64
         assert h.images.tolist() == [[1, 3], [5, 0]]  # column i is image i
-        # the same residues, out of range and negative
+        # the same residues, out of range and negative, in either form
         m = LatticeHom(self.lattice, self.G, np.array([[-7, 11], [5, -12]]))
-        assert np.array_equal(m.images, h.images)
+        v = LatticeHom(self.lattice, self.G, ((-7, 5), (11, np.int32(-12))))
+        for other in (m, v):
+            assert np.array_equal(other.images, h.images)
         assert pushforward(m).chi.values.tobytes() == pushforward(h).chi.values.tobytes()
 
     def test_images_are_read_only_and_owned(self):
         given = np.array([[1, 3], [5, 0]])
-        for h in (self.by_elements(), LatticeHom(self.lattice, self.G, given)):
+        for h in (self.by_vectors(), LatticeHom(self.lattice, self.G, given)):
             with pytest.raises(ValueError):
                 h.images[0, 0] = 2
         given[0, 0] = 2
@@ -231,30 +232,29 @@ class TestImages:
 
     def test_wrong_element_count_is_refused(self):
         with pytest.raises(DomainError):
-            LatticeHom(self.lattice, self.G, (element(self.G, (1, 1)),))
+            LatticeHom(self.lattice, self.G, ((1, 1),))
 
-    def test_foreign_element_is_refused(self):
-        H = FiniteAbelianGroup((24,))
-        with pytest.raises(GroupMismatchError):
-            LatticeHom(self.lattice, self.G, (element(self.G, (1, 1)), H.from_index(5)))
-
-    def test_lattice_operations_build_no_element(self, monkeypatch):
-        built = []
-        post_init = GroupElement.__post_init__
-
-        def spy(g):
-            built.append(g)
-            post_init(g)
-
-        monkeypatch.setattr(GroupElement, "__post_init__", spy)
-        G = FiniteAbelianGroup((2, 4))
-        rng = np.random.default_rng(5)
-        h1, h2 = random_hom(G, rng, 2), random_hom(G, rng, 3)
-        for h in (direct_sum(h1, h2), fiber_product(h1, h2)):
-            pushforward(h)
-        assert built == []
-        G.from_index(3)  # the spy sees an element when one is built
-        assert len(built) == 1
+    @pytest.mark.parametrize(
+        "images",
+        [
+            (),
+            ((1, 1), (2, 2), (3, 3)),  # one vector too many
+            ((1,), (2,)),  # each one residue short
+            ((1, 1, 0), (2, 2, 0)),  # each one residue long
+            ((1, 1), (2,)),  # ragged
+            ((1, 1), 2),
+            ((1.0, 1), (2, 2)),  # not integers
+            ((1, 1), ("2", 2)),
+            ((1, 1), (2**70, 2)),  # beyond int64
+            ((1, 5), (3, 0), ()),
+        ],
+        ids=["empty", "count-3", "short", "long", "ragged", "scalar", "float", "str", "huge",
+             "count-3-ragged"],
+    )
+    def test_malformed_residue_vectors_are_refused(self, images):
+        message = r"^images must be 2 integer residue vectors of length 2$"
+        with pytest.raises(DomainError, match=message):
+            LatticeHom(self.lattice, self.G, images)
 
     @pytest.mark.parametrize("sizes", [(12,), (2, 3, 4), (4, 4), (101,)])
     def test_random_hom_draws_as_before(self, sizes):
@@ -266,7 +266,7 @@ class TestImages:
                 B = rng.uniform(-1.5, 1.5, size=(d, d))
                 if np.linalg.svd(B, compute_uv=False)[-1] > 0.3:
                     break
-            images = tuple(G.from_index(int(rng.integers(G.order))) for _ in range(d))
+            images = tuple(G.residues_of(int(rng.integers(G.order))) for _ in range(d))
             return LatticeHom(Lattice(B), G, images)
 
         G = FiniteAbelianGroup(sizes)
@@ -302,17 +302,9 @@ class TestDirectSum:
 
     def test_images_stack_h1_then_h2(self):
         G = FiniteAbelianGroup((3, 5))
-        h1 = LatticeHom(Lattice.integers(1.0), G, (element(G, (1, 2)),))
-        h2 = LatticeHom(Lattice(np.eye(2)), G, (element(G, (2, 0)), element(G, (0, 4))))
+        h1 = LatticeHom(Lattice.integers(1.0), G, ((1, 2),))
+        h2 = LatticeHom(Lattice(np.eye(2)), G, ((2, 0), (0, 4)))
         assert direct_sum(h1, h2).images.tolist() == [[1, 2, 0], [2, 0, 4]]
-
-    def test_trivial_summand_is_identity(self):
-        G = FiniteAbelianGroup((5,))
-        h = LatticeHom(Lattice.integers(1.1), G, (G.from_index(2),))
-        triv = LatticeHom(Lattice(np.zeros((0, 0))), G, ())
-        out = direct_sum(h, triv)
-        assert np.allclose(out.lattice.basis, h.lattice.basis)
-        assert np.array_equal(out.images, h.images)
 
     def test_block_diagonal_gram(self):
         G = FiniteAbelianGroup((4,))
@@ -324,9 +316,9 @@ class TestDirectSum:
 
     def test_target_mismatch(self):
         h1 = LatticeHom(Lattice.integers(1.0), FiniteAbelianGroup((2,)),
-                        (FiniteAbelianGroup((2,)).from_index(1),))
+                        (FiniteAbelianGroup((2,)).residues_of(1),))
         h2 = LatticeHom(Lattice.integers(1.0), FiniteAbelianGroup((3,)),
-                        (FiniteAbelianGroup((3,)).from_index(1),))
+                        (FiniteAbelianGroup((3,)).residues_of(1),))
         with pytest.raises(GroupMismatchError):
             direct_sum(h1, h2)
 
@@ -401,7 +393,7 @@ class TestFiberProduct:
 
     def test_z2_explicit(self):
         G = FiniteAbelianGroup((2,))
-        h = LatticeHom(Lattice.integers(1.0), G, (G.from_index(1),))
+        h = LatticeHom(Lattice.integers(1.0), G, (G.residues_of(1),))
         chi = pushforward(h).chi.values
         fp = pushforward(fiber_product(h, h)).chi.values
         assert np.allclose(fp, chi**2, atol=1e-10)
@@ -430,8 +422,8 @@ class TestFiberProduct:
 
     def test_target_mismatch(self):
         Ga, Gb = FiniteAbelianGroup((2,)), FiniteAbelianGroup((3,))
-        h1 = LatticeHom(Lattice.integers(1.0), Ga, (Ga.from_index(1),))
-        h2 = LatticeHom(Lattice.integers(1.0), Gb, (Gb.from_index(1),))
+        h1 = LatticeHom(Lattice.integers(1.0), Ga, (Ga.residues_of(1),))
+        h2 = LatticeHom(Lattice.integers(1.0), Gb, (Gb.residues_of(1),))
         with pytest.raises(GroupMismatchError):
             fiber_product(h1, h2)
 
@@ -475,7 +467,7 @@ def _rotation(rng, d):
 def _onto_z5(basis):
     G = FiniteAbelianGroup((5,))
     d = len(basis)
-    return LatticeHom(Lattice(basis), G, tuple(G.from_index(1 + i % 4) for i in range(d)))
+    return LatticeHom(Lattice(basis), G, tuple(G.residues_of(1 + i % 4) for i in range(d)))
 
 
 def oracle_corpus(family):
@@ -565,7 +557,7 @@ class TestBallMatchesBox:
 class TestPointCap:
     def _unit_square(self):
         G = FiniteAbelianGroup((3,))
-        return LatticeHom(Lattice(np.eye(2)), G, (G.from_index(1), G.from_index(2)))
+        return LatticeHom(Lattice(np.eye(2)), G, (G.residues_of(1), G.residues_of(2)))
 
     def test_cap_counts_candidates(self):
         h = self._unit_square()
@@ -579,7 +571,7 @@ class TestPointCap:
     def test_first_level_is_capped(self):
         # about 2e9 candidates for c_1 alone: refused before any allocation
         G = FiniteAbelianGroup((2,))
-        h = LatticeHom(Lattice.integers(4e-9), G, (G.from_index(1),))
+        h = LatticeHom(Lattice.integers(4e-9), G, (G.residues_of(1),))
         with pytest.raises(EnumerationBudgetError):
             pushforward(h)
 

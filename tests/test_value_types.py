@@ -14,7 +14,7 @@ Z4 = FiniteAbelianGroup((4,))
 
 
 def _hom():
-    return LatticeHom(Lattice(np.eye(1)), Z4, (Z4.from_index(1),))
+    return LatticeHom(Lattice(np.eye(1)), Z4, (Z4.residues_of(1),))
 
 
 MAKERS = {
