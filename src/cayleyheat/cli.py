@@ -78,17 +78,18 @@ MAX_INSTANCES = 1000
 # --n 1024; memory does not grow with the count.  So 100 000 trials take
 # about 23 s at the default --n.
 MAX_TRIALS = 100_000
-# Largest sphere-check --lmax.  A Legendre degree costs 3.6 us per series
-# on a triple's five cosines when the series runs to l_max; at sphere-check's
-# t (0.05 and up) it stops by degree 122 whatever l_max is, since the terms
-# underflow.  So 10 000 bounds a series at 37 ms even where it would not
-# stop.
+# Largest sphere-check --lmax.  A Legendre degree costs 1.5 us per series
+# on a triple's five cosines when the series runs to l_max, and 3.0-3.3 us
+# in the call that first grows its t's table to that degree; at
+# sphere-check's t (0.05 and up) it stops by degree 122 whatever l_max is,
+# since the terms underflow.  So 10 000 bounds a series at 15 ms, and the
+# first one at each t at 33 ms, even where it would not stop.
 MAX_LMAX = 10_000
 # Largest sphere-check --trials.  A trial (two checks on one random triple,
-# sharing one kernel evaluation) costs 0.09-0.12 ms at the default --lmax:
-# 1 000 trials reported timing_ms 93-170 and 10 000 trials 867-1 151, on S2
-# and RP2 (same VM), with peak RSS flat at 35 MB.  So 100 000 trials take
-# about 12 s.
+# sharing one kernel evaluation) costs 0.06-0.07 ms at the default --lmax:
+# 1 000 trials reported timing_ms 64-66 and 10 000 trials 567-678, on S2
+# and RP2 (same VM; a few runs under load took up to 109 and 1 018), with
+# peak RSS flat at 36 MB.  So 100 000 trials take about 7 s.
 MAX_SPHERE_TRIALS = 100_000
 # Largest check-monotone and h3-monotone --steps.  check-monotone on Z4096
 # took 1.2-1.3 s at 10 000 steps and 7.0 s at 100 000, with peak RSS flat at

@@ -28,6 +28,10 @@ DEFAULT_L_MAX = 200
 # a triple back to back, so one entry would do; a few more serve a caller
 # that interleaves a handful of triples.
 KERNEL_MEMO_SIZE = 16
+# Series tables kept, one per (t, even_only), and truncation bounds, one per
+# (t, l_max).  The benchmark and sphere-check cycle through four t on each
+# of the two series spaces, so eight entries serve them.
+SERIES_CACHE_SIZE = 16
 
 
 # --- hyperbolic 3-space, hyperboloid model ---
@@ -118,13 +122,17 @@ def h3_reduced_log(d1: float, t: float) -> tuple[float, float]:
 
     The base length d2 is 2 asinh(sinh(d1)/sqrt 2), which is exactly
     cosh d2 = cosh^2 d1 and keeps its digits at small d1, where
-    acosh(cosh^2 d1) cancels.  A side that is not finite (d^2/4t overflows
-    at a subnormal t) is refused with NumericalConsistencyError.
+    acosh(cosh^2 d1) cancels.  d1 and t are taken as Python floats.  A side
+    that is not finite (d^2/4t overflows at a subnormal t) is refused with
+    NumericalConsistencyError.
     """
     if not 0 < d1 < math.inf:
         raise DomainError("d1 must be positive and finite")
     if not 0 < t < math.inf:
         raise DomainError("t must be positive and finite")
+    # as Python floats, as _triple_check passes t: a NumPy scalar would
+    # divide in NumPy, and warn where d^2/4t overflows
+    d1, t = float(d1), float(t)
     _cosh_squared(d1)  # refuses where h3_abc cannot build the triple
     d2 = 2.0 * math.asinh(math.sinh(d1) / math.sqrt(2.0))
     log_ls, log_rs = 2.0 * h3_log_ratio(d1, t), h3_log_ratio(d2, t)
@@ -189,26 +197,91 @@ class SpherePoint:
         object.__setattr__(self, "u", u)
 
 
-def _legendre_series(cos_theta, t: float, l_max: int, even_only: bool):
-    """sum over l of (2l+1)/(4 pi) exp(-l(l+1)t) P_l(cos theta).
+@functools.lru_cache(maxsize=SERIES_CACHE_SIZE)
+def _series_table(t: float, even_only: bool):
+    """(table, grow) of the series at t.  Entry l of the table is (c_l, its
+    stop bound, 2l+1, l, l+1), with c_l = (2l+1)/(4 pi) exp(-l(l+1)t) set
+    to 0 at odd l when even_only.  The table starts empty; grow() appends
+    the next degree and returns the new length.  _legendre_series grows it
+    when a cosine first reaches a degree, so it is as deep as the deepest
+    cosine has needed, and never deeper than the l_max of the call that
+    grew it.  Growing one table from two threads at once is not safe;
+    nothing in the package does."""
+    table = []
+
+    def grow() -> int:
+        l = len(table)
+        c = (2 * l + 1) / (4.0 * math.pi) * math.exp(-l * (l + 1) * t)
+        # (a) of _legendre_series: once c_{l+1}/c_l is below 1 it stays so,
+        # and the entry before has a finite bound from then on
+        decreasing = (l > 0 and table[-1][1] < math.inf) or (
+            (2 * l + 3) * math.exp(-2 * (l + 1) * t) < 2 * l + 1
+        )
+        bound = 2.0 * c if decreasing else math.inf
+        c = 0.0 if even_only and l % 2 else c
+        table.append((c, bound, float(2 * l + 1), float(l), float(l + 1)))
+        return l + 1
+
+    return table, grow
+
+
+@functools.lru_cache(maxsize=SERIES_CACHE_SIZE)
+def _series_tail(t: float, l_max: int) -> float:
+    """An upper bound on the sum of c_l over l > l_max, which bounds the
+    dropped terms, since |P_l| <= 1.
+
+    The terms are summed until one is below 1e-300.  If 399 terms pass
+    without one, the rest, from L = l_max + 400 on, is at most
+    c_L / (1 - r_L) with r_L = c_{L+1}/c_L = (2L+3)/(2L+1) exp(-2(L+1)t),
+    since the ratio falls with l ((a) of _legendre_series).  Rounding
+    margin, with u = 2^-53: r_L is computed within 4.1u of r_L ((4 + x)u
+    relative, x = 2(L+1)t, times r_L <= 1.01 e^-x), so subtracting 2^-49
+    from the computed 1 - r_L stays below the true gap; a gap not shown
+    positive gives inf.  Each term has l(l+1)t below 720 here (l_max below
+    10^9), so it is within 2 200u of c_l, and the sum adds 400u: the factor
+    1 + 1e-12, over 9 000u, covers both.  Where the loop stops early, its
+    sum is returned as it is: the remainder past the stop is below
+    1e-300 (2 + l_max/1000), and the sum's rounding below 1e-12 of it, both
+    far inside the error that _triple_kernels builds from the tail (ten
+    times it, plus a roundoff term of at least 1.8e-15).
+    """
+    tail = 0.0
+    for l in range(l_max + 1, l_max + 400):
+        term = (2 * l + 1) / (4.0 * math.pi) * math.exp(-l * (l + 1) * t)
+        tail += term
+        if term < 1e-300:
+            return tail
+    big_l = l_max + 400
+    gap = (1.0 - (2 * big_l + 3) / (2 * big_l + 1) * math.exp(-2 * (big_l + 1) * t)) - 2.0**-49
+    if not gap > 0.0:
+        return math.inf
+    c = (2 * big_l + 1) / (4.0 * math.pi) * math.exp(-big_l * (big_l + 1) * t)
+    return (tail + c / gap) * (1.0 + 1e-12)
+
+
+def _legendre_series(cosines, t: float, l_max: int, even_only: bool) -> tuple[list, float]:
+    """sum over l <= l_max of (2l+1)/(4 pi) exp(-l(l+1)t) P_l(x) at each
+    cosine x of a list of Python floats, and the truncation bound of
+    _series_tail.
 
     Three-term recurrence, one loop per cosine on Python floats, which are
-    IEEE doubles like NumPy's float64, with the coefficients computed once
-    and shared.  Each cosine's loop ends at l_max, or earlier at the first l
-    from which no term can change a bit of its sum, so each value is
-    bitwise the full loop's and does not depend on the other cosines.
-    Returns (value, truncation bound per evaluation); the value has the
-    input's shape, a 0-d array for a scalar.
+    IEEE doubles like NumPy's float64, reading its coefficients from the
+    table of t (_series_table), kept across calls.  Each cosine's loop ends
+    at l_max, or earlier at the first l from which no term can change a bit
+    of its sum, so each value is bitwise the full loop's and depends
+    neither on the other cosines nor on the calls before.  Returns
+    (values, tail), the values as a list of floats.
     """
     if l_max < 1:
         raise DomainError("l_max must be >= 1")
     if not 0 < t < math.inf:
         raise DomainError("t must be positive and finite")
-    x = np.asarray(cos_theta, dtype=float)
-    # written so that NaN fails too: a NaN cosine would never stop
-    if not np.all((x >= -1 - 1e-12) & (x <= 1 + 1e-12)):
+    t, l_max = float(t), operator.index(l_max)
+    # written so that NaN fails too: a NaN cosine would never stop.  Every
+    # cosine is checked before any series runs, so a refused call leaves
+    # the table as it was
+    if not all(-1 - 1e-12 <= x <= 1 + 1e-12 for x in cosines):
         raise DomainError("cos_theta must lie in [-1, 1]")
-    x = np.clip(x, -1.0, 1.0)
     # Each cosine stops once no term from l on can change a bit of its total.
     # (a) c_{l+1}/c_l = (2l+3)/(2l+1) exp(-2(l+1)t) falls with l, since
     #     (2l+1)(2l+5) < (2l+3)^2; once it is below 1 (`decreasing`), c_l
@@ -219,67 +292,65 @@ def _legendre_series(cos_theta, t: float, l_max: int, even_only: bool):
     #     a power of two and the gap below it is half the gap above.
     # Then total never changes again, so the value, the tail and every
     # report built on them are bitwise the full loop's; even_only adds a
-    # subset of the terms, so the stop holds for it too.
-    # coef[l] is (c_l, 2 c_l once `decreasing` holds and inf before), made
-    # when the first cosine reaches l and shared by the others.
-    coef = []
-    decreasing = False
+    # subset of the terms, so the stop holds for it too.  Its table has
+    # c_l = 0 at odd l, and adding a zero leaves total's bits as they are
+    # (total is never -0.0).  The recurrence's factors 2l+1, l and l+1 are
+    # kept as floats, the values the int operands convert to.
+    table, grow = _series_table(t, even_only)
+    n = len(table)
     ulp = math.ulp
     values = []
-    for xi in x.ravel().tolist():
-        p_prev, p_l = 0.0, 1.0  # P_{-1}, P_0
-        total = 0.0
-        for l in range(0, l_max + 1):
-            if l == len(coef):
-                c = (2 * l + 1) / (4.0 * math.pi) * math.exp(-l * (l + 1) * t)
-                decreasing = decreasing or (2 * l + 3) * math.exp(-2 * (l + 1) * t) < 2 * l + 1
-                coef.append((c, 2.0 * c if decreasing else math.inf))
-            c, bound = coef[l]
+    for x in cosines:
+        x = min(max(x, -1.0), 1.0)
+        p_prev, p_l, total = 0.0, 1.0, 0.0  # P_{-1}, P_0
+        for l in range(l_max + 1):
+            if l == n:
+                n = grow()
+            c, bound, a, b, d = table[l]
             if bound < ulp(abs(total)) / 4.0:
                 break
-            if not even_only or l % 2 == 0:
-                total += c * p_l
+            total += c * p_l
             # P_{l+1}; at l = 0 it is x exactly
-            p_prev, p_l = p_l, ((2 * l + 1) * xi * p_l - l * p_prev) / (l + 1)
+            p_prev, p_l = p_l, (a * x * p_l - b * p_prev) / d
         values.append(total)
-    # |P_l| <= 1, so the dropped tail is bounded termwise
-    tail = 0.0
-    for l in range(l_max + 1, l_max + 400):
-        term = (2 * l + 1) / (4.0 * math.pi) * math.exp(-l * (l + 1) * t)
-        tail += term
-        if term < 1e-300:
-            break
-    return np.array(values, dtype=float).reshape(x.shape), tail
+    return values, _series_tail(t, l_max)
 
 
-def _refuse_large_tail(val, tail):
-    """(val, tail), refused when the truncation bound is not small against
-    the value."""
-    ref = float(np.min(np.abs(val), initial=math.inf))
-    if tail > 1e-3 * max(ref, 1e-300):
+def _series_heat(cosines, t: float, l_max: int, even_only: bool) -> tuple[list, float]:
+    """The S2 kernel (even_only False) or the RP2 kernel at a list of
+    Python-float cosines, and its truncation bound; refused when the bound
+    is not small against every value.
+
+    RP2's is the even-degree terms, doubled: the factor 2 is a quotient
+    normalization, which cancels in the degree-balanced inequality checks.
+    """
+    values, tail = _legendre_series(cosines, t, l_max, even_only)
+    if even_only:
+        values, tail = [2.0 * v for v in values], 2.0 * tail
+    if tail > 1e-3 * max(min(map(abs, values), default=math.inf), 1e-300):
         raise NumericalConsistencyError(
             f"truncation bound {tail:.3e} too large; raise l_max or t"
         )
-    return val, tail
+    return values, tail
 
 
 def sphere_heat(cos_theta, t: float, l_max: int = DEFAULT_L_MAX):
     """Heat kernel on the unit 2-sphere as a function of the angle.
 
-    Returns (value, truncation_bound); refuses when the bound is not
-    small against the value.
+    Returns (value, truncation_bound), the value an array of the input's
+    shape; refuses when the bound is not small against the value.
     """
-    return _refuse_large_tail(*_legendre_series(cos_theta, t, l_max, even_only=False))
+    x = np.asarray(cos_theta, dtype=float)
+    values, tail = _series_heat(x.ravel().tolist(), t, l_max, even_only=False)
+    return np.array(values, dtype=float).reshape(x.shape), tail
 
 
 def rp2_heat(cos_theta, t: float, l_max: int = DEFAULT_L_MAX):
-    """Heat kernel on the projective plane: even-degree terms, doubled.
-
-    The factor 2 is a quotient normalization; it cancels in the
-    degree-balanced inequality checks.
-    """
-    val, tail = _legendre_series(cos_theta, t, l_max, even_only=True)
-    return _refuse_large_tail(2.0 * val, 2.0 * tail)
+    """Heat kernel on the projective plane, as sphere_heat: the even-degree
+    terms, doubled (see _series_heat)."""
+    x = np.asarray(cos_theta, dtype=float)
+    values, tail = _series_heat(x.ravel().tolist(), t, l_max, even_only=True)
+    return np.array(values, dtype=float).reshape(x.shape), tail
 
 
 def sphere_point_symmetry(b: SpherePoint, c: SpherePoint) -> SpherePoint:
@@ -293,8 +364,8 @@ def random_sphere_point(rng: np.random.Generator) -> SpherePoint:
     return SpherePoint(v / np.linalg.norm(v))
 
 
-# the kernel of each series space, and the set the sphere checks accept
-_SERIES_KERNELS = {"S2": sphere_heat, "RP2": rp2_heat}
+# even_only of each series space, and the set the sphere checks accept
+_SERIES_EVEN_ONLY = {"S2": False, "RP2": True}
 
 
 @functools.lru_cache(maxsize=KERNEL_MEMO_SIZE)
@@ -330,9 +401,8 @@ def _triple_kernels(space: str, a, b, c, t: float, l_max: int):
         pairs = ((a, b), (b, c), (a, c), (a, h3_point_symmetry(b, c)))
         return (*[haa * math.exp(h3_log_ratio(h3_distance(x, y), t)) for x, y in pairs], haa, 0.0)
     pairs = ((a, b), (b, c), (a, c), (a, sphere_point_symmetry(b, c)))
-    cos_vals = np.array([float(np.dot(x.u, y.u)) for x, y in pairs] + [1.0])
-    vals, tail = _SERIES_KERNELS[space](cos_vals, t, l_max)
-    hab, hbc, hac, hasbc, haa = vals.tolist()
+    cosines = [float(np.dot(x.u, y.u)) for x, y in pairs] + [1.0]
+    (hab, hbc, hac, hasbc, haa), tail = _series_heat(cosines, t, l_max, _SERIES_EVEN_ONLY[space])
     return hab, hbc, hac, hasbc, haa, 10.0 * tail + 100.0 * math.ulp(1.0) * haa
 
 
@@ -374,7 +444,7 @@ def _triple_check(kind: str, space: str, a, b, c, t, tol: float, l_max: int) -> 
 
 def _series_space(space: str) -> str:
     """space, refused with DomainError unless it has a series kernel."""
-    if space not in _SERIES_KERNELS:
+    if space not in _SERIES_EVEN_ONLY:
         raise DomainError(f"unknown series space {space!r}")
     return space
 

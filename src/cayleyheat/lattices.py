@@ -100,7 +100,8 @@ class LatticeHom:
     factor.  It may be given as a signed integer matrix of that shape, or
     as a sequence of d residue vectors of length rank, one per basis vector
     (as ``residues_of`` returns them), with entries of any size and sign in
-    either form; it is converted once, here.
+    either form; it is converted once, here.  A bool is not an integer
+    residue in either form.
     """
 
     lattice: Lattice
@@ -115,7 +116,14 @@ class LatticeHom:
                 rows = np.array(images)
             except ValueError:  # numpy's answer to a ragged sequence
                 rows = None
-            if rows is None or rows.shape != (d, G.rank) or rows.dtype.kind != "i":
+            # np.array casts a bool next to integers to 1 or 0, so bools
+            # are looked for in the entries themselves
+            if (
+                rows is None
+                or rows.shape != (d, G.rank)
+                or rows.dtype.kind != "i"
+                or any(isinstance(r, (bool, np.bool_)) for v in images for r in v)
+            ):
                 raise DomainError(f"images must be {d} integer residue vectors of length {G.rank}")
             images = rows.T
         if images.shape != (G.rank, d) or images.dtype.kind != "i":

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -302,6 +303,19 @@ class TestH3ReducedCheck:
             with pytest.raises(NumericalConsistencyError, match="log sides are not finite"):
                 check(3.0, 1e-310)
 
+    @pytest.mark.parametrize("as_numpy", [np.float64, np.array])
+    def test_numpy_scalars_give_the_python_float_answers(self, as_numpy):
+        # a NumPy t once divided in NumPy, which warned where d1^2/4t
+        # overflows instead of refusing by name
+        for check in (h3_reduced_log, h3_reduced_check):
+            ref = check(3.0, 1.0)
+            got = check(as_numpy(3.0), as_numpy(1.0))
+            assert [type(v) for v in got] == [type(v) for v in ref] and got == ref
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(NumericalConsistencyError, match="log sides are not finite"):
+                    check(3.0, as_numpy(5e-324))
+
     @pytest.mark.parametrize("d1", [math.inf, math.nan])
     def test_nonfinite_d1_is_rejected(self, d1):
         with pytest.raises(DomainError):
@@ -569,11 +583,17 @@ class TestSeriesEarlyStop:
         assert tail == ref_tail
 
     def test_scalar_input(self):
+        # a scalar cosine goes through the kernels' array edge, which gives
+        # a 0-d value; the series itself takes a list of floats
         for t in (0.05, 1.0):
-            val, tail = _legendre_series(0.3, t, 200, False)
+            val, tail = sphere_heat(0.3, t, 200)
             ref, ref_tail = loop_series(0.3, t, 200, False)
             assert_bitwise(val, ref)
             assert tail == ref_tail
+            val, tail = rp2_heat(0.3, t, 200)
+            ref, ref_tail = loop_series(0.3, t, 200, True)
+            assert_bitwise(val, 2.0 * ref)
+            assert tail == 2.0 * ref_tail
 
     def test_cost_does_not_grow_with_l_max(self, monkeypatch):
         # five triples' cosines, and an empty input, which runs no series
@@ -599,6 +619,129 @@ class TestSeriesEarlyStop:
             val, tail = sphere_heat(x, 0.05, l_max=10**6)
             assert_bitwise(val, ref)
             assert tail == 0.0 == ref_tail
+
+
+def mp_tail(mp, t, l_max):
+    """sum over l > l_max of (2l+1)/(4 pi) exp(-l(l+1)t) in mpmath at 40
+    digits, summed until l(l+1)t > 300 and a term is below 1e-35 of it."""
+    with mp.workdps(40):
+        t, total, l = mp.mpf(t), mp.mpf(0), l_max + 1
+        while True:
+            term = (2 * l + 1) * mp.exp(-l * (l + 1) * t) / (4 * mp.pi)
+            total += term
+            if l * (l + 1) * t > 300 and term < total * mp.mpf(10) ** -35:
+                return total
+            l += 1
+
+
+def clear_series_caches():
+    continuum._series_table.cache_clear()
+    continuum._series_tail.cache_clear()
+
+
+class TestSeriesTable:
+    """The series reads its coefficients from a table per (t, even_only)
+    that is kept across calls and grown as far as a cosine has needed; the
+    truncation bound is kept per (t, l_max).  No result depends on what the
+    caches held before."""
+
+    @pytest.mark.parametrize("l_max", [8, 35, 200])
+    @pytest.mark.parametrize("t", [0.05, 0.07, 0.2, 1.0, 5.0])
+    def test_triple_kernels_match_the_full_loop(self, t, l_max):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            a, b, c = (random_sphere_point(rng) for _ in range(3))
+            # the triple, and the one with c replaced by its reflection
+            for triple in ((a, b, c), (a, b, sphere_point_symmetry(b, c))):
+                p, q, r = triple
+                pairs = ((p, q), (q, r), (p, r), (p, sphere_point_symmetry(q, r)))
+                x = np.array([float(np.dot(y.u, z.u)) for y, z in pairs] + [1.0])
+                for space, even_only in (("S2", False), ("RP2", True)):
+                    ref, ref_tail = loop_series(x, t, l_max, even_only)
+                    if even_only:
+                        ref, ref_tail = 2.0 * ref, 2.0 * ref_tail
+                    if ref_tail > 1e-3 * max(np.min(np.abs(ref)), 1e-300):
+                        with pytest.raises(NumericalConsistencyError, match="truncation"):
+                            continuum._triple_kernels(space, *triple, t, l_max)
+                        continue
+                    got = continuum._triple_kernels(space, *triple, t, l_max)
+                    assert_bitwise(np.array(got[:5]), ref)
+                    assert got[5] == 10.0 * ref_tail + 100.0 * math.ulp(1.0) * ref[4]
+
+    @pytest.mark.parametrize("even_only", [False, True])
+    @pytest.mark.parametrize("t", [0.05, 0.2])
+    def test_a_shallow_table_then_a_deeper_l_max(self, t, even_only):
+        x = series_cosines(trials=10).tolist()
+        fresh = {}
+        for l_max in (8, 200):
+            clear_series_caches()
+            fresh[l_max] = continuum._legendre_series(x, t, l_max, even_only)
+        for first, second in ((8, 200), (200, 8)):
+            clear_series_caches()
+            assert continuum._legendre_series(x, t, first, even_only) == fresh[first]
+            table, _ = continuum._series_table(t, even_only)
+            assert len(table) <= first + 1  # never grown past l_max
+            assert continuum._legendre_series(x, t, second, even_only) == fresh[second]
+        assert len(table) < 60  # grown as far as the cosines needed, not to 200
+
+    @pytest.mark.parametrize("kernel", [sphere_heat, rp2_heat])
+    def test_numpy_t_gives_the_python_float_bits(self, kernel):
+        x = series_cosines(trials=5)
+        clear_series_caches()
+        ref, ref_tail = kernel(x, 0.07, 35)
+        for as_numpy in (np.float64, np.array):
+            val, tail = kernel(x, as_numpy(0.07), np.int64(35))
+            assert_bitwise(val, ref)
+            assert tail == ref_tail
+        # all three found the one table and the one tail
+        assert continuum._series_table.cache_info().currsize == 1
+        assert continuum._series_tail.cache_info().currsize == 1
+
+    def test_caches_stay_bounded(self):
+        clear_series_caches()
+        x = [0.3, -0.5, 1.0]
+        for t in np.linspace(0.05, 5.0, 5 * continuum.SERIES_CACHE_SIZE):
+            sphere_heat(x, t)
+            rp2_heat(x, t, l_max=100)
+        for cache in (continuum._series_table, continuum._series_tail):
+            assert cache.cache_info().currsize == continuum.SERIES_CACHE_SIZE
+
+    def test_a_refused_call_leaves_nothing_read_later(self):
+        x = series_cosines(trials=5)
+        clear_series_caches()
+        expected = [kernel(x, 0.2) for kernel in (sphere_heat, rp2_heat)]
+        clear_series_caches()
+        # a bad cosine after good ones, a bad t or l_max: refused before
+        # any table or tail is made
+        for args in (([0.5, 0.2, math.nan], 0.2, 200), (x, math.nan, 200), (x, 0.2, 0)):
+            for kernel in (sphere_heat, rp2_heat):
+                with pytest.raises(DomainError):
+                    kernel(*args)
+        assert continuum._series_table.cache_info().currsize == 0
+        assert continuum._series_tail.cache_info().currsize == 0
+        # a truncation refusal keeps only entries as a fresh call makes them
+        for kernel in (sphere_heat, rp2_heat):
+            with pytest.raises(NumericalConsistencyError, match="truncation"):
+                kernel(x, 0.2, l_max=1)
+        for kernel, (ref, ref_tail) in zip((sphere_heat, rp2_heat), expected):
+            val, tail = kernel(x, 0.2)
+            assert_bitwise(val, ref)
+            assert tail == ref_tail
+
+    # at (1e-3, 68) the remainder past the loop is negligible, and the sum's
+    # rounding alone leaves it 8.6e-16 short of the remainder: only the
+    # rounding margin lifts it
+    @pytest.mark.parametrize("t, l_max", [(1e-5, 1000), (1e-4, 200), (1e-6, 2000), (1e-3, 68)])
+    def test_tail_bounds_the_40_digit_remainder(self, t, l_max):
+        mp = pytest.importorskip("mpmath")
+        exact = mp_tail(mp, t, l_max)
+        # the termwise loop ran its 399 terms without one below 1e-300, and
+        # its sum fell short of the remainder
+        last = l_max + 399
+        assert (2 * last + 1) / (4 * math.pi) * math.exp(-last * (last + 1) * t) >= 1e-300
+        assert loop_series([0.0], t, l_max, False)[1] < exact
+        tail = continuum._series_tail(t, l_max)
+        assert exact <= tail <= 1.05 * exact
 
 
 def clear_kernel_memos():

@@ -256,6 +256,22 @@ class TestImages:
         with pytest.raises(DomainError, match=message):
             LatticeHom(self.lattice, self.G, images)
 
+    @pytest.mark.parametrize(
+        "images",
+        [
+            ((True, 1), (2, 3)),  # np.array casts this to [[1, 1], [2, 3]]
+            ((1, 5), (np.bool_(False), 3)),
+            ((True, False), (True, True)),
+            np.array([[True, False], [True, True]]),
+        ],
+        ids=["bool-among-ints", "numpy-bool-among-ints", "all-bool", "bool-matrix"],
+    )
+    def test_bool_images_are_refused(self, images):
+        # the sequence form (a bool among integers, or only bools) and the
+        # matrix form refuse a bool alike
+        with pytest.raises(DomainError, match=r"^images must be "):
+            LatticeHom(self.lattice, self.G, images)
+
     @pytest.mark.parametrize("sizes", [(12,), (2, 3, 4), (4, 4), (101,)])
     def test_random_hom_draws_as_before(self, sizes):
         # one rng.integers call per image, in order, as when the images were
